@@ -20,9 +20,9 @@ from .gsets import coset_space, fixed_points
 from .groups import FiniteGroup
 from .lattice import (
     SubgroupLattice,
-    bits_iter,
     conjugate_bits,
     double_coset_reps,
+    generating_set,
 )
 
 
@@ -103,7 +103,11 @@ class LevelRing:
         self.subgroup = lattice.subgroups[level_index]
         H_bits = self.subgroup.members
         sub_ids = lattice.subgroups_within(level_index)
-        members = list(bits_iter(H_bits))
+        # Conjugation by a generator central in H is trivial, so the orbits
+        # under the others are the H-classes (all singletons when H is abelian).
+        mul = group.mul_table
+        gens = generating_set(group, H_bits)
+        gens = [a for a in gens if any(mul[a][b] != mul[b][a] for b in gens)]
 
         # H-conjugacy classes of the subgroups of H; reps are (order, bits)-least.
         local_cls: dict[int, int] = {}
@@ -118,7 +122,7 @@ class LevelRing:
             while frontier:
                 new = []
                 for bits in frontier:
-                    for h in members:
+                    for h in gens:
                         cb = conjugate_bits(group, h, bits)
                         j = lattice.index_of[cb]
                         if j not in local_cls:
@@ -255,11 +259,3 @@ class LevelRing:
 
     def all_ones(self) -> GhostElement:
         return GhostElement(self.level_index, (1,) * self.num_classes)
-
-    def per_subgroup_values(self, v: GhostElement) -> dict[int, int]:
-        """Expand class coordinates to one value per subgroup of H (global ids)."""
-        return {sid: v.values[self.local_class_of[sid]] for sid in self.sub_ids}
-
-
-def marks_table(ring: LevelRing) -> list[list[int]]:
-    return [row[:] for row in ring.marks_matrix]

@@ -542,6 +542,8 @@ def run(argv) -> int:
         fmt=args.fmt,
     )
     try:
+        if config.max_order < 1:
+            raise _UsageError(f"--max-order must be >= 1, got {config.max_order}")
         session = open_session(args.spec, config)
         return _COMMANDS[args.command](session, args)
     except (SpecParseError, SpecRangeError, _UsageError) as exc:

@@ -1,16 +1,24 @@
 """Subgroup lattices: exhaustive enumeration, conjugacy classes, subconjugacy.
 
 Subgroups are bitsets over element indices (Python ints), so membership and
-containment are single bit operations.  The lattice is complete: it is built
-by seeding with all cyclic subgroups and closing under pairwise joins, and
-every subgroup of a listed subgroup is again listed.  All tie-breaking is by
-least element index / least bitset, which makes every derived structure
-deterministic for a fixed group realization.
+containment are single bit operations.  All tie-breaking is by least element
+index / least bitset, which makes every derived structure deterministic for a
+fixed group realization.
+
+Enumeration extends one representative S per conjugacy class, in the line of
+Neubueser's cyclic extension (Numer. Math. 2, 1960): for each element c
+outside S it forms the join <S, c>, grown from S a left coset at a time, and
+every new join enters with its whole conjugacy class.  Elements c' with
+<S, c'> a conjugate of <S, c> under N_G(S) (coprime powers of c, products
+c s with s in S, and N_G(S)-conjugates) are skipped.  The result is
+complete: a subgroup T != 1 is <M, c> for any maximal subgroup M of T and c
+in T but not in M, and M is conjugate to an extended representative.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from math import gcd
 
 from .errors import ContainmentError
 from .groups import FiniteGroup
@@ -39,18 +47,22 @@ class Subgroup:
     members: int
     order: int
 
-    def contains_element(self, x: int) -> bool:
-        return self.members >> x & 1 == 1
-
     def element_indices(self) -> list[int]:
         return list(bits_iter(self.members))
 
 
-def closure(group: FiniteGroup, generators) -> int:
-    """Bitset of the subgroup generated by the given element indices."""
+def closure(group: FiniteGroup, generators, base: int | None = None) -> int:
+    """Bitset of the subgroup generated by the given element indices.
+
+    With ``base`` (the bitset of a subgroup S) it is the join of S and the
+    generators, grown from S one whole left coset yS at a time.
+    """
     mul = group.mul_table
-    bits = 1 << group.identity_index
-    frontier = [group.identity_index]
+    if base is None:
+        base = 1 << group.identity_index
+    base_list = list(bits_iter(base))
+    bits = base
+    frontier = base_list
     gens = list(generators)
     while frontier:
         new = []
@@ -59,10 +71,26 @@ def closure(group: FiniteGroup, generators) -> int:
             for g in gens:
                 y = row[g]
                 if not bits >> y & 1:
-                    bits |= 1 << y
-                    new.append(y)
+                    coset = mul[y]
+                    for s in base_list:
+                        z = coset[s]
+                        bits |= 1 << z
+                        new.append(z)
         frontier = new
     return bits
+
+
+def generating_set(group: FiniteGroup, bits: int) -> list[int]:
+    """A small generating set of the subgroup ``bits``: least elements first."""
+    gens: list[int] = []
+    span = 1 << group.identity_index
+    for x in bits_iter(bits):
+        if span == bits:
+            break
+        if not span >> x & 1:
+            gens.append(x)
+            span = closure(group, (x,), span)
+    return gens
 
 
 def conjugate_bits(group: FiniteGroup, g: int, bits: int) -> int:
@@ -175,16 +203,8 @@ class SubgroupLattice:
             self._normalizers = [None] * len(self.subgroups)
         cached = self._normalizers[sub_idx]
         if cached is None:
-            g = self.group
-            bits = self.subgroups[sub_idx].members
-            if g.is_abelian:
-                cached = self.subgroups[self.top_index]
-            else:
-                out = 0
-                for x in range(g.order):
-                    if conjugate_bits(g, x, bits) == bits:
-                        out |= 1 << x
-                cached = Subgroup(out, bit_count(out))
+            bits = normalizer_bits(self.group, self.subgroups[sub_idx].members)
+            cached = Subgroup(bits, bit_count(bits))
             self._normalizers[sub_idx] = cached
         return cached
 
@@ -193,75 +213,122 @@ class SubgroupLattice:
         return self.subconj[self.class_of[h_idx]][self.class_of[k_idx]]
 
 
-def subgroup_lattice(group: FiniteGroup) -> SubgroupLattice:
-    """Enumerate every subgroup by cyclic seeding and pairwise-join closure."""
+def normalizer_bits(group: FiniteGroup, bits: int) -> int:
+    """Bitset of N_G(S); one conjugation test per left coset gS, since all of
+    gS normalizes S or none of it does."""
+    if group.is_abelian:
+        return (1 << group.order) - 1
     mul = group.mul_table
-    n = group.order
-
-    # Cyclic subgroups, keyed by bitset; remember one generator each.
-    found: dict[int, tuple[int, ...]] = {1 << group.identity_index: ()}
-    cyclics: list[tuple[int, int]] = []
-    for x in range(n):
-        if x == group.identity_index:
+    members = list(bits_iter(bits))
+    seen = bytearray(group.order)
+    out = 0
+    for g in range(group.order):
+        if seen[g]:
             continue
-        bits = 1 << group.identity_index
-        power = x
-        while power != group.identity_index:
-            bits |= 1 << power
-            power = mul[power][x]
-        if bits not in found:
-            found[bits] = (x,)
-            cyclics.append((bits, x))
-    cyclics.sort(key=lambda t: (bit_count(t[0]), t[0]))
+        coset = [mul[g][s] for s in members]
+        for x in coset:
+            seen[x] = 1
+        if conjugate_bits(group, g, bits) == bits:
+            for x in coset:
+                out |= 1 << x
+    return out
 
-    # Join closure: any subgroup is the join of its cyclic subgroups.
-    queue = sorted(found)
-    qi = 0
-    while qi < len(queue):
-        s_bits = queue[qi]
-        qi += 1
-        s_gens = found[s_bits]
-        for c_bits, c in cyclics:
-            if s_bits >> c & 1:
+
+def _cyclic_generators(group: FiniteGroup, x: int) -> list[int]:
+    """The powers x^k with gcd(k, ord x) = 1, i.e. the generators of <x>."""
+    order = group.element_order(x)
+    mul = group.mul_table
+    out, power = [], x
+    for k in range(1, order + 1):
+        if gcd(k, order) == 1:
+            out.append(power)
+        power = mul[power][x]
+    return out
+
+
+def _mark_join_orbit(group: FiniteGroup, c: int, right, conj, done: bytearray) -> None:
+    """Mark in ``done`` the orbit of c under x -> x^k (gcd(k, ord x) = 1),
+    x -> x s (s in ``right``) and x -> n x n^-1 (n in ``conj``).
+
+    With ``right`` generating S and ``conj`` inside N_G(S), every marked d has
+    <S, d> equal to an N_G(S)-conjugate of <S, c>.
+    """
+    mul, inv = group.mul_table, group.inv
+    stack = [c]
+    while stack:
+        y = stack.pop()
+        if done[y]:
+            continue
+        block = _cyclic_generators(group, y)
+        for x in block:
+            done[x] = 1
+        for x in block:
+            row = mul[x]
+            for s in right:
+                if not done[row[s]]:
+                    stack.append(row[s])
+            for n in conj:
+                z = mul[mul[n][x]][inv[n]]
+                if not done[z]:
+                    stack.append(z)
+
+
+def subgroup_lattice(group: FiniteGroup) -> SubgroupLattice:
+    """Enumerate every subgroup by extending one representative per conjugacy class."""
+    # found maps every subgroup seen so far to its class in discovery order;
+    # reps holds the first-found member of each class and its generators.
+    found: dict[int, int] = {}
+    reps: list[tuple[int, tuple[int, ...]]] = []
+
+    def add_class(bits: int, gens: tuple[int, ...]) -> None:
+        cls = len(reps)
+        reps.append((bits, gens))
+        found[bits] = cls
+        frontier = [bits]
+        while frontier:
+            new = []
+            for b in frontier:
+                for g in group.gen_indices:
+                    cb = conjugate_bits(group, g, b)
+                    if cb not in found:
+                        found[cb] = cls
+                        new.append(cb)
+            frontier = new
+
+    add_class(1 << group.identity_index, ())
+    for s_bits, s_gens in reps:  # add_class appends while this loop walks reps
+        conj = () if group.is_abelian else generating_set(group, normalizer_bits(group, s_bits))
+        done = bytearray(group.order)
+        for x in bits_iter(s_bits):
+            done[x] = 1
+        for c in range(group.order):
+            if done[c]:
                 continue
-            joined = closure(group, s_gens + (c,))
+            joined = closure(group, (c,), s_bits)
             if joined not in found:
-                found[joined] = s_gens + (c,)
-                queue.append(joined)
+                add_class(joined, s_gens + (c,))
+            _mark_join_orbit(group, c, s_gens, conj, done)
 
     ordered = sorted(found, key=lambda b: (bit_count(b), b))
     subgroups = [Subgroup(b, bit_count(b)) for b in ordered]
     index_of = {b: i for i, b in enumerate(ordered)}
 
-    # Conjugacy classes via orbit closure under the group generators.
-    class_of = [-1] * len(subgroups)
+    # Renumber classes by their least member in (order, bitset) order.
+    renumber: dict[int, int] = {}
+    class_of: list[int] = []
     class_reps: list[int] = []
-    for i, sub in enumerate(subgroups):
-        if class_of[i] != -1:
-            continue
-        cls = len(class_reps)
-        class_reps.append(i)
-        frontier = [sub.members]
-        class_of[i] = cls
-        while frontier:
-            new = []
-            for bits in frontier:
-                for g in group.gen_indices:
-                    cb = conjugate_bits(group, g, bits)
-                    j = index_of[cb]
-                    if class_of[j] == -1:
-                        class_of[j] = cls
-                        new.append(cb)
-            frontier = new
+    for i, b in enumerate(ordered):
+        cls = renumber.setdefault(found[b], len(class_reps))
+        if cls == len(class_reps):
+            class_reps.append(i)
+        class_of.append(cls)
 
-    nclasses = len(class_reps)
-    subconj = [[False] * nclasses for _ in range(nclasses)]
-    for i, sub in enumerate(subgroups):
-        ci = class_of[i]
-        row = subconj[ci]
-        for c2, rep in enumerate(class_reps):
-            if not row[c2] and is_subset(sub.members, subgroups[rep].members):
-                row[c2] = True
+    subconj = [[False] * len(class_reps) for _ in class_reps]
+    for c2, rep in enumerate(class_reps):
+        outside = ~ordered[rep]
+        for i in range(rep + 1):  # sorted by order: no later subgroup fits inside
+            if not ordered[i] & outside:
+                subconj[class_of[i]][c2] = True
     return SubgroupLattice(group, subgroups, index_of, class_of, class_reps, subconj)
 
 

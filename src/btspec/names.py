@@ -8,10 +8,10 @@ S3, A4, D6, S4, C7:C3, C3xC3.  The class of the whole group falls back to the
 group's spec text when unrecognized.
 
 When several non-conjugate classes share a structure name they get suffixes
-a, b, c, ... assigned by canonical class order, except that letters propagate
-along p-residual maps whenever those maps match suffixed families bijectively
-(so a chain like S4 > A4 > K4 keeps one letter).  The assignment is canonical
-but arbitrary.
+a, b, ..., z, aa, ab, ... assigned by canonical class order, except that
+suffixes propagate along p-residual maps whenever those maps match suffixed
+families bijectively (so a chain like S4 > A4 > K4 keeps one letter).  The
+assignment is canonical but arbitrary.
 """
 
 from __future__ import annotations
@@ -122,6 +122,16 @@ def class_labels(group: FiniteGroup, lattice: SubgroupLattice) -> list[str]:
 _LETTERS = "abcdefghijklmnopqrstuvwxyz"
 
 
+def _suffix(i: int) -> str:
+    """The i-th suffix in the sequence a, ..., z, aa, ab, ..., zz, aaa, ..."""
+    out = ""
+    i += 1
+    while i:
+        i, r = divmod(i - 1, len(_LETTERS))
+        out = _LETTERS[r] + out
+    return out
+
+
 def _assign_suffixes(group, lattice, duplicated: dict[str, list[int]]) -> dict[int, str]:
     """Letter suffixes for duplicated structure names, residual-consistent.
 
@@ -161,6 +171,6 @@ def _assign_suffixes(group, lattice, duplicated: dict[str, list[int]]) -> dict[i
                 letters[c] = inherited[c]
         else:
             for i, c in enumerate(sorted(members)):
-                letters[c] = _LETTERS[i]
+                letters[c] = _suffix(i)
         assigned_groups.append(members)
     return letters

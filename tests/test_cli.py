@@ -51,6 +51,27 @@ class TestExitCodes:
         code, _, err = invoke("marks", "A4", "--level", "C5")
         assert code == 1 and "unknown class label" in err
 
+    @pytest.mark.parametrize("value", ["0", "-3"])
+    def test_usage_error_max_order_below_one(self, invoke, value):
+        code, out, err = invoke("--max-order", value, "subgroups", "S3")
+        assert code == 2 and out == ""
+        assert err.startswith("usage error:") and "--max-order" in err
+        assert err.count("\n") == 1
+
+
+class TestLabels:
+    def test_more_than_26_same_name_classes(self, invoke):
+        # C2^4 has 35 classes named K4: suffixes continue a..z, aa, ab, ...
+        code, out, err = invoke("subgroups", "perm:(0 1);(2 3);(4 5);(6 7)")
+        assert code == 0 and err == ""
+        assert "67 conjugacy classes" in out
+        labels = [line.split()[0] for line in out.splitlines()[2:]]
+        assert len(set(labels)) == len(labels) == 67
+        k4 = [label for label in labels if label.startswith("K4")]
+        assert sorted(k4) == sorted(["K4" + c for c in "abcdefghijklmnopqrstuvwxyz"]
+                                    + ["K4a" + c for c in "abcdefghi"])
+        assert "C2o" in labels and "C2p" not in labels
+
 
 class TestDeterminism:
     @pytest.mark.parametrize(
