@@ -9,6 +9,11 @@ when classes are sorted by (order, bitset), which is a linear extension of
 subconjugacy.  Its triangularity makes the inverse an exact integer
 back-substitution; everything runs on arbitrary-precision ints because norms
 exponentiate.
+
+The table is read off the lattice bitsets with the table-of-marks identity
+|(H/K)^I| = |N_H(K) : K| * #{H-conjugates of K containing I}; no coset space
+is built.  The brute-force G-set engine in ``gsets`` stays an independent
+oracle that the verifier's naturality checks and the tests compare against.
 """
 
 from __future__ import annotations
@@ -16,6 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import NotInImageError
+# Read only by bench/tracer.py, which wraps these names here to count calls.
 from .gsets import coset_space, fixed_points
 from .groups import FiniteGroup
 from .lattice import (
@@ -23,6 +29,7 @@ from .lattice import (
     conjugate_bits,
     double_coset_reps,
     generating_set,
+    is_subset,
 )
 
 
@@ -142,23 +149,26 @@ class LevelRing:
     def class_of_bits(self, bits: int) -> int:
         return self.local_class_of[self.lattice.index_of[bits]]
 
-    def class_size(self, cls: int) -> int:
-        return sum(1 for sid in self.sub_ids if self.local_class_of[sid] == cls)
-
     @property
     def marks_matrix(self) -> list[list[int]]:
-        """matrix[K][I] = |(H/K)^I| over local classes; computed by the G-set oracle."""
+        """matrix[K][I] = |(H/K)^I| over local classes, read off the lattice.
+
+        gK is I-fixed iff I <= ^g K, and each K' in the H-class [K]_H is ^g K
+        for |N_H(K)| = |H| / |[K]_H| of the |H| elements g, so
+        |(H/K)^I| = |H| * #{K' in [K]_H : I <= K'} / (|K| * |[K]_H|).
+        """
         if self._marks_matrix is None:
-            H_bits = self.subgroup.members
+            subgroups = self.lattice.subgroups
+            by_class: list[list[int]] = [[] for _ in self.class_reps]
+            for sid in self.sub_ids:
+                by_class[self.local_class_of[sid]].append(subgroups[sid].members)
+            rep_bits = [subgroups[r].members for r in self.class_reps]
+            H_order = self.subgroup.order
             matrix = []
-            for k_cls in range(self.num_classes):
-                K_bits = self.class_rep_subgroup(k_cls).members
-                space = coset_space(self.group, H_bits, K_bits)
+            for k_cls, conjugates in enumerate(by_class):
+                weyl = H_order // (subgroups[self.class_reps[k_cls]].order * len(conjugates))
                 matrix.append(
-                    [
-                        fixed_points(space, self.class_rep_subgroup(i_cls).members)
-                        for i_cls in range(self.num_classes)
-                    ]
+                    [weyl * sum(1 for K in conjugates if is_subset(I, K)) for I in rep_bits]
                 )
             self._marks_matrix = matrix
         return self._marks_matrix

@@ -1,10 +1,13 @@
 """Persistent lattice cache.
 
 Lattice enumeration is the only expensive step, so the CLI persists it as a
-JSON file keyed by a hash of the canonical spec text and max_order.  Entries
-record enough to validate against a freshly realized group (degree, order,
-generators); anything stale, truncated, or otherwise surprising is ignored
-and recomputed, never trusted.  Writes are atomic (temp file + rename).
+JSON file keyed by a hash of the canonical spec text and max_order.  An entry
+is checked against the freshly realized group (spec hash, order, degree,
+generators) and for shape (format version, bitsets within the group, the
+whole group last, (order, bitset) order, class and subconjugacy table
+sizes); an entry that fails is ignored and recomputed.  The stored subgroup
+bitsets, classes and subconjugacy table themselves are trusted, not
+re-derived.  Writes are atomic (temp file + rename).
 """
 
 from __future__ import annotations

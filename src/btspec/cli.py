@@ -153,7 +153,7 @@ def open_session(spec_text: str, config: Config) -> Session:
                 cache_mod.cache_store(path, group, lattice, key)
             except OSError as exc:
                 print(f"btspec: cache write failed: {exc}", file=sys.stderr)
-    system = GhostSystem(group, lattice, coinduce_cap=config.coinduce_cap)
+    system = GhostSystem(group, lattice)
     return Session(config, system, class_labels(group, lattice))
 
 

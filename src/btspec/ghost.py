@@ -47,6 +47,9 @@ from .lattice import (
 )
 
 DEFAULT_SEED = 0x5EED
+COORD_BOUND = 9
+CONJ_PAIR_CAP = 4096  # all (g, h) pairs for conj_functoriality while |G|^2 fits
+MAX_RECORDED_FAILURES = 25  # later failures are only counted
 
 
 class GhostSystem:
@@ -56,15 +59,9 @@ class GhostSystem:
     safe to share once constructed; caches are fill-only.
     """
 
-    def __init__(
-        self,
-        group: FiniteGroup,
-        lattice: SubgroupLattice | None = None,
-        coinduce_cap: int = 100_000,
-    ):
+    def __init__(self, group: FiniteGroup, lattice: SubgroupLattice | None = None):
         self.group = group
         self.lattice = lattice if lattice is not None else subgroup_lattice(group)
-        self.coinduce_cap = coinduce_cap
         self._levels: dict[int, LevelRing] = {}
         self._res_routes: dict[tuple[int, int], tuple[int, ...]] = {}
         self._tr_routes: dict[tuple[int, int], tuple[tuple[int, ...], ...]] = {}
@@ -220,9 +217,6 @@ class GhostSystem:
 
     # -- per-subgroup coordinates (Weyl-invariance checks) ----------------------
 
-    def coordinate_at(self, v: GhostElement, I_bits: int) -> int:
-        return v.values[self.level(v.level).class_of_bits(I_bits)]
-
     def tr_value_at(self, K_idx: int, H_idx: int, a: GhostElement, I_bits: int) -> int:
         ringH = self.level(H_idx)
         return sum(
@@ -278,10 +272,7 @@ class VerifyConfig:
 
     seed: int = DEFAULT_SEED
     random_elements: int = 32
-    coord_bound: int = 9
     coinduce_cap: int = 100_000
-    conj_pair_cap: int = 4096
-    max_recorded_failures: int = 25
     axioms: tuple[str, ...] | None = None
 
 
@@ -331,14 +322,13 @@ class VerificationReport:
 
 
 class _Recorder:
-    def __init__(self, report: VerificationReport, cfg: VerifyConfig):
+    def __init__(self, report: VerificationReport):
         self.report = report
-        self.cfg = cfg
 
     def check(self, axiom: str, ok: bool, instance: dict, detail: str = "") -> None:
         self.report.counts[axiom] = self.report.counts.get(axiom, 0) + 1
         if not ok:
-            if len(self.report.failures) < self.cfg.max_recorded_failures:
+            if len(self.report.failures) < MAX_RECORDED_FAILURES:
                 self.report.failures.append(AxiomFailure(axiom, instance, detail))
             else:
                 self.report.suppressed_failures += 1
@@ -356,7 +346,7 @@ def _test_elements(system: GhostSystem, level_idx: int, cfg: VerifyConfig, cache
                 GhostElement(
                     level_idx,
                     tuple(
-                        rng.randint(-cfg.coord_bound, cfg.coord_bound)
+                        rng.randint(-COORD_BOUND, COORD_BOUND)
                         for _ in range(ring.num_classes)
                     ),
                 )
@@ -384,11 +374,11 @@ def verify_axioms(
     if isinstance(group_or_system, GhostSystem):
         system = group_or_system
     else:
-        system = GhostSystem(group_or_system, coinduce_cap=cfg.coinduce_cap)
+        system = GhostSystem(group_or_system)
     group = system.group
     lattice = system.lattice
     report = VerificationReport(group=group.name)
-    rec = _Recorder(report, cfg)
+    rec = _Recorder(report)
     enabled = set(cfg.axioms) if cfg.axioms is not None else set(ALL_AXIOMS)
     elements: dict[int, list[GhostElement]] = {}
 
@@ -592,7 +582,7 @@ def verify_axioms(
 
     # Conjugation functoriality: c_{g, ^h H} . c_{h, H} = c_{gh, H}.
     if "conj_functoriality" in enabled:
-        if group.order * group.order <= cfg.conj_pair_cap:
+        if group.order * group.order <= CONJ_PAIR_CAP:
             pairs = [(g, h) for g in range(group.order) for h in range(group.order)]
         else:
             pairs = [(g, h) for g in conj_sample for h in conj_sample]

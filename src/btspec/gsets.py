@@ -1,11 +1,13 @@
-"""Brute-force finite G-set engine.
+"""Brute-force finite G-set engine: an oracle only, never a production route.
 
-This is the independent oracle behind every mark, structure-map, and axiom
-check: coset spaces, products, disjoint unions, restriction, conjugation,
-induction (K x_H X) and coinduction (Map_H(K, X)) are all realized as honest
-point sets with explicit actions, and marks are counted fixed point by fixed
-point.  Nothing here consults the ghost-side formulas, so agreement between
-the two routes is meaningful evidence.
+Coset spaces, products, disjoint unions, restriction, conjugation, induction
+(K x_H X) and coinduction (Map_H(K, X)) are all realized as honest point sets
+with explicit actions, and marks are counted fixed point by fixed point.  Its
+callers are the verifier's chi_* naturality checks (through
+``GhostSystem.oracle_marks``) and the tests; the table of marks itself is read
+off the lattice in ``burnside``.  Nothing here consults the lattice formula or
+the ghost-side maps, so agreement between the two routes is meaningful
+evidence.
 
 Action tables are indexed by every element of the acting subgroup (not just
 generators) so fixed-point tests are table lookups; rows are filled lazily.
@@ -92,10 +94,6 @@ def coset_space(group: FiniteGroup, H_bits: int, K_bits: int) -> GSet:
         return [coset_of[row[r]] for r in reps]
 
     return GSet(group, H_bits, len(reps), row_fn, label="coset")
-
-
-def trivial_gset(group: FiniteGroup, H_bits: int, size: int = 1) -> GSet:
-    return GSet(group, H_bits, size, lambda g: list(range(size)), label="trivial")
 
 
 def product(X: GSet, Y: GSet) -> GSet:

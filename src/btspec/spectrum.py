@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 from .burnside import BurnsideElement, GhostElement
 from .ghost import GhostSystem
-from .lattice import conjugate_bits, is_subset, p_residual_bits
+from .lattice import bits_iter, conjugate_bits, is_subset, p_residual_bits
 
 
 def is_prime(n: int) -> bool:
@@ -185,10 +185,6 @@ def burnside_ideal_membership(
     )
 
 
-def ideal_member(system: GhostSystem, ideal: PrimeIdeal, x: BurnsideElement) -> bool:
-    return burnside_ideal_membership(system, ideal.subgroup_class, ideal.p, x)
-
-
 # -- containment ---------------------------------------------------------------
 
 
@@ -284,21 +280,6 @@ def _node_contains(system, n1: SpectrumNode, n2: SpectrumNode, ring: bool) -> bo
     return res == n2.residual_class
 
 
-def _transitive_reduction(contains: list[list[bool]]) -> list[tuple[int, int]]:
-    n = len(contains)
-    edges = []
-    for a in range(n):
-        for b in range(n):
-            if a == b or not contains[a][b]:
-                continue
-            if any(
-                c != a and c != b and contains[a][c] and contains[c][b] for c in range(n)
-            ):
-                continue
-            edges.append((a, b))
-    return edges
-
-
 def _class_chain_length(lattice) -> int:
     """Longest strict chain (edge count) in the subconjugacy poset of classes."""
     n = lattice.num_classes
@@ -313,19 +294,26 @@ def _class_chain_length(lattice) -> int:
 
 
 def _assemble(system, fiber_keys, ring: bool, krull: int) -> SpectrumPoset:
+    """Nodes, the full containment relation, and its Hasse covers.
+
+    Each node's strict successors are one int bitset; the covers of a are
+    succ(a) minus the union of succ(c) over c in succ(a), emitted in (a, b)
+    order.
+    """
     nodes, fibers = _collect_nodes(system, fiber_keys)
     n = len(nodes)
-    contains = [[False] * n for _ in range(n)]
+    contains = []
+    succ = []
     for a in range(n):
-        for b in range(n):
-            if a == b:
-                contains[a][b] = True
-            else:
-                contains[a][b] = _node_contains(system, nodes[a], nodes[b], ring)
-    strict = [
-        [contains[a][b] and a != b for b in range(n)] for a in range(n)
-    ]
-    edges = _transitive_reduction(strict)
+        row = [a == b or _node_contains(system, nodes[a], nodes[b], ring) for b in range(n)]
+        contains.append(row)
+        succ.append(sum(1 << b for b, inside in enumerate(row) if inside and b != a))
+    edges = []
+    for a in range(n):
+        above = 0
+        for c in bits_iter(succ[a]):
+            above |= succ[c]
+        edges.extend((a, b) for b in bits_iter(succ[a] & ~above))
     return SpectrumPoset(
         group=system.group.name,
         kind="ring" if ring else "tambara",

@@ -24,6 +24,10 @@ CORPUS = [
     "S4",
 ]
 
+# Many-class abelian groups: C2^3 x C105 (128 classes) and C2^5 (374 classes).
+C840 = "perm:(0 1);(2 3);(4 5);(6 7 8)(9 10 11 12 13)(14 15 16 17 18 19 20)"
+C2_5 = "perm:(0 1);(2 3);(4 5);(6 7);(8 9)"
+
 
 def system_for(text: str) -> GhostSystem:
     if text not in _SYSTEMS:

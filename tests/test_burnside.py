@@ -5,9 +5,9 @@ from hypothesis import given, settings, strategies as st
 
 from btspec.burnside import BurnsideElement, GhostElement
 from btspec.errors import NotInImageError
-from btspec.gsets import coset_space, orbit_decompose, product
+from btspec.gsets import coset_space, fixed_points, orbit_decompose, product
 
-from conftest import CORPUS, system_for
+from conftest import C2_5, C840, CORPUS, system_for
 
 
 class TestMarksTable:
@@ -62,6 +62,31 @@ class TestMarksTable:
                     lat.class_of[ring.class_reps[k]]
                 ]
                 assert nonzero == subconj
+
+
+def oracle_marks_matrix(ring):
+    """|(H/K)^I| counted on the coset space H/K by the brute-force G-set engine."""
+    H_bits = ring.subgroup.members
+    reps = [ring.class_rep_subgroup(c).members for c in range(ring.num_classes)]
+    spaces = [coset_space(ring.group, H_bits, K_bits) for K_bits in reps]
+    return [[fixed_points(space, I_bits) for I_bits in reps] for space in spaces]
+
+
+class TestMarksOracle:
+    """The lattice formula for the table of marks against fixed-point counts."""
+
+    @pytest.mark.parametrize("text", CORPUS + ["GL3_2", "A5", "D60"])
+    def test_every_level(self, text):
+        sysg = system_for(text)
+        for cls in range(sysg.lattice.num_classes):
+            ring = sysg.level(sysg.lattice.class_reps[cls])
+            assert ring.marks_matrix == oracle_marks_matrix(ring)
+
+    @pytest.mark.parametrize("text", ["S5", "A6", C2_5, C840])
+    def test_top_level(self, text):
+        sysg = system_for(text)
+        ring = sysg.level(sysg.top_index)
+        assert ring.marks_matrix == oracle_marks_matrix(ring)
 
 
 class TestMarks:

@@ -12,8 +12,8 @@ from btspec.burnside import LevelRing
 from btspec.groups import group_from_text
 from btspec.lattice import subgroup_lattice
 
-C840 = "perm:(0 1);(2 3);(4 5);(6 7 8)(9 10 11 12 13)(14 15 16 17 18 19 20)"
-C2_5 = "perm:(0 1);(2 3);(4 5);(6 7);(8 9)"
+from conftest import C2_5, C840
+
 C2_6 = "perm:(0 1);(2 3);(4 5);(6 7);(8 9);(10 11)"
 
 

@@ -22,7 +22,7 @@ from btspec.spectrum import (
     validate_prime_or_zero,
 )
 
-from conftest import labels_for, system_for
+from conftest import C2_5, C840, labels_for, system_for
 
 
 def cls_of(text, label):
@@ -43,6 +43,33 @@ def fiber_edges(sysg, poset, key):
 def fiber_nodes(sysg, poset, key):
     labels = labels_for(sysg.group.name)
     return sorted(labels[poset.nodes[i].residual_class] for i in poset.fibers[key])
+
+
+def transitive_reduction(contains):
+    """Hasse edges of a strict order given as a boolean matrix, by the cubic
+    definition: (a, b) unless some c lies strictly between them."""
+    n = len(contains)
+    edges = []
+    for a in range(n):
+        for b in range(n):
+            if a == b or not contains[a][b]:
+                continue
+            if any(
+                c != a and c != b and contains[a][c] and contains[c][b] for c in range(n)
+            ):
+                continue
+            edges.append((a, b))
+    return edges
+
+
+class TestHasseOracle:
+    @pytest.mark.parametrize("text", ["A4", "Q8", "D9", "S4", "GL3_2", "A6", C2_5, C840])
+    @pytest.mark.parametrize("build", [enumerate_spectrum, burnside_ring_spectrum])
+    def test_edges_match_cubic_reduction(self, text, build):
+        poset = build(system_for(text))
+        n = len(poset.nodes)
+        strict = [[poset.contains[a][b] and a != b for b in range(n)] for a in range(n)]
+        assert poset.edges == transitive_reduction(strict)
 
 
 class TestPrimeHelpers:
