@@ -298,14 +298,13 @@ def _poset_json(session: Session, poset: SpectrumPoset) -> dict:
     }
 
 
-def _ranks_within(poset: SpectrumPoset, ids: list[int]) -> dict[int, int]:
-    idset = set(ids)
+def _ranks_within(ids: list[int], inner: list[tuple[int, int]]) -> dict[int, int]:
     rank = {i: 0 for i in ids}
     changed = True
     while changed:
         changed = False
-        for a, b in poset.edges:
-            if a in idset and b in idset and rank[b] < rank[a] + 1:
+        for a, b in inner:
+            if rank[b] < rank[a] + 1:
                 rank[b] = rank[a] + 1
                 changed = True
     return rank
@@ -313,7 +312,9 @@ def _ranks_within(poset: SpectrumPoset, ids: list[int]) -> dict[int, int]:
 
 def _print_fiber_text(session: Session, poset: SpectrumPoset, key: str) -> None:
     ids = list(poset.fibers[key])
-    rank = _ranks_within(poset, ids)
+    idset = set(ids)
+    inner = [(a, b) for a, b in poset.edges if a in idset and b in idset]
+    rank = _ranks_within(ids, inner)
     print(f"fiber {key} ({len(ids)} nodes)")
     by_rank: dict[int, list[int]] = {}
     for i in ids:
@@ -321,7 +322,6 @@ def _print_fiber_text(session: Session, poset: SpectrumPoset, key: str) -> None:
     for r in sorted(by_rank):
         labels = "  ".join(_node_label(session, poset, i) for i in sorted(by_rank[r]))
         print("  " * (r + 1) + labels)
-    inner = [(a, b) for a, b in poset.edges if a in set(ids) and b in set(ids)]
     if inner:
         print(
             "  edges: "

@@ -18,6 +18,11 @@ from .errors import OrderExceededError, SpecParseError, SpecRangeError
 
 DEFAULT_MAX_ORDER = 2000
 
+# Largest permutation degree a spec may ask for.  Specs are checked against it
+# before any permutation is built, so no input sizes an allocation; D1000, the
+# largest dihedral group within the default max order, needs 1000 points.
+MAX_DEGREE = 4096
+
 
 @dataclass(frozen=True)
 class Permutation:
@@ -146,6 +151,9 @@ def parse_group_spec(text: str) -> GroupSpec:
     if m is None:
         raise SpecParseError(f"unrecognized group spec {text!r}", 0)
     letter, n = m.group(1), int(m.group(2))
+    # C<n> acts on the sum of n's prime-power parts; D/Q/S/A<n> on n points.
+    degree = sum(_prime_power_parts(n)) if letter == "C" else n
+    _check_degree(text, degree)
     if letter == "C":
         if n < 1:
             raise SpecRangeError("cyclic order must be >= 1")
@@ -201,6 +209,7 @@ def _parse_perm_generators(text: str, offset: int) -> tuple[Permutation, ...]:
         gen_cycles.append(cycles)
         offset += len(chunk) + 1
     degree = max((p for cycles in gen_cycles for cyc in cycles for p in cyc), default=0) + 1
+    _check_degree(text, degree)
     gens = []
     for cycles in gen_cycles:
         try:
@@ -210,14 +219,22 @@ def _parse_perm_generators(text: str, offset: int) -> tuple[Permutation, ...]:
     return tuple(gens)
 
 
-def _cyclic_generator(n: int) -> list[Permutation]:
-    # Disjoint cycles of prime-power lengths: minimal faithful degree for C_n.
-    if n == 1:
-        return [Permutation.identity(1)]
+def _check_degree(text: str, degree: int) -> None:
+    if degree > MAX_DEGREE:
+        raise SpecRangeError(f"{text!r} needs more than {MAX_DEGREE} permutation points")
+
+
+def _prime_power_parts(n: int) -> list[int]:
+    """The prime-power factors of n, by ascending prime.
+
+    Trial division stops past MAX_DEGREE; any cofactor left then has only
+    larger prime factors and is kept as one entry, so the sum still exceeds
+    MAX_DEGREE exactly when the true sum does.
+    """
     parts = []
     m = n
     d = 2
-    while d * d <= m:
+    while d * d <= m and d <= MAX_DEGREE:
         if m % d == 0:
             q = 1
             while m % d == 0:
@@ -227,6 +244,14 @@ def _cyclic_generator(n: int) -> list[Permutation]:
         d += 1
     if m > 1:
         parts.append(m)
+    return parts
+
+
+def _cyclic_generator(n: int) -> list[Permutation]:
+    # Disjoint cycles of prime-power lengths: minimal faithful degree for C_n.
+    if n == 1:
+        return [Permutation.identity(1)]
+    parts = _prime_power_parts(n)
     degree = sum(parts)
     cycles, start = [], 0
     for q in parts:

@@ -16,6 +16,10 @@ q not dividing |G| the residual is the identity map and all such fibers are
 order-isomorphic; the poset therefore materializes one symbolic GENERIC fiber
 alongside the fibers over 0 and over each prime dividing |G|.
 
+All four rules read one fact, subconjugacy of canonical classes, so no node
+pair is ever compared: each node's successors are one bitset, filled from the
+classes subconjugate to its own.
+
 The companion Zariski spectrum of the plain Burnside ring A(G) has the same
 node set but only the 0-to-p containments with matching residual, and Krull
 dimension 1.
@@ -30,6 +34,7 @@ non-principal family of subgroups.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress
 
 from .burnside import BurnsideElement, GhostElement
 from .ghost import GhostSystem
@@ -188,24 +193,12 @@ def burnside_ideal_membership(
 # -- containment ---------------------------------------------------------------
 
 
-def _contains_tambara(system, p1, cls1, res1, p2, cls2, res2) -> bool:
-    """Ideal (cls1, p1) contained in ideal (cls2, p2); GENERIC encoded as p = -1."""
-    sc = system.lattice.subconj
-    if p1 == 0 and p2 == 0:
-        return sc[cls2][cls1]
-    if p1 == 0:
-        return sc[res2][cls1]
-    if p2 == 0:
-        return False
-    return p1 == p2 and sc[res2][res1]
-
-
 def ideal_contains(system: GhostSystem, i1: PrimeIdeal, i2: PrimeIdeal) -> bool:
-    """True iff i1 is contained in i2 (combinatorial criterion)."""
-    return _contains_tambara(
-        system, i1.p, i1.subgroup_class, i1.canonical_class,
-        i2.p, i2.subgroup_class, i2.canonical_class,
-    )
+    """True iff i1 is contained in i2: i1 has characteristic 0 or that of i2,
+    and the canonical class of i2 is subconjugate to that of i1."""
+    if i1.p != 0 and i1.p != i2.p:
+        return False
+    return system.lattice.subconj[i2.canonical_class][i1.canonical_class]
 
 
 # -- spectrum poset --------------------------------------------------------------
@@ -229,55 +222,63 @@ class SpectrumPoset:
     edges: list[tuple[int, int]]     # Hasse edges (a, b) meaning ideal a < ideal b
     fibers: dict[str, list[int]]
     krull_dimension: int
-    contains: list[list[bool]]       # full containment relation over node ids
+    succ: list[int]                  # per node, the bitset of node ids strictly above it
 
-    def node_count(self) -> int:
-        return len(self.nodes)
-
-
-def _fiber_p(fiber: str) -> int:
-    return -1 if fiber == GENERIC else int(fiber)
+    def contains(self, a: int, b: int) -> bool:
+        """True iff ideal a is contained in ideal b."""
+        return a == b or bool(self.succ[a] >> b & 1)
 
 
 def _collect_nodes(system, fiber_keys):
+    """One node per canonical class of each fiber: the class itself over 0
+    and GENERIC, its p-residual over a prime p."""
     lattice = system.lattice
     nodes: list[SpectrumNode] = []
     fibers: dict[str, list[int]] = {}
     for fiber in fiber_keys:
-        p = _fiber_p(fiber)
-        ids = []
-        if p <= 0:
-            for cls in range(lattice.num_classes):
-                node = SpectrumNode(len(nodes), fiber, cls, (cls,))
-                nodes.append(node)
-                ids.append(node.node_id)
-        else:
-            groups: dict[int, list[int]] = {}
-            for cls in range(lattice.num_classes):
-                groups.setdefault(residual_class(system, cls, p), []).append(cls)
-            for res in sorted(groups):
-                node = SpectrumNode(len(nodes), fiber, res, tuple(groups[res]))
-                nodes.append(node)
-                ids.append(node.node_id)
-        fibers[fiber] = ids
+        p = None if fiber in ("0", GENERIC) else int(fiber)
+        groups: dict[int, list[int]] = {}
+        for cls in range(lattice.num_classes):
+            res = cls if p is None else residual_class(system, cls, p)
+            groups.setdefault(res, []).append(cls)
+        fibers[fiber] = []
+        for res in sorted(groups):
+            fibers[fiber].append(len(nodes))
+            nodes.append(SpectrumNode(len(nodes), fiber, res, tuple(groups[res])))
     return nodes, fibers
 
 
-def _node_contains(system, n1: SpectrumNode, n2: SpectrumNode, ring: bool) -> bool:
-    p1, p2 = _fiber_p(n1.fiber), _fiber_p(n2.fiber)
-    if p1 != 0 and p2 != 0 and n1.fiber != n2.fiber:
-        return False  # never across distinct primes
-    if p1 != 0 and p2 == 0:
-        return False  # a positive-characteristic ideal never sits inside a 0-ideal
-    if not ring:
-        # (i)/(iii)/(iv) uniformly: residual of the target subconjugate to the
-        # source's canonical datum (which is the class itself in the 0 fiber).
-        return system.lattice.subconj[n2.residual_class][n1.residual_class]
-    if p2 == 0:
-        return n1.residual_class == n2.residual_class
-    # Ring case, 0-node into p-node: kernels agree exactly on matching residuals.
-    res = n1.residual_class if p2 == -1 else residual_class(system, n1.residual_class, p2)
-    return res == n2.residual_class
+def _successor_rows(system, nodes, fibers, ring: bool) -> list[int]:
+    """Each node's strict successors as one bitset, filled from class data.
+
+    Tambara: node (F, r) lies below the nodes of F, and when F is "0" of every
+    fiber, whose class is subconjugate to r.  Ring: a 0-node c lies below the
+    node of O^p(c) in each p-fiber and of c in GENERIC, and nothing else does.
+    """
+    lattice = system.lattice
+    node_of = {  # per fiber, class -> the node that class indexes
+        fiber: {nodes[i].residual_class: i for i in ids} for fiber, ids in fibers.items()
+    }
+    below: list[list[int]] = [[] for _ in range(lattice.num_classes)]
+    if not ring:  # below[c]: the classes subconjugate to c
+        for c1, row in enumerate(lattice.subconj):
+            for c2 in compress(range(lattice.num_classes), row):
+                below[c2].append(c1)
+    succ = []
+    for node in nodes:
+        c, row = node.residual_class, 0
+        if not ring:
+            for fiber in fibers if node.fiber == "0" else (node.fiber,):
+                at = node_of[fiber]
+                row |= sum(1 << at[k] for k in below[c] if k in at)
+        elif node.fiber == "0":
+            for fiber, at in node_of.items():
+                if fiber == GENERIC:
+                    row |= 1 << at[c]
+                elif fiber != "0":
+                    row |= 1 << at[residual_class(system, c, int(fiber))]
+        succ.append(row & ~(1 << node.node_id))
+    return succ
 
 
 def _class_chain_length(lattice) -> int:
@@ -294,26 +295,19 @@ def _class_chain_length(lattice) -> int:
 
 
 def _assemble(system, fiber_keys, ring: bool, krull: int) -> SpectrumPoset:
-    """Nodes, the full containment relation, and its Hasse covers.
+    """Nodes, their successor rows, and the Hasse covers.
 
-    Each node's strict successors are one int bitset; the covers of a are
-    succ(a) minus the union of succ(c) over c in succ(a), emitted in (a, b)
-    order.
+    The covers of a are succ(a) minus the union of succ(c) over c in succ(a),
+    emitted in (a, b) order.
     """
     nodes, fibers = _collect_nodes(system, fiber_keys)
-    n = len(nodes)
-    contains = []
-    succ = []
-    for a in range(n):
-        row = [a == b or _node_contains(system, nodes[a], nodes[b], ring) for b in range(n)]
-        contains.append(row)
-        succ.append(sum(1 << b for b, inside in enumerate(row) if inside and b != a))
+    succ = _successor_rows(system, nodes, fibers, ring)
     edges = []
-    for a in range(n):
+    for a, row in enumerate(succ):
         above = 0
-        for c in bits_iter(succ[a]):
+        for c in bits_iter(row):
             above |= succ[c]
-        edges.extend((a, b) for b in bits_iter(succ[a] & ~above))
+        edges.extend((a, b) for b in bits_iter(row & ~above))
     return SpectrumPoset(
         group=system.group.name,
         kind="ring" if ring else "tambara",
@@ -321,7 +315,7 @@ def _assemble(system, fiber_keys, ring: bool, krull: int) -> SpectrumPoset:
         edges=edges,
         fibers=fibers,
         krull_dimension=krull,
-        contains=contains,
+        succ=succ,
     )
 
 

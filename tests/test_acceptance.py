@@ -384,7 +384,7 @@ def test_criterion_10_semantic_containment_a4():
         for b in range(n):
             if a == b:
                 continue
-            if poset.contains[a][b]:
+            if poset.contains(a, b):
                 for x in pool:
                     assert not member(poset.nodes[a], x) or member(poset.nodes[b], x)
                     implications += 1

@@ -1,13 +1,17 @@
 """CLI surface: commands, formats, exit codes, determinism, lattice cache."""
 
+import hashlib
 import json
 
 import pytest
 
 from btspec.cache import cache_load, cache_path, cache_store, spec_cache_key
 from btspec.cli import run
-from btspec.groups import group_from_text
+from btspec.errors import SpecRangeError
+from btspec.groups import MAX_DEGREE, group_from_text, parse_group_spec
 from btspec.lattice import subgroup_lattice
+
+from conftest import C2_5
 
 
 @pytest.fixture()
@@ -59,6 +63,35 @@ class TestExitCodes:
         assert err.count("\n") == 1
 
 
+class TestDegreeBound:
+    # Each spec needs more than MAX_DEGREE points; none may be allocated.
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            "perm:(0 99999999)",
+            f"perm:(0 {MAX_DEGREE})",
+            "C100000007",
+            f"C{2 ** 13}",
+            "D100000000",
+            "Q400000000",
+            "S100000000",
+            "A100000000",
+        ],
+    )
+    def test_rejected_before_allocation(self, invoke, spec):
+        code, out, err = invoke("spec", spec)
+        assert code == 2 and out == ""
+        assert err.startswith("usage error:") and str(MAX_DEGREE) in err
+        assert err.count("\n") == 1
+
+    def test_bound_is_inclusive(self):
+        for letter in "DQS":
+            parse_group_spec(f"{letter}{MAX_DEGREE}")
+        parse_group_spec(f"C{2 ** 12}")
+        with pytest.raises(SpecRangeError):
+            parse_group_spec(f"A{MAX_DEGREE + 1}")
+
+
 class TestLabels:
     def test_more_than_26_same_name_classes(self, invoke):
         # C2^4 has 35 classes named K4: suffixes continue a..z, aa, ab, ...
@@ -91,6 +124,62 @@ class TestDeterminism:
         second = invoke(*argv)
         assert first == second
         assert first[0] == 0
+
+
+# stdout sha256 of spectrum commands.  CLI output is a byte-for-byte contract:
+# a mismatch is a regression unless a documented defect fix changes the output.
+GOLDEN_STDOUT = [
+    ("A4", "spec", "text", "5545b932eeda4d1b8750290356d19ed974cbac53d2396514a6ce69e38303dc18"),
+    ("A4", "spec", "json", "060ac2584b5596b10d3eddccef257c4117ed990a9090b8c466788d8f17972c5c"),
+    ("A4", "spec", "dot", "8a20d330167ca18b7110fa4a4e686e8574dd8adc71bde47c2228dfa9a80b8d67"),
+    ("A4", "ring-spec", "text", "733f624266069421e08efcb228da294c243e8c8aa8097ccfc57ae45015a45324"),
+    ("A4", "ring-spec", "json", "b16e06fb1d77a6ad286745e238be3cc7ab13444d489040de6ec9277a6ec263ff"),
+    ("A4", "ring-spec", "dot", "753666c0d96635bd72165b3e930b7703370af27e90ca8109152184f29c8e3cfc"),
+    ("A4", "fibers --prime 2", "text", "78d4eab44624b442cb62a01afc8586ea9b37259a301f7c089721017238303a36"),
+    ("A4", "fibers --prime 2", "json", "afebaa6280bd498ac49deef07af1ad347d23c60d859184453cd3b5ff7710e8d7"),
+    ("A4", "fibers --prime 2", "dot", "96061268aeb533739e6d64b7d0535b815e2ef5eed1a6aa1226452fc21b2df26c"),
+    ("A4", "fibers --prime GENERIC", "text", "a801f5afb456fe0788321e461158cf919e3b51601865e6b211b5f795353b96ca"),
+    ("A4", "fibers --prime GENERIC", "json", "b010c7accd563e0e1a99cb9db322fdc5a5e9330ff9f2ecbe3d730f7d3884dee9"),
+    ("A4", "fibers --prime GENERIC", "dot", "32da85e5b7134fcc626e97a3660c47a37ad1aea33fe083062caeb6cd746f5dce"),
+    ("GL3_2", "spec", "text", "d03facacad95bca5e19e5d1984eec2af9aea8d1fd44b8210b8375172bf750a77"),
+    ("GL3_2", "spec", "json", "c0892b3de2b759231b7be72386fe0d3d74716b3353c4aa6fa090b2dee1f4cb84"),
+    ("GL3_2", "spec", "dot", "0ba5708daa562964217fbbd366431198932dba54c5f04f0216b252302752bbdf"),
+    ("GL3_2", "ring-spec", "text", "adfa7c78fef8509cbe3e55821ee8a828b5736851904da49c1d30227e892a07f7"),
+    ("GL3_2", "ring-spec", "json", "55d5c770af7c85de5531c78bdf546836c5c8c7395c79d0d890a949116b3dc502"),
+    ("GL3_2", "ring-spec", "dot", "a4e89018afd9dd1ea8a91ca9884b6bd5bee95f111303c0426f400e39f72914ab"),
+    ("GL3_2", "fibers --prime 2", "text", "ee152b61b6fef2f48ac68f919bdbbcab5229b3b8e18a870a32df71566b1c493a"),
+    ("GL3_2", "fibers --prime 2", "json", "84ccb76c6a45f30c04498d9e5a67804b9545e828c123200953bdba8e9363f0aa"),
+    ("GL3_2", "fibers --prime 2", "dot", "2cd639782425974d28cafc1fc9450c77be9f99e5d5b9852a2204d9344396daac"),
+    ("GL3_2", "fibers --prime GENERIC", "text", "215069afd485f19a76457736d4f56da3ef5ef29f9d16f83a5ea865003cace93d"),
+    ("GL3_2", "fibers --prime GENERIC", "json", "546604495bffad9216f1a955582aea47579bcbe9557b1969bbf9e03b20bdf1e2"),
+    ("GL3_2", "fibers --prime GENERIC", "dot", "87ed5c0f15ac49b4fa64825a94b8afb38b721291b871bc17ef05c5ec540d465b"),
+    ("C2_5", "spec", "text", "3f7563bac80d5dbf87a6a909a33152ef7ef4c630b5a82104b049ae5e861257c2"),
+    ("C2_5", "spec", "json", "1be328e7884aa2b2a470aa4431130eea77bf21c37a76c2c26f142c0141d8edc8"),
+    ("C2_5", "spec", "dot", "7b5ef7311c0bc0bb7943d68830c5c1945511fe7cb81149df15c60841b9ed65b8"),
+    ("C2_5", "ring-spec", "text", "1e06e5f8bf05f29d6b2e2f846908eac0d3fde3f5c2d9bd375605febf9dd52da6"),
+    ("C2_5", "ring-spec", "json", "f46004e43575f20921e412da132f47297827646f89dd0c77edd4e3a2694cd59c"),
+    ("C2_5", "ring-spec", "dot", "50e298a6a2dd1ed5af7365662a15c75b219a82fbfc4ebe3f0ff045e6377f7de7"),
+    ("C2_5", "fibers --prime 2", "text", "daa4dd228979ee78890897ea665ede4fe4cae2dea2b89c24fd751d2f9726c04e"),
+    ("C2_5", "fibers --prime 2", "json", "1ace154e820cf301fd716c45aa6afde085e44e415a55772cb0a05b34304eb0d4"),
+    ("C2_5", "fibers --prime 2", "dot", "d30c89ecbf5c7578f6fa57dfe3307a6f927b47380411500ba5b85cf05a0255b0"),
+    ("C2_5", "fibers --prime GENERIC", "text", "7ab7857267808bc787eddd0b0beea9c4ec5f95d24be8527f7bcc9db78d5ea41c"),
+    ("C2_5", "fibers --prime GENERIC", "json", "7da6a2e5d028de0ec783f18beed5f142a59e0a32fb6c948ec96861a29a927783"),
+    ("C2_5", "fibers --prime GENERIC", "dot", "6faefa28a6e9c827a954beb3b0f58e2b1779018ceede55a2628eb6cc825d1e60"),
+]
+
+
+class TestGoldenStdout:
+    @pytest.mark.parametrize(
+        "group,command,fmt,digest",
+        GOLDEN_STDOUT,
+        ids=[f"{g} {c} {f}" for g, c, f, _ in GOLDEN_STDOUT],
+    )
+    def test_stdout_sha256(self, invoke, group, command, fmt, digest):
+        spec = C2_5 if group == "C2_5" else group
+        cmd, *rest = command.split()
+        code, out, err = invoke("--format", fmt, cmd, spec, *rest)
+        assert code == 0 and err == ""
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 class TestSpecCommand:

@@ -68,8 +68,53 @@ class TestHasseOracle:
     def test_edges_match_cubic_reduction(self, text, build):
         poset = build(system_for(text))
         n = len(poset.nodes)
-        strict = [[poset.contains[a][b] and a != b for b in range(n)] for a in range(n)]
+        strict = [[poset.contains(a, b) and a != b for b in range(n)] for a in range(n)]
         assert poset.edges == transitive_reduction(strict)
+
+
+def pairwise_contains(sysg, n1, n2, ring):
+    """The pairwise containment rule that assembly once applied to every node
+    pair, kept as the oracle for the successor rows."""
+    if n1.fiber != "0" and n1.fiber != n2.fiber:
+        return False  # never across distinct primes, never from p into 0
+    if not ring:
+        return sysg.lattice.subconj[n2.residual_class][n1.residual_class]
+    if n2.fiber == "0":
+        return n1.residual_class == n2.residual_class
+    # Ring case, 0-node into p-node: kernels agree exactly on matching residuals.
+    p2 = n2.fiber
+    res = n1.residual_class if p2 == GENERIC else residual_class(sysg, n1.residual_class, int(p2))
+    return res == n2.residual_class
+
+
+class TestContainsOracle:
+    @pytest.mark.parametrize(
+        "text,extra",
+        [(t, ()) for t in ("A4", "Q8", "D9", "S4", "GL3_2", "A6", C2_5, C840)] + [("A4", (5,))],
+        ids=["A4", "Q8", "D9", "S4", "GL3_2", "A6", "C2_5", "C840", "A4+5"],
+    )
+    def test_rows_match_pairwise_rule(self, text, extra):
+        sysg = system_for(text)
+        # GENERIC stands for any prime not dividing |G|; use the least unused one.
+        generic_q = next(
+            q for q in range(2, 100) if is_prime(q) and sysg.group.order % q and q not in extra
+        )
+        for ring in (False, True):
+            build = burnside_ring_spectrum if ring else enumerate_spectrum
+            poset = build(sysg, extra)
+            nodes = poset.nodes
+            ideals = [
+                make_prime_ideal(
+                    sysg, node.residual_class, generic_q if node.fiber == GENERIC else int(node.fiber)
+                )
+                for node in nodes
+            ]
+            for a, na in enumerate(nodes):
+                for b, nb in enumerate(nodes):
+                    want = pairwise_contains(sysg, na, nb, ring)
+                    assert poset.contains(a, b) == want, (text, poset.kind, na, nb)
+                    if not ring:
+                        assert ideal_contains(sysg, ideals[a], ideals[b]) == want
 
 
 class TestPrimeHelpers:
@@ -286,7 +331,7 @@ class TestSpectrumPoset:
                 if node.fiber == "0":
                     continue
                 assert any(
-                    poset.contains[z][node.node_id] for z in zero_ids
+                    poset.contains(z, node.node_id) for z in zero_ids
                 ), f"node {node} has no 0-node below it"
 
     def test_edges_are_transitive_reduction(self, sys_a4):
@@ -304,7 +349,7 @@ class TestSpectrumPoset:
         for a in range(n):
             assert not reach[a][a], "cycle in Hasse diagram"
             for b in range(n):
-                strict = poset.contains[a][b] and a != b
+                strict = poset.contains(a, b) and a != b
                 assert reach[a][b] == strict
 
     def test_member_classes_partition(self, sys_gl32):
@@ -524,7 +569,7 @@ class TestSemanticSoundness:
             for b in range(len(poset.nodes)):
                 if a == b:
                     continue
-                if poset.contains[a][b]:
+                if poset.contains(a, b):
                     assert basis_masks[a] & ~basis_masks[b] == 0
                 else:
                     assert ext_masks[a] & ~ext_masks[b] != 0, (
