@@ -5,9 +5,13 @@ JSON file keyed by a hash of the canonical spec text and max_order.  An entry
 is checked against the freshly realized group (spec hash, order, degree,
 generators) and for shape (format version, bitsets within the group, the
 whole group last, (order, bitset) order, class and subconjugacy table
-sizes); an entry that fails is ignored and recomputed.  The stored subgroup
-bitsets, classes and subconjugacy table themselves are trusted, not
-re-derived.  Writes are atomic (temp file + rename).
+sizes); an entry that fails is ignored and recomputed.  Each stored bitset
+must be a subgroup (identity bit set, order dividing |G|, and the closure of
+its elements equal to itself), and the subconjugacy table must be reflexive
+and put a class below another only when its order divides the other's; an
+entry that fails these is ignored with a one-line stderr note.  That the
+classes are conjugacy classes and the table is exactly subconjugacy is
+trusted, not re-derived.  Writes are atomic (temp file + rename).
 """
 
 from __future__ import annotations
@@ -17,10 +21,11 @@ import json
 import os
 import sys
 import tempfile
+from itertools import compress
 from pathlib import Path
 
 from .groups import FiniteGroup
-from .lattice import Subgroup, SubgroupLattice
+from .lattice import Subgroup, SubgroupLattice, closure, generating_set
 
 CACHE_FORMAT_VERSION = 1
 CACHE_ENV_VAR = "BTSPEC_CACHE"
@@ -67,6 +72,14 @@ def cache_store(path: Path, group: FiniteGroup, lattice: SubgroupLattice, key: s
         raise
 
 
+def _is_subgroup(group: FiniteGroup, s: Subgroup) -> bool:
+    """True iff the bitset holds the identity, its order divides |G|, and the
+    closure of its elements is itself."""
+    if group.order % s.order or not s.members >> group.identity_index & 1:
+        return False
+    return closure(group, generating_set(group, s.members)) == s.members
+
+
 def cache_load(path: Path, group: FiniteGroup, key: str) -> SubgroupLattice | None:
     """Rebuild a lattice from cache; returns None (with a stderr note on
     corruption) whenever the entry cannot be fully validated."""
@@ -105,6 +118,12 @@ def cache_load(path: Path, group: FiniteGroup, key: str) -> SubgroupLattice | No
                 class_reps[c] = i
         if any(r < 0 for r in class_reps):
             return None
+        if not all(_is_subgroup(group, s) for s in subgroups):
+            raise ValueError("a stored bitset is not a subgroup")
+        orders = [subgroups[r].order for r in class_reps]
+        for c1, row in enumerate(subconj):
+            if not row[c1] or any(orders[c2] % orders[c1] for c2 in compress(range(nclasses), row)):
+                raise ValueError("subconjugacy is not reflexive or breaks divisibility")
         index_of = {s.members: i for i, s in enumerate(subgroups)}
         return SubgroupLattice(
             group, subgroups, index_of, class_of, class_reps, subconj

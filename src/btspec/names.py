@@ -2,10 +2,13 @@
 
 Every class gets a canonical label ``o<order>c<k>`` (k numbers the classes of
 that order by least bitset).  Classes whose isomorphism type is recognized by
-a small invariant fingerprint (order, abelian flag, exponent, element-order
-histogram) are instead tagged with a structure name: e, C<n>, K4, D<m>, Q<n>,
-S3, A4, D6, S4, C7:C3, C3xC3.  The class of the whole group falls back to the
-group's spec text when unrecognized.
+its fingerprint (abelian flag, element-order histogram) are instead tagged
+with a structure name: e, C<n>, K4, D<m>, Q<n>, S3, A4, D6, S4, C7:C3, C3xC3.
+The fingerprints of the named groups are closed forms (C<n> has phi(d)
+elements of each order d dividing n; D<m> adds m involutions to C<m>; Q<n>
+adds n/2 elements of order 4 to C<n/2>), so no candidate group is built; the
+named groups of one order have pairwise distinct fingerprints.  The class of
+the whole group falls back to the group's spec text when unrecognized.
 
 When several non-conjugate classes share a structure name they get suffixes
 a, b, ..., z, aa, ab, ... assigned by canonical class order, except that
@@ -16,77 +19,59 @@ assignment is canonical but arbitrary.
 
 from __future__ import annotations
 
-from .groups import FiniteGroup, parse_group_spec, realize
-from .lattice import SubgroupLattice, bits_iter, p_residual_bits
+from collections import Counter
+from math import gcd
+
+from .groups import FiniteGroup
+# Read only by bench/tracer.py, which wraps this name here to count calls.
+from .groups import realize
+from .lattice import SubgroupLattice, bits_iter, generating_set, p_residual_bits
 from .spectrum import prime_factors
 
-_FINGERPRINTS: dict[int, list[tuple[tuple, str]]] = {}
+# Named groups fixed by one literal element-order histogram: (name, abelian, histogram).
+_SMALL_GROUPS = [
+    ("K4", True, {1: 1, 2: 3}),
+    ("C3xC3", True, {1: 1, 3: 8}),
+    ("S3", False, {1: 1, 2: 3, 3: 2}),
+    ("A4", False, {1: 1, 2: 3, 3: 8}),
+    ("C7:C3", False, {1: 1, 3: 14, 7: 6}),
+    ("S4", False, {1: 1, 2: 9, 3: 8, 4: 6}),
+]
 
 
-def _subgroup_fingerprint(group: FiniteGroup, bits: int) -> tuple:
-    members = list(bits_iter(bits))
-    orders = sorted(group.element_order(x) for x in members)
-    hist = tuple(sorted({o: orders.count(o) for o in set(orders)}.items()))
-    exponent = 1
-    for o in set(orders):
-        exponent = exponent * o // _gcd(exponent, o)
-    mul = group.mul_table
-    abelian = all(mul[a][b] == mul[b][a] for a in members for b in members)
-    return (len(members), abelian, exponent, hist)
+def _fingerprint(abelian: bool, histogram) -> tuple:
+    return abelian, tuple(sorted(histogram.items()))
 
 
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a
+def _cyclic_histogram(n: int) -> Counter:
+    return Counter(n // gcd(k, n) for k in range(n))
 
 
-def _candidate_specs(order: int) -> list[tuple[str, str]]:
-    """(spec text, display name) candidates for subgroups of the given order."""
-    out = [(f"C{order}", "e" if order == 1 else f"C{order}")]
-    if order == 4:
-        out.append(("perm:(0 1);(2 3)", "K4"))
-    if order == 9:
-        out.append(("perm:(0 1 2);(3 4 5)", "C3xC3"))
-    if order == 6:
-        out.append(("S3", "S3"))
-    if order == 12:
-        out.append(("A4", "A4"))
-    if order == 21:
-        out.append(("perm:(0 1 2 3 4 5 6);(1 2 4)(3 6 5)", "C7:C3"))
-    if order == 24:
-        out.append(("S4", "S4"))
+def _named_fingerprints(order: int) -> dict[tuple, str]:
+    """Fingerprint -> structure name of each named group of the given order."""
+    named = {_fingerprint(True, _cyclic_histogram(order)): "e" if order == 1 else f"C{order}"}
+    for name, abelian, histogram in _SMALL_GROUPS:
+        if sum(histogram.values()) == order:
+            named[_fingerprint(abelian, histogram)] = name
     if order % 2 == 0 and order >= 8:
-        out.append((f"D{order // 2}", f"D{order // 2}"))
-    if order % 4 == 0 and order >= 8:
-        out.append((f"Q{order}", f"Q{order}"))
-    return out
-
-
-def _fingerprints_for_order(order: int) -> list[tuple[tuple, str]]:
-    cached = _FINGERPRINTS.get(order)
-    if cached is None:
-        cached = []
-        for spec_text, name in _candidate_specs(order):
-            try:
-                g = realize(parse_group_spec(spec_text), max_order=order)
-            except Exception:
-                continue
-            if g.order != order:
-                continue
-            fp = _subgroup_fingerprint(g, (1 << g.order) - 1)
-            if all(fp != known for known, _ in cached):
-                cached.append((fp, name))
-        _FINGERPRINTS[order] = cached
-    return cached
+        m = order // 2
+        dihedral = _cyclic_histogram(m)
+        dihedral[2] += m
+        named[_fingerprint(False, dihedral)] = f"D{m}"
+        if order % 4 == 0:
+            dicyclic = _cyclic_histogram(m)
+            dicyclic[4] += m
+            named[_fingerprint(False, dicyclic)] = f"Q{order}"
+    return named
 
 
 def structure_tag(group: FiniteGroup, bits: int, order: int) -> str | None:
-    fp = _subgroup_fingerprint(group, bits)
-    for known, name in _fingerprints_for_order(order):
-        if fp == known:
-            return name
-    return None
+    """Structure name of the subgroup ``bits`` of the given order, or None."""
+    mul = group.mul_table
+    gens = generating_set(group, bits)
+    abelian = all(mul[a][b] == mul[b][a] for a in gens for b in gens)
+    histogram = Counter(group.element_order(x) for x in bits_iter(bits))
+    return _named_fingerprints(order).get(_fingerprint(abelian, histogram))
 
 
 def class_labels(group: FiniteGroup, lattice: SubgroupLattice) -> list[str]:

@@ -248,26 +248,22 @@ def _collect_nodes(system, fiber_keys):
     return nodes, fibers
 
 
-def _successor_rows(system, nodes, fibers, ring: bool) -> list[int]:
+def _successor_rows(system, nodes, fibers, below) -> list[int]:
     """Each node's strict successors as one bitset, filled from class data.
 
-    Tambara: node (F, r) lies below the nodes of F, and when F is "0" of every
-    fiber, whose class is subconjugate to r.  Ring: a 0-node c lies below the
-    node of O^p(c) in each p-fiber and of c in GENERIC, and nothing else does.
+    Tambara (``below`` the subconjugate lists): node (F, r) lies below the
+    nodes of F, and when F is "0" of every fiber, whose class is subconjugate
+    to r.  Ring (``below`` None): a 0-node c lies below the node of O^p(c) in
+    each p-fiber and of c in GENERIC, and nothing else does.
     """
     lattice = system.lattice
     node_of = {  # per fiber, class -> the node that class indexes
         fiber: {nodes[i].residual_class: i for i in ids} for fiber, ids in fibers.items()
     }
-    below: list[list[int]] = [[] for _ in range(lattice.num_classes)]
-    if not ring:  # below[c]: the classes subconjugate to c
-        for c1, row in enumerate(lattice.subconj):
-            for c2 in compress(range(lattice.num_classes), row):
-                below[c2].append(c1)
     succ = []
     for node in nodes:
         c, row = node.residual_class, 0
-        if not ring:
+        if below is not None:
             for fiber in fibers if node.fiber == "0" else (node.fiber,):
                 at = node_of[fiber]
                 row |= sum(1 << at[k] for k in below[c] if k in at)
@@ -281,27 +277,35 @@ def _successor_rows(system, nodes, fibers, ring: bool) -> list[int]:
     return succ
 
 
-def _class_chain_length(lattice) -> int:
-    """Longest strict chain (edge count) in the subconjugacy poset of classes."""
-    n = lattice.num_classes
-    # Classes are sorted compatibly with subconjugacy, so a forward DP works.
-    best = [0] * n
-    order = sorted(range(n), key=lambda c: lattice.subgroups[lattice.class_reps[c]].order)
-    for c in order:
-        for c2 in order:
-            if c2 != c and lattice.subconj[c][c2]:
-                best[c2] = max(best[c2], best[c] + 1)
-    return max(best) if n else 0
+def _subconjugate_lists(lattice) -> list[list[int]]:
+    """below[c]: the classes subconjugate to c, c itself included."""
+    below: list[list[int]] = [[] for _ in range(lattice.num_classes)]
+    for c1, row in enumerate(lattice.subconj):
+        for c2 in compress(range(lattice.num_classes), row):
+            below[c2].append(c1)
+    return below
 
 
-def _assemble(system, fiber_keys, ring: bool, krull: int) -> SpectrumPoset:
+def _class_chain_length(lattice, below) -> int:
+    """Longest strict chain (edge count) in the subconjugacy poset of classes,
+    a DP over the subconjugate lists ``below``."""
+    best = [0] * lattice.num_classes
+    # A class strictly below c has smaller order, so its chain is final before c's.
+    order = lambda c: lattice.subgroups[lattice.class_reps[c]].order
+    for c in sorted(range(lattice.num_classes), key=order):
+        best[c] = max((best[k] + 1 for k in below[c] if k != c), default=0)
+    return max(best, default=0)
+
+
+def _assemble(system, fiber_keys, ring: bool) -> SpectrumPoset:
     """Nodes, their successor rows, and the Hasse covers.
 
     The covers of a are succ(a) minus the union of succ(c) over c in succ(a),
     emitted in (a, b) order.
     """
     nodes, fibers = _collect_nodes(system, fiber_keys)
-    succ = _successor_rows(system, nodes, fibers, ring)
+    below = None if ring else _subconjugate_lists(system.lattice)
+    succ = _successor_rows(system, nodes, fibers, below)
     edges = []
     for a, row in enumerate(succ):
         above = 0
@@ -314,7 +318,7 @@ def _assemble(system, fiber_keys, ring: bool, krull: int) -> SpectrumPoset:
         nodes=nodes,
         edges=edges,
         fibers=fibers,
-        krull_dimension=krull,
+        krull_dimension=1 if ring else 1 + _class_chain_length(system.lattice, below),
         succ=succ,
     )
 
@@ -330,13 +334,12 @@ def _fiber_keys(system, extra_primes) -> list[str]:
 def enumerate_spectrum(system: GhostSystem, extra_primes=()) -> SpectrumPoset:
     """The full prime-ideal poset: 0 fiber, one fiber per prime dividing |G|,
     requested extra primes, and one symbolic GENERIC fiber."""
-    krull = 1 + _class_chain_length(system.lattice)
-    return _assemble(system, _fiber_keys(system, extra_primes), ring=False, krull=krull)
+    return _assemble(system, _fiber_keys(system, extra_primes), ring=False)
 
 
 def burnside_ring_spectrum(system: GhostSystem, extra_primes=()) -> SpectrumPoset:
     """Zariski spectrum of the Burnside ring A(G), same node indexing."""
-    return _assemble(system, _fiber_keys(system, extra_primes), ring=True, krull=1)
+    return _assemble(system, _fiber_keys(system, extra_primes), ring=True)
 
 
 # -- Q-condition and non-primality witnesses -------------------------------------

@@ -2,16 +2,20 @@
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from btspec.cache import cache_load, cache_path, cache_store, spec_cache_key
 from btspec.cli import run
 from btspec.errors import SpecRangeError
-from btspec.groups import MAX_DEGREE, group_from_text, parse_group_spec
+from btspec.groups import DEFAULT_MAX_ORDER, MAX_DEGREE, group_from_text, parse_group_spec
 from btspec.lattice import subgroup_lattice
 
-from conftest import C2_5
+from conftest import C2_5, C840
 
 
 @pytest.fixture()
@@ -92,6 +96,21 @@ class TestDegreeBound:
             parse_group_spec(f"A{MAX_DEGREE + 1}")
 
 
+class TestClosedPipe:
+    def test_reader_closing_early_gets_no_traceback(self):
+        # The C2^5 spectrum text is about 130 KB, more than a pipe buffer holds.
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "btspec.cli", "--no-cache", "spec", C2_5],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+        )
+        assert proc.stdout.readline().startswith(b"spectrum of")
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        assert proc.wait(timeout=120) == 1
+        assert "Traceback" not in err and err.count("\n") <= 1
+
+
 class TestLabels:
     def test_more_than_26_same_name_classes(self, invoke):
         # C2^4 has 35 classes named K4: suffixes continue a..z, aa, ab, ...
@@ -126,8 +145,9 @@ class TestDeterminism:
         assert first[0] == 0
 
 
-# stdout sha256 of spectrum commands.  CLI output is a byte-for-byte contract:
-# a mismatch is a regression unless a documented defect fix changes the output.
+# stdout sha256 of spectrum commands and class-label listings.  CLI output is a
+# byte-for-byte contract: a mismatch is a regression unless a documented defect
+# fix changes the output.
 GOLDEN_STDOUT = [
     ("A4", "spec", "text", "5545b932eeda4d1b8750290356d19ed974cbac53d2396514a6ce69e38303dc18"),
     ("A4", "spec", "json", "060ac2584b5596b10d3eddccef257c4117ed990a9090b8c466788d8f17972c5c"),
@@ -165,6 +185,11 @@ GOLDEN_STDOUT = [
     ("C2_5", "fibers --prime GENERIC", "text", "7ab7857267808bc787eddd0b0beea9c4ec5f95d24be8527f7bcc9db78d5ea41c"),
     ("C2_5", "fibers --prime GENERIC", "json", "7da6a2e5d028de0ec783f18beed5f142a59e0a32fb6c948ec96861a29a927783"),
     ("C2_5", "fibers --prime GENERIC", "dot", "6faefa28a6e9c827a954beb3b0f58e2b1779018ceede55a2628eb6cc825d1e60"),
+    ("S5", "subgroups", "text", "74f0936fdd1e044bc2d81f17f27ccbc9ce64a3ea7587eb20cb94df33f6badd12"),
+    ("A6", "subgroups", "text", "a5fd348565b05b58fda0d058c6eb80daa05bcc48db84da15dc87728ebb6cd7e7"),
+    ("D60", "subgroups", "text", "d3db488be33504fd385e583ea879d60de1c606b1177ec732a9aba9a78e341216"),
+    ("Q24", "subgroups", "text", "78e9f8dd2d0878361b5345f9b295c39cc706040001f239e1838a179b5613dd84"),
+    ("C840", "subgroups", "text", "8abff7210cc0d7252fa2ca816a4b35e4833444c261ddf9d1a16de86177200636"),
 ]
 
 
@@ -175,7 +200,7 @@ class TestGoldenStdout:
         ids=[f"{g} {c} {f}" for g, c, f, _ in GOLDEN_STDOUT],
     )
     def test_stdout_sha256(self, invoke, group, command, fmt, digest):
-        spec = C2_5 if group == "C2_5" else group
+        spec = {"C2_5": C2_5, "C840": C840}.get(group, group)
         cmd, *rest = command.split()
         code, out, err = invoke("--format", fmt, cmd, spec, *rest)
         assert code == 0 and err == ""
@@ -364,6 +389,44 @@ class TestCache:
         path = cache_path(tmp_path, key)
         cache_store(path, s3, subgroup_lattice(s3), key)
         assert cache_load(path, c6, key) is None
+
+    def test_stored_non_subgroup_recomputes_with_warning(self, tmp_path, capsys):
+        # {1, 2} has the right order but no identity and is not closed.
+        group = group_from_text("S3")
+        key = spec_cache_key(group.name, DEFAULT_MAX_ORDER)
+        path = cache_path(tmp_path, key)
+        cache_store(path, group, subgroup_lattice(group), key)
+        raw = json.loads(path.read_text())
+        raw["subgroups"] = ["6" if h == "3" else h for h in raw["subgroups"]]
+        path.write_text(json.dumps(raw))
+        code = run(["--cache-dir", str(tmp_path), "spec", "S3"])
+        captured = capsys.readouterr()
+        assert code == 0
+        assert captured.err == f"btspec: ignoring corrupt cache entry {path}\n"
+        assert run(["--no-cache", "spec", "S3"]) == 0
+        assert captured.out == capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda raw: raw["subgroups"].__setitem__(1, "6"),  # {1, 2}: no identity
+            lambda raw: raw["subgroups"].__setitem__(1, "5"),  # {0, 2}: 2 has order 3
+            lambda raw: raw["subgroups"].__setitem__(4, "27"),  # order 4 does not divide 6
+            lambda raw: raw["subconj"][1].__setitem__(1, 0),  # not reflexive
+            lambda raw: raw["subconj"][2].__setitem__(1, 1),  # C3 below C2
+        ],
+        ids=["no-identity", "not-closed", "order", "subconj-not-reflexive", "subconj-order"],
+    )
+    def test_inconsistent_entry_rejected(self, tmp_path, capsys, edit):
+        group = group_from_text("S3")
+        key = spec_cache_key(group.name, DEFAULT_MAX_ORDER)
+        path = cache_path(tmp_path, key)
+        cache_store(path, group, subgroup_lattice(group), key)
+        raw = json.loads(path.read_text())
+        edit(raw)
+        path.write_text(json.dumps(raw))
+        assert cache_load(path, group, key) is None
+        assert capsys.readouterr().err == f"btspec: ignoring corrupt cache entry {path}\n"
 
     def test_cli_uses_cache(self, tmp_path, capsys):
         cache_dir = tmp_path / "cache"

@@ -22,7 +22,7 @@ from btspec.spectrum import (
     validate_prime_or_zero,
 )
 
-from conftest import C2_5, C840, labels_for, system_for
+from conftest import C2_5, C840, CORPUS, labels_for, system_for
 
 
 def cls_of(text, label):
@@ -115,6 +115,32 @@ class TestContainsOracle:
                     assert poset.contains(a, b) == want, (text, poset.kind, na, nb)
                     if not ring:
                         assert ideal_contains(sysg, ideals[a], ideals[b]) == want
+
+
+def chain_length_by_pairs(lattice):
+    """Longest strict subconjugacy chain by a forward DP over every ordered
+    class pair, the route the Krull dimension once took, kept as the oracle."""
+    n = lattice.num_classes
+    best = [0] * n
+    order = sorted(range(n), key=lambda c: lattice.subgroups[lattice.class_reps[c]].order)
+    for c in order:
+        for c2 in order:
+            if c2 != c and lattice.subconj[c][c2]:
+                best[c2] = max(best[c2], best[c] + 1)
+    return max(best) if n else 0
+
+
+KRULL_CORPUS = CORPUS + ["D9", "GL3_2", "A6", C2_5, C840]
+
+
+class TestKrullOracle:
+    @pytest.mark.parametrize(
+        "text", KRULL_CORPUS, ids=KRULL_CORPUS[:-2] + ["C2_5", "C840"]
+    )
+    def test_krull_matches_all_pairs_dp(self, text):
+        sysg = system_for(text)
+        want = 1 + chain_length_by_pairs(sysg.lattice)
+        assert enumerate_spectrum(sysg).krull_dimension == want
 
 
 class TestPrimeHelpers:
