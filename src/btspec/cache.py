@@ -1,17 +1,20 @@
 """Persistent lattice cache.
 
 Lattice enumeration is the only expensive step, so the CLI persists it as a
-JSON file keyed by a hash of the canonical spec text and max_order.  An entry
-is checked against the freshly realized group (spec hash, order, degree,
-generators) and for shape (format version, bitsets within the group, the
-whole group last, (order, bitset) order, class and subconjugacy table
-sizes); an entry that fails is ignored and recomputed.  Each stored bitset
-must be a subgroup (identity bit set, order dividing |G|, and the closure of
-its elements equal to itself), and the subconjugacy table must be reflexive
-and put a class below another only when its order divides the other's; an
-entry that fails these is ignored with a one-line stderr note.  That the
-classes are conjugacy classes and the table is exactly subconjugacy is
-trusted, not re-derived.  Writes are atomic (temp file + rename).
+JSON file keyed by a hash of the canonical spec text and max_order.  Format 2
+stores every bitset as a hex string: ``subgroups`` (one per subgroup, in
+lattice order), ``class_of``, and ``below`` (one subconjugacy row per class,
+as ``SubgroupLattice.below``).  An entry is checked against the freshly
+realized group (spec hash, order, degree, generators) and for shape (format
+version, bitsets within the group, the whole group last, (order, bitset)
+order, one row per class); an entry that fails is ignored and recomputed, so
+entries of an older format are silently replaced.  Each stored bitset must be
+a subgroup (identity bit set, order dividing |G|, and the closure of its
+elements equal to itself), and each row of ``below`` must hold its own class
+and only classes whose order divides its class's order; an entry that fails
+these is ignored with a one-line stderr note.  That the classes are conjugacy
+classes and the rows are exactly subconjugacy is trusted, not re-derived.
+Writes are atomic (temp file + rename).
 """
 
 from __future__ import annotations
@@ -21,13 +24,12 @@ import json
 import os
 import sys
 import tempfile
-from itertools import compress
 from pathlib import Path
 
 from .groups import FiniteGroup
 from .lattice import Subgroup, SubgroupLattice, closure, generating_set
 
-CACHE_FORMAT_VERSION = 1
+CACHE_FORMAT_VERSION = 2
 CACHE_ENV_VAR = "BTSPEC_CACHE"
 
 
@@ -58,7 +60,7 @@ def cache_store(path: Path, group: FiniteGroup, lattice: SubgroupLattice, key: s
         "generators": [list(group.elements[i].images) for i in group.gen_indices],
         "subgroups": [f"{s.members:x}" for s in lattice.subgroups],
         "class_of": list(lattice.class_of),
-        "subconj": [[1 if v else 0 for v in row] for row in lattice.subconj],
+        "below": [f"{row:x}" for row in lattice.below],
     }
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=str(path.parent), suffix=".tmp")
@@ -100,7 +102,7 @@ def cache_load(path: Path, group: FiniteGroup, key: str) -> SubgroupLattice | No
             return None
         bits_list = [int(h, 16) for h in raw["subgroups"]]
         class_of = [int(c) for c in raw["class_of"]]
-        subconj = [[bool(v) for v in row] for row in raw["subconj"]]
+        below = [int(h, 16) for h in raw["below"]]
         if len(class_of) != len(bits_list):
             return None
         full = (1 << group.order) - 1
@@ -110,7 +112,7 @@ def cache_load(path: Path, group: FiniteGroup, key: str) -> SubgroupLattice | No
         if subgroups != sorted(subgroups, key=lambda s: (s.order, s.members)):
             return None
         nclasses = max(class_of) + 1
-        if len(subconj) != nclasses or any(len(r) != nclasses for r in subconj):
+        if len(below) != nclasses or any(r >> nclasses for r in below):
             return None
         class_reps = [-1] * nclasses
         for i, c in enumerate(class_of):
@@ -120,14 +122,16 @@ def cache_load(path: Path, group: FiniteGroup, key: str) -> SubgroupLattice | No
             return None
         if not all(_is_subgroup(group, s) for s in subgroups):
             raise ValueError("a stored bitset is not a subgroup")
-        orders = [subgroups[r].order for r in class_reps]
-        for c1, row in enumerate(subconj):
-            if not row[c1] or any(orders[c2] % orders[c1] for c2 in compress(range(nclasses), row)):
+        of_order: dict[int, int] = {}  # order -> bitset of the classes of that order
+        for c, r in enumerate(class_reps):
+            of_order[subgroups[r].order] = of_order.get(subgroups[r].order, 0) | 1 << c
+        for c, row in enumerate(below):
+            order = subgroups[class_reps[c]].order
+            dividing = sum(bits for o, bits in of_order.items() if order % o == 0)
+            if not row >> c & 1 or row & ~dividing:
                 raise ValueError("subconjugacy is not reflexive or breaks divisibility")
         index_of = {s.members: i for i, s in enumerate(subgroups)}
-        return SubgroupLattice(
-            group, subgroups, index_of, class_of, class_reps, subconj
-        )
+        return SubgroupLattice(group, subgroups, index_of, class_of, class_reps, below)
     except (KeyError, TypeError, ValueError, IndexError):
         print(f"btspec: ignoring corrupt cache entry {path}", file=sys.stderr)
         return None

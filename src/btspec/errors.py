@@ -23,6 +23,10 @@ class OrderExceededError(BtspecError):
     """Group closure grew past the configured max_order."""
 
 
+class LatticeSizeError(BtspecError):
+    """The group has more subgroups than lattice.MAX_SUBGROUPS."""
+
+
 class ContainmentError(BtspecError):
     """A required subgroup containment does not hold."""
 

@@ -67,7 +67,6 @@ class GhostSystem:
         self._tr_routes: dict[tuple[int, int], tuple[tuple[int, ...], ...]] = {}
         self._nm_routes: dict[tuple[int, int], tuple[tuple[int, ...], ...]] = {}
         self._conj_routes: dict[tuple[int, int], tuple[int, tuple[int, ...]]] = {}
-        self._residuals: dict[tuple[int, int], int] = {}
 
     @property
     def top_index(self) -> int:

@@ -20,8 +20,14 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from math import gcd
 
-from .errors import ContainmentError
+from .errors import ContainmentError, LatticeSizeError
 from .groups import FiniteGroup
+
+# Enumeration stops with LatticeSizeError once a group has more subgroups than
+# this, before any table sized by the lattice is allocated.  It sits above the
+# largest lattice in the tests and the README (C2 x S6, 5825 subgroups); C2^7
+# (29,212 subgroups) is the first elementary abelian group over it.
+MAX_SUBGROUPS = 10_000
 
 
 def bits_iter(bits: int):
@@ -157,8 +163,10 @@ def double_coset_reps(group: FiniteGroup, L_bits: int, K_bits: int, H_bits: int)
 class SubgroupLattice:
     """All subgroups of a group, their conjugacy classes, and subconjugacy.
 
-    ``subgroups`` is sorted by (order, bitset); ``subconj[c1][c2]`` is True iff
-    some member of class c1 is contained in some member of class c2.
+    ``subgroups`` is sorted by (order, bitset).  ``below[c2]`` is a bitset over
+    classes: bit c1 is set iff some member of class c1 is contained in some
+    member of class c2 (so bit c2 is always set).  ``residual_class(cls, p)``
+    is the class of O^p(H) for H in class cls, computed once per (cls, p).
     """
 
     group: FiniteGroup
@@ -166,8 +174,9 @@ class SubgroupLattice:
     index_of: dict[int, int]
     class_of: list[int]
     class_reps: list[int]
-    subconj: list[list[bool]]
+    below: list[int]
     _normalizers: list[Subgroup | None] | None = field(default=None, repr=False)
+    _residuals: dict[tuple[int, int], int] = field(default_factory=dict, repr=False)
     _contained_cache: dict[int, tuple[int, ...]] = field(default_factory=dict, repr=False)
 
     @property
@@ -210,7 +219,17 @@ class SubgroupLattice:
 
     def is_subconjugate(self, h_idx: int, k_idx: int) -> bool:
         """True iff some conjugate of subgroup h lies inside subgroup k."""
-        return self.subconj[self.class_of[h_idx]][self.class_of[k_idx]]
+        return bool(self.below[self.class_of[k_idx]] >> self.class_of[h_idx] & 1)
+
+    def residual_class(self, cls: int, p: int) -> int:
+        """Conjugacy class of O^p(H) for H the representative of class cls."""
+        key = (cls, p)
+        cached = self._residuals.get(key)
+        if cached is None:
+            bits = p_residual_bits(self.group, self.subgroups[self.class_reps[cls]].members, p)
+            cached = self.class_of[self.subgroup_index(bits)]
+            self._residuals[key] = cached
+        return cached
 
 
 def normalizer_bits(group: FiniteGroup, bits: int) -> int:
@@ -286,6 +305,10 @@ def subgroup_lattice(group: FiniteGroup) -> SubgroupLattice:
         found[bits] = cls
         frontier = [bits]
         while frontier:
+            if len(found) > MAX_SUBGROUPS:
+                raise LatticeSizeError(
+                    f"{group.name} has more than {MAX_SUBGROUPS} subgroups (lattice.MAX_SUBGROUPS)"
+                )
             new = []
             for b in frontier:
                 for g in group.gen_indices:
@@ -323,46 +346,30 @@ def subgroup_lattice(group: FiniteGroup) -> SubgroupLattice:
             class_reps.append(i)
         class_of.append(cls)
 
-    subconj = [[False] * len(class_reps) for _ in class_reps]
-    for c2, rep in enumerate(class_reps):
-        outside = ~ordered[rep]
+    below = []
+    for rep in class_reps:
+        outside, row = ~ordered[rep], 0
         for i in range(rep + 1):  # sorted by order: no later subgroup fits inside
             if not ordered[i] & outside:
-                subconj[class_of[i]][c2] = True
-    return SubgroupLattice(group, subgroups, index_of, class_of, class_reps, subconj)
+                row |= 1 << class_of[i]
+        below.append(row)
+    return SubgroupLattice(group, subgroups, index_of, class_of, class_reps, below)
 
 
 def p_residual_bits(group: FiniteGroup, H_bits: int, p: int) -> int:
-    """Bitset of O^p(H): the subgroup generated by all p'-elements of H."""
-    gens = [x for x in bits_iter(H_bits) if group.element_order(x) % p != 0]
-    return closure(group, gens)
+    """Bitset of O^p(H), the subgroup generated by all p'-elements of H: the
+    span grows only by p'-elements not already in it, as in generating_set."""
+    span = 1 << group.identity_index
+    for x in bits_iter(H_bits):
+        if not span >> x & 1 and group.element_order(x) % p:
+            span = closure(group, (x,), span)
+    return span
 
 
 def p_residual(lattice: SubgroupLattice, H: Subgroup, p: int) -> Subgroup:
     """O^p(H): smallest normal subgroup of H with p-power-order quotient."""
     bits = p_residual_bits(lattice.group, H.members, p)
     return lattice.subgroups[lattice.subgroup_index(bits)]
-
-
-def p_residual_normal_oracle(lattice: SubgroupLattice, H: Subgroup, p: int) -> Subgroup:
-    """Independent route to O^p(H): intersect all normal subgroups of H of p-power index.
-
-    Used to cross-check p_residual; quadratic in the number of subgroups of H.
-    """
-    group = lattice.group
-    h_idx = lattice.subgroup_index(H.members)
-    acc = H.members
-    for idx in lattice.subgroups_within(h_idx):
-        nb = lattice.subgroups[idx].members
-        quotient = H.order // lattice.subgroups[idx].order
-        q = quotient
-        while q % p == 0:
-            q //= p
-        if q != 1:
-            continue
-        if all(conjugate_bits(group, h, nb) == nb for h in bits_iter(H.members)):
-            acc &= nb
-    return lattice.subgroups[lattice.subgroup_index(acc)]
 
 
 def is_subconjugate(lattice: SubgroupLattice, H: Subgroup, K: Subgroup) -> bool:

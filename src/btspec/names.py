@@ -25,7 +25,7 @@ from math import gcd
 from .groups import FiniteGroup
 # Read only by bench/tracer.py, which wraps this name here to count calls.
 from .groups import realize
-from .lattice import SubgroupLattice, bits_iter, generating_set, p_residual_bits
+from .lattice import SubgroupLattice, bits_iter, generating_set
 from .spectrum import prime_factors
 
 # Named groups fixed by one literal element-order histogram: (name, abelian, histogram).
@@ -126,15 +126,6 @@ def _assign_suffixes(group, lattice, duplicated: dict[str, list[int]]) -> dict[i
     group bijectively onto them.
     """
     primes = prime_factors(group.order)
-    residual_cls = {}
-
-    def res_of(cls: int, p: int) -> int:
-        key = (cls, p)
-        if key not in residual_cls:
-            bits = p_residual_bits(group, lattice.subgroups[lattice.class_reps[cls]].members, p)
-            residual_cls[key] = lattice.class_of[lattice.subgroup_index(bits)]
-        return residual_cls[key]
-
     order_of = lambda cls: lattice.subgroups[lattice.class_reps[cls]].order
     groups = sorted(duplicated.values(), key=lambda lst: (-order_of(lst[0]), lst))
     letters: dict[int, str] = {}
@@ -145,7 +136,7 @@ def _assign_suffixes(group, lattice, duplicated: dict[str, list[int]]) -> dict[i
             if len(src) != len(members):
                 continue
             for p in primes:
-                image = [res_of(c, p) for c in src]
+                image = [lattice.residual_class(c, p) for c in src]
                 if sorted(image) == sorted(members) and len(set(image)) == len(image):
                     inherited = {img: letters[c] for c, img in zip(src, image)}
                     break

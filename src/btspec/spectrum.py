@@ -34,11 +34,10 @@ non-principal family of subgroups.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import compress
 
 from .burnside import BurnsideElement, GhostElement
 from .ghost import GhostSystem
-from .lattice import bits_iter, conjugate_bits, is_subset, p_residual_bits
+from .lattice import bits_iter, conjugate_bits, is_subset
 
 
 def is_prime(n: int) -> bool:
@@ -73,15 +72,7 @@ def prime_factors(n: int) -> list[int]:
 
 def residual_class(system: GhostSystem, cls: int, p: int) -> int:
     """Conjugacy class of O^p(H) for H a representative of the given class."""
-    key = (cls, p)
-    cached = system._residuals.get(key)
-    if cached is None:
-        lattice = system.lattice
-        rep = lattice.class_reps[cls]
-        bits = p_residual_bits(system.group, lattice.subgroups[rep].members, p)
-        cached = lattice.class_of[lattice.subgroup_index(bits)]
-        system._residuals[key] = cached
-    return cached
+    return system.lattice.residual_class(cls, p)
 
 
 @dataclass(frozen=True, eq=False)
@@ -116,14 +107,10 @@ def make_prime_ideal(system: GhostSystem, cls: int, p: int) -> PrimeIdeal:
 
 def family_closed(lattice, classes) -> bool:
     """True iff the class set is nonempty and downward closed under subconjugacy."""
-    cset = frozenset(classes)
-    if not cset:
-        return False
-    for c in cset:
-        for c2 in range(lattice.num_classes):
-            if lattice.subconj[c2][c] and c2 not in cset:
-                return False
-    return True
+    mask = 0
+    for c in classes:
+        mask |= 1 << c
+    return mask != 0 and all(not lattice.below[c] & ~mask for c in bits_iter(mask))
 
 
 def make_family(lattice, classes) -> frozenset[int]:
@@ -135,7 +122,7 @@ def make_family(lattice, classes) -> frozenset[int]:
 
 def principal_family(lattice, cls: int) -> frozenset[int]:
     """F_H = all classes subconjugate to the given class."""
-    return frozenset(c for c in range(lattice.num_classes) if lattice.subconj[c][cls])
+    return frozenset(bits_iter(lattice.below[cls]))
 
 
 def all_families(lattice) -> list[frozenset[int]]:
@@ -151,11 +138,10 @@ def all_families(lattice) -> list[frozenset[int]]:
 
 
 def family_maximal_classes(lattice, family) -> list[int]:
-    return sorted(
-        c
-        for c in family
-        if not any(c2 != c and lattice.subconj[c][c2] for c2 in family)
-    )
+    strictly_below = 0
+    for c in family:
+        strictly_below |= lattice.below[c] & ~(1 << c)
+    return sorted(c for c in family if not strictly_below >> c & 1)
 
 
 # -- ideal membership ----------------------------------------------------------
@@ -198,7 +184,7 @@ def ideal_contains(system: GhostSystem, i1: PrimeIdeal, i2: PrimeIdeal) -> bool:
     and the canonical class of i2 is subconjugate to that of i1."""
     if i1.p != 0 and i1.p != i2.p:
         return False
-    return system.lattice.subconj[i2.canonical_class][i1.canonical_class]
+    return bool(system.lattice.below[i1.canonical_class] >> i2.canonical_class & 1)
 
 
 # -- spectrum poset --------------------------------------------------------------
@@ -248,13 +234,13 @@ def _collect_nodes(system, fiber_keys):
     return nodes, fibers
 
 
-def _successor_rows(system, nodes, fibers, below) -> list[int]:
+def _successor_rows(system, nodes, fibers, ring: bool) -> list[int]:
     """Each node's strict successors as one bitset, filled from class data.
 
-    Tambara (``below`` the subconjugate lists): node (F, r) lies below the
-    nodes of F, and when F is "0" of every fiber, whose class is subconjugate
-    to r.  Ring (``below`` None): a 0-node c lies below the node of O^p(c) in
-    each p-fiber and of c in GENERIC, and nothing else does.
+    Tambara: node (F, r) lies below the nodes of F, and when F is "0" of
+    every fiber, whose class is subconjugate to r.  Ring: a 0-node c lies
+    below the node of O^p(c) in each p-fiber and of c in GENERIC, and nothing
+    else does.
     """
     lattice = system.lattice
     node_of = {  # per fiber, class -> the node that class indexes
@@ -263,10 +249,10 @@ def _successor_rows(system, nodes, fibers, below) -> list[int]:
     succ = []
     for node in nodes:
         c, row = node.residual_class, 0
-        if below is not None:
+        if not ring:
             for fiber in fibers if node.fiber == "0" else (node.fiber,):
                 at = node_of[fiber]
-                row |= sum(1 << at[k] for k in below[c] if k in at)
+                row |= sum(1 << at[k] for k in bits_iter(lattice.below[c]) if k in at)
         elif node.fiber == "0":
             for fiber, at in node_of.items():
                 if fiber == GENERIC:
@@ -277,23 +263,15 @@ def _successor_rows(system, nodes, fibers, below) -> list[int]:
     return succ
 
 
-def _subconjugate_lists(lattice) -> list[list[int]]:
-    """below[c]: the classes subconjugate to c, c itself included."""
-    below: list[list[int]] = [[] for _ in range(lattice.num_classes)]
-    for c1, row in enumerate(lattice.subconj):
-        for c2 in compress(range(lattice.num_classes), row):
-            below[c2].append(c1)
-    return below
-
-
-def _class_chain_length(lattice, below) -> int:
+def _class_chain_length(lattice) -> int:
     """Longest strict chain (edge count) in the subconjugacy poset of classes,
-    a DP over the subconjugate lists ``below``."""
+    a DP over the rows ``lattice.below``."""
     best = [0] * lattice.num_classes
     # A class strictly below c has smaller order, so its chain is final before c's.
     order = lambda c: lattice.subgroups[lattice.class_reps[c]].order
     for c in sorted(range(lattice.num_classes), key=order):
-        best[c] = max((best[k] + 1 for k in below[c] if k != c), default=0)
+        strict = lattice.below[c] & ~(1 << c)
+        best[c] = max((best[k] + 1 for k in bits_iter(strict)), default=0)
     return max(best, default=0)
 
 
@@ -304,8 +282,7 @@ def _assemble(system, fiber_keys, ring: bool) -> SpectrumPoset:
     emitted in (a, b) order.
     """
     nodes, fibers = _collect_nodes(system, fiber_keys)
-    below = None if ring else _subconjugate_lists(system.lattice)
-    succ = _successor_rows(system, nodes, fibers, below)
+    succ = _successor_rows(system, nodes, fibers, ring)
     edges = []
     for a, row in enumerate(succ):
         above = 0
@@ -318,7 +295,7 @@ def _assemble(system, fiber_keys, ring: bool) -> SpectrumPoset:
         nodes=nodes,
         edges=edges,
         fibers=fibers,
-        krull_dimension=1 if ring else 1 + _class_chain_length(system.lattice, below),
+        krull_dimension=1 if ring else 1 + _class_chain_length(system.lattice),
         succ=succ,
     )
 

@@ -58,9 +58,10 @@ class TestMarksTable:
         for k in range(ring.num_classes):
             for i in range(ring.num_classes):
                 nonzero = ring.marks_matrix[k][i] != 0
-                subconj = lat.subconj[lat.class_of[ring.class_reps[i]]][
-                    lat.class_of[ring.class_reps[k]]
-                ]
+                subconj = bool(
+                    lat.below[lat.class_of[ring.class_reps[k]]]
+                    >> lat.class_of[ring.class_reps[i]] & 1
+                )
                 assert nonzero == subconj
 
 

@@ -13,9 +13,9 @@ from btspec.cache import cache_load, cache_path, cache_store, spec_cache_key
 from btspec.cli import run
 from btspec.errors import SpecRangeError
 from btspec.groups import DEFAULT_MAX_ORDER, MAX_DEGREE, group_from_text, parse_group_spec
-from btspec.lattice import subgroup_lattice
+from btspec.lattice import MAX_SUBGROUPS, subgroup_lattice
 
-from conftest import C2_5, C840
+from conftest import C2_5, C2_7, C840
 
 
 @pytest.fixture()
@@ -94,6 +94,14 @@ class TestDegreeBound:
         parse_group_spec(f"C{2 ** 12}")
         with pytest.raises(SpecRangeError):
             parse_group_spec(f"A{MAX_DEGREE + 1}")
+
+
+class TestLatticeBound:
+    def test_too_many_subgroups_is_a_domain_error(self, invoke):
+        code, out, err = invoke("subgroups", C2_7)
+        assert code == 1 and out == ""
+        assert err.startswith("error:") and str(MAX_SUBGROUPS) in err
+        assert err.count("\n") == 1 and "Traceback" not in err
 
 
 class TestClosedPipe:
@@ -343,6 +351,11 @@ class TestMemberCommand:
         assert code == 2 and "coefficients" in err
 
 
+def _edit_row(raw, cls, update):
+    """Rewrite the stored hex subconjugacy row of one class."""
+    raw["below"][cls] = f"{update(int(raw['below'][cls], 16)):x}"
+
+
 class TestCache:
     def test_roundtrip(self, tmp_path):
         group = group_from_text("GL3_2")
@@ -354,7 +367,7 @@ class TestCache:
         assert loaded is not None
         assert [s.members for s in loaded.subgroups] == [s.members for s in lattice.subgroups]
         assert loaded.class_of == lattice.class_of
-        assert loaded.subconj == lattice.subconj
+        assert loaded.below == lattice.below
 
     def test_missing_file(self, tmp_path):
         group = group_from_text("S3")
@@ -412,8 +425,8 @@ class TestCache:
             lambda raw: raw["subgroups"].__setitem__(1, "6"),  # {1, 2}: no identity
             lambda raw: raw["subgroups"].__setitem__(1, "5"),  # {0, 2}: 2 has order 3
             lambda raw: raw["subgroups"].__setitem__(4, "27"),  # order 4 does not divide 6
-            lambda raw: raw["subconj"][1].__setitem__(1, 0),  # not reflexive
-            lambda raw: raw["subconj"][2].__setitem__(1, 1),  # C3 below C2
+            lambda raw: _edit_row(raw, 1, lambda row: row & ~0b10),  # C2 not below itself
+            lambda raw: _edit_row(raw, 1, lambda row: row | 0b100),  # C3 below C2
         ],
         ids=["no-identity", "not-closed", "order", "subconj-not-reflexive", "subconj-order"],
     )
@@ -427,6 +440,25 @@ class TestCache:
         path.write_text(json.dumps(raw))
         assert cache_load(path, group, key) is None
         assert capsys.readouterr().err == f"btspec: ignoring corrupt cache entry {path}\n"
+
+    def test_format_1_entry_replaced_silently(self, tmp_path, capsys):
+        group = group_from_text("S3")
+        key = spec_cache_key(group.name, DEFAULT_MAX_ORDER)
+        path = cache_path(tmp_path, key)
+        lattice = subgroup_lattice(group)
+        cache_store(path, group, lattice, key)
+        raw = json.loads(path.read_text())
+        raw["format_version"] = 1
+        del raw["below"]
+        raw["subconj"] = [
+            [r >> c & 1 for r in lattice.below] for c in range(lattice.num_classes)
+        ]
+        path.write_text(json.dumps(raw))
+        assert run(["--cache-dir", str(tmp_path), "subgroups", "S3"]) == 0
+        assert capsys.readouterr().err == ""
+        rewritten = json.loads(path.read_text())
+        assert rewritten["format_version"] == 2
+        assert [int(h, 16) for h in rewritten["below"]] == lattice.below
 
     def test_cli_uses_cache(self, tmp_path, capsys):
         cache_dir = tmp_path / "cache"

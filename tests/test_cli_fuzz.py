@@ -1,0 +1,54 @@
+"""Property test: any spec text and flags end in exit 0, 1 or 2, never an exception.
+
+Drives ``cli.run`` in-process over named specs with small parameters,
+``perm:`` strings (elementary abelian C2^k up to k = 7, where C2^7 has more
+subgroups than ``lattice.MAX_SUBGROUPS``, and random cycles), and malformed
+text.
+"""
+
+import contextlib
+import io
+
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
+
+from btspec.cli import run
+
+from conftest import C2_7
+
+NAMED = st.builds("{}{}".format, st.sampled_from("CDQSA"), st.integers(-1, 9))
+ELEMENTARY = st.integers(1, 7).map(
+    lambda k: "perm:" + ";".join(f"({2 * i} {2 * i + 1})" for i in range(k))
+)
+CYCLES = st.lists(
+    st.lists(st.integers(0, 12), min_size=1, max_size=5, unique=True).map(
+        lambda pts: "(" + " ".join(map(str, pts)) + ")"
+    ),
+    min_size=1,
+    max_size=3,
+).map(lambda gens: "perm:" + ";".join(gens))
+MALFORMED = st.text(alphabet="CDQSAperm:();,x -0123456789", max_size=16)
+SPECS = st.one_of(NAMED, ELEMENTARY, CYCLES, MALFORMED)
+
+COMMANDS = st.one_of(
+    st.sampled_from([["subgroups"], ["spec"], ["marks"]]),
+    st.integers(-1, 8).map(lambda p: ["residual", "--prime", str(p)]),
+)
+MAX_ORDERS = st.sampled_from(["0", "24", "60", "128", "200"])
+
+
+@settings(
+    max_examples=50,
+    deadline=None,
+    derandomize=True,
+    database=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(spec=SPECS, command=COMMANDS, max_order=MAX_ORDERS)
+@example(spec=C2_7, command=["spec"], max_order="128")
+def test_cli_exits_cleanly(spec, command, max_order):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = run(["--no-cache", "--max-order", max_order, command[0], spec, *command[1:]])
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()

@@ -3,16 +3,44 @@
 import pytest
 
 from btspec.lattice import (
+    bits_iter,
+    closure,
     conjugate_bits,
     double_cosets,
     is_subconjugate,
     is_subset,
     left_transversal,
     p_residual,
-    p_residual_normal_oracle,
 )
+from btspec.spectrum import prime_factors
 
-from conftest import CORPUS, labels_for, system_for
+from conftest import C840, CORPUS, labels_for, system_for
+
+
+def p_residual_normal_oracle(lattice, H, p):
+    """Independent route to O^p(H): intersect all normal subgroups of H of p-power index.
+
+    Quadratic in the number of subgroups of H.
+    """
+    group = lattice.group
+    h_idx = lattice.subgroup_index(H.members)
+    acc = H.members
+    for idx in lattice.subgroups_within(h_idx):
+        nb = lattice.subgroups[idx].members
+        quotient = H.order // lattice.subgroups[idx].order
+        q = quotient
+        while q % p == 0:
+            q //= p
+        if q != 1:
+            continue
+        if all(conjugate_bits(group, h, nb) == nb for h in bits_iter(H.members)):
+            acc &= nb
+    return lattice.subgroups[lattice.subgroup_index(acc)]
+
+
+def p_residual_all_generators_oracle(group, H_bits, p):
+    """Bitset of O^p(H) as the closure of every p'-element of H at once."""
+    return closure(group, [x for x in bits_iter(H_bits) if group.element_order(x) % p != 0])
 
 
 class TestEnumeration:
@@ -95,18 +123,18 @@ class TestSubconjugacy:
                 brute = any(
                     is_subset(conjugate_bits(g, x, b1), b2) for x in range(g.order)
                 )
-                assert lat.subconj[c1][c2] == brute
+                assert bool(lat.below[c2] >> c1 & 1) == brute
 
     def test_partial_order_on_classes(self, sys_a4):
         lat = sys_a4.lattice
         n = lat.num_classes
         for a in range(n):
-            assert lat.subconj[a][a]
+            assert lat.below[a] >> a & 1
             for b in range(n):
                 for c in range(n):
-                    if lat.subconj[a][b] and lat.subconj[b][c]:
-                        assert lat.subconj[a][c]
-                if a != b and lat.subconj[a][b] and lat.subconj[b][a]:
+                    if lat.below[b] >> a & 1 and lat.below[c] >> b & 1:
+                        assert lat.below[c] >> a & 1
+                if a != b and lat.below[b] >> a & 1 and lat.below[a] >> b & 1:
                     pytest.fail("antisymmetry violated on classes")
 
 
@@ -204,6 +232,17 @@ class TestPResidual:
                 fast = p_residual(lat, sub, p)
                 slow = p_residual_normal_oracle(lat, sub, p)
                 assert fast == slow
+
+    @pytest.mark.parametrize("text", CORPUS + ["GL3_2", "A6", "S6", C840])
+    def test_residual_class_agrees_with_all_generators_oracle(self, text):
+        sysg = system_for(text)
+        g, lat = sysg.group, sysg.lattice
+        for p in prime_factors(g.order):
+            for cls in range(lat.num_classes):
+                bits = p_residual_all_generators_oracle(
+                    g, lat.subgroups[lat.class_reps[cls]].members, p
+                )
+                assert lat.residual_class(cls, p) == lat.class_of[lat.subgroup_index(bits)]
 
     @pytest.mark.parametrize("text", ["S3", "A4", "S4", "D6"])
     def test_residual_is_normal_with_p_power_quotient(self, text):

@@ -112,7 +112,9 @@ def test_lattice_matches_pairwise_join_oracle(text):
     assert lat.index_of == {b: i for i, b in enumerate(subgroups)}
     assert lat.class_of == class_of
     assert lat.class_reps == class_reps
-    assert lat.subconj == subconj
+    assert lat.below == [
+        sum(1 << c1 for c1, row in enumerate(subconj) if row[c2]) for c2 in range(len(class_reps))
+    ]
 
 
 @pytest.mark.parametrize(

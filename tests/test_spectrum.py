@@ -78,7 +78,7 @@ def pairwise_contains(sysg, n1, n2, ring):
     if n1.fiber != "0" and n1.fiber != n2.fiber:
         return False  # never across distinct primes, never from p into 0
     if not ring:
-        return sysg.lattice.subconj[n2.residual_class][n1.residual_class]
+        return bool(sysg.lattice.below[n1.residual_class] >> n2.residual_class & 1)
     if n2.fiber == "0":
         return n1.residual_class == n2.residual_class
     # Ring case, 0-node into p-node: kernels agree exactly on matching residuals.
@@ -125,7 +125,7 @@ def chain_length_by_pairs(lattice):
     order = sorted(range(n), key=lambda c: lattice.subgroups[lattice.class_reps[c]].order)
     for c in order:
         for c2 in order:
-            if c2 != c and lattice.subconj[c][c2]:
+            if c2 != c and lattice.below[c2] >> c & 1:
                 best[c2] = max(best[c2], best[c] + 1)
     return max(best) if n else 0
 
@@ -396,10 +396,10 @@ class TestSpectrumPoset:
         covers = set()
         for a in range(n):
             for b in range(n):
-                if a == b or not lat.subconj[a][b]:
+                if a == b or not lat.below[b] >> a & 1:
                     continue
                 if any(
-                    c != a and c != b and lat.subconj[a][c] and lat.subconj[c][b]
+                    c != a and c != b and lat.below[c] >> a & 1 and lat.below[b] >> c & 1
                     for c in range(n)
                 ):
                     continue
