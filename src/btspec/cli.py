@@ -14,6 +14,7 @@ import json
 import os
 import sys
 from dataclasses import dataclass, field
+from functools import partial
 from pathlib import Path
 
 from . import cache as cache_mod
@@ -139,9 +140,13 @@ class Session:
             )
 
 
-def open_session(spec_text: str, config: Config) -> Session:
+def open_session(spec_text: str, config: Config, check_args=None) -> Session:
+    """Realize the group, then build or load its lattice.  ``check_args``, if
+    given, runs in between, so argument errors cost no lattice work."""
     spec = parse_group_spec(spec_text)
     group = realize(spec, config.max_order)
+    if check_args is not None:
+        check_args()
     lattice = None
     key = cache_mod.spec_cache_key(group.name, config.max_order)
     path = cache_mod.cache_path(config.cache_dir, key)
@@ -249,10 +254,15 @@ def cmd_marks(session: Session, args) -> int:
 # -- residual ---------------------------------------------------------------------
 
 
+def check_residual_args(args, config: Config) -> None:
+    if not is_prime(args.prime):
+        raise _UsageError(f"--prime must be a prime number, got {args.prime}")
+    if config.fmt == "dot":
+        raise _UsageError("dot format applies to spec, ring-spec, and fibers")
+
+
 def cmd_residual(session: Session, args) -> int:
     p = args.prime
-    if not is_prime(p):
-        raise _UsageError(f"--prime must be a prime number, got {p}")
     rows = [
         (session.labels[cls], session.labels[residual_class(session.system, cls, p)])
         for cls in range(session.lattice.num_classes)
@@ -260,8 +270,6 @@ def cmd_residual(session: Session, args) -> int:
     if session.config.fmt == "json":
         _emit_json({"group": session.group.name, "prime": p, "rows": rows})
         return 0
-    if session.config.fmt == "dot":
-        raise _UsageError("dot format applies to spec, ring-spec, and fibers")
     print(f"p-residual subgroups O^{p} for {session.group.name}")
     width = max(len(l) for l, _ in rows) + 2
     for label, res in rows:
@@ -545,7 +553,10 @@ def run(argv) -> int:
     try:
         if config.max_order < 1:
             raise _UsageError(f"--max-order must be >= 1, got {config.max_order}")
-        session = open_session(args.spec, config)
+        check_args = None
+        if args.command == "residual":
+            check_args = partial(check_residual_args, args, config)
+        session = open_session(args.spec, config, check_args)
         return _COMMANDS[args.command](session, args)
     except (SpecParseError, SpecRangeError, _UsageError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)

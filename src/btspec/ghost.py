@@ -11,7 +11,8 @@ conjugacy classes).  The four structure maps act coordinatewise:
 with ^g S = g S g^-1 and S^g = g^-1 S g; the two conventions are NOT
 interchangeable here, and the verifier's double-coset checks fail if they are
 swapped.  Maps are compiled once per level pair into integer routing tables,
-so repeated applications are cheap.
+so repeated applications are cheap; res and conj, which are pure
+projections, also keep an ``operator.itemgetter`` per route.
 
 ``verify_axioms`` machine-checks, exhaustively over subgroup-chain classes:
 functoriality of all four maps, both double-coset formulas, Frobenius
@@ -24,7 +25,10 @@ Weyl invariance (class constancy) of transfer/norm outputs.
 from __future__ import annotations
 
 import random
+from collections.abc import Callable
 from dataclasses import dataclass, field
+from math import prod
+from operator import itemgetter
 
 from .burnside import BurnsideElement, GhostElement, LevelRing
 from .errors import CapExceededError, ContainmentError
@@ -52,6 +56,14 @@ CONJ_PAIR_CAP = 4096  # all (g, h) pairs for conj_functoriality while |G|^2 fits
 MAX_RECORDED_FAILURES = 25  # later failures are only counted
 
 
+def _projection(route: tuple[int, ...]) -> Callable:
+    """``vals -> tuple(vals[i] for i in route)`` as one C call (route nonempty)."""
+    if len(route) == 1:
+        i = route[0]
+        return lambda vals: (vals[i],)  # itemgetter(i) would return a scalar
+    return itemgetter(*route)
+
+
 class GhostSystem:
     """Level-indexed ghost rings with restriction, transfer, norm, conjugation.
 
@@ -67,6 +79,9 @@ class GhostSystem:
         self._tr_routes: dict[tuple[int, int], tuple[tuple[int, ...], ...]] = {}
         self._nm_routes: dict[tuple[int, int], tuple[tuple[int, ...], ...]] = {}
         self._conj_routes: dict[tuple[int, int], tuple[int, tuple[int, ...]]] = {}
+        # Compiled forms of the res/conj routes, filled from the *_route methods.
+        self._res_projections: dict[tuple[int, int], Callable] = {}
+        self._conj_projections: dict[tuple[int, int], tuple[int, Callable]] = {}
 
     @property
     def top_index(self) -> int:
@@ -176,33 +191,36 @@ class GhostSystem:
     def ghost_res(self, K_idx: int, H_idx: int, b: GhostElement) -> GhostElement:
         if b.level != K_idx:
             raise ValueError("element level does not match K")
-        route = self.res_route(K_idx, H_idx)
-        return GhostElement(H_idx, tuple(b.values[i] for i in route))
+        key = (K_idx, H_idx)
+        project = self._res_projections.get(key)
+        if project is None:
+            project = _projection(self.res_route(K_idx, H_idx))
+            self._res_projections[key] = project
+        return GhostElement(H_idx, project(b.values))
 
     def ghost_tr(self, K_idx: int, H_idx: int, a: GhostElement) -> GhostElement:
         if a.level != H_idx:
             raise ValueError("element level does not match H")
         route = self.tr_route(K_idx, H_idx)
-        vals = a.values
-        return GhostElement(K_idx, tuple(sum(vals[t] for t in terms) for terms in route))
+        get = a.values.__getitem__
+        return GhostElement(K_idx, tuple([sum(map(get, terms)) for terms in route]))
 
     def ghost_nm(self, K_idx: int, H_idx: int, a: GhostElement) -> GhostElement:
         if a.level != H_idx:
             raise ValueError("element level does not match H")
         route = self.nm_route(K_idx, H_idx)
-        vals = a.values
-        out = []
-        for factors in route:
-            prod = 1
-            for t in factors:
-                prod *= vals[t]
-            out.append(prod)
-        return GhostElement(K_idx, tuple(out))
+        get = a.values.__getitem__
+        return GhostElement(K_idx, tuple([prod(map(get, factors)) for factors in route]))
 
     def ghost_conj(self, g: int, a: GhostElement) -> GhostElement:
-        target_idx, mapping = self.conj_route(g, a.level)
-        vals = a.values
-        return GhostElement(target_idx, tuple(vals[i] for i in mapping))
+        key = (g, a.level)
+        compiled = self._conj_projections.get(key)
+        if compiled is None:
+            target_idx, mapping = self.conj_route(g, a.level)
+            compiled = (target_idx, _projection(mapping))
+            self._conj_projections[key] = compiled
+        target_idx, project = compiled
+        return GhostElement(target_idx, project(a.values))
 
     def ghost_map(self, x: BurnsideElement) -> GhostElement:
         return self.level(x.level).marks(x)
@@ -216,19 +234,21 @@ class GhostSystem:
 
     # -- per-subgroup coordinates (Weyl-invariance checks) ----------------------
 
-    def tr_value_at(self, K_idx: int, H_idx: int, a: GhostElement, I_bits: int) -> int:
+    def tr_term_classes(self, K_idx: int, H_idx: int, I_bits: int) -> tuple[int, ...]:
+        """H-classes of the terms I^k of tr^K_H at the subgroup I (not only class reps)."""
         ringH = self.level(H_idx)
-        return sum(
-            a.values[ringH.class_of_bits(ik)]
+        return tuple(
+            ringH.class_of_bits(ik)
             for ik in self._tr_terms(self._bits(K_idx), self._bits(H_idx), I_bits)
         )
 
-    def nm_value_at(self, K_idx: int, H_idx: int, a: GhostElement, I_bits: int) -> int:
+    def nm_factor_classes(self, K_idx: int, H_idx: int, I_bits: int) -> tuple[int, ...]:
+        """H-classes of the factors I^g cap H of nm^K_H at the subgroup I."""
         ringH = self.level(H_idx)
-        prod = 1
-        for f in self._nm_factors(self._bits(K_idx), self._bits(H_idx), I_bits):
-            prod *= a.values[ringH.class_of_bits(f)]
-        return prod
+        return tuple(
+            ringH.class_of_bits(f)
+            for f in self._nm_factors(self._bits(K_idx), self._bits(H_idx), I_bits)
+        )
 
     # -- oracle-side marks ------------------------------------------------------
 
@@ -354,6 +374,43 @@ def _test_elements(system: GhostSystem, level_idx: int, cfg: VerifyConfig, cache
     return els
 
 
+class _Images:
+    """Structure-map images of the test elements under one level K.
+
+    Each list is built on first use and then shared by every check that needs
+    it; the sweep makes one instance per K, so the lists never outlive it.
+    """
+
+    def __init__(self, system: GhostSystem, K_idx: int, els):
+        self._system = system
+        self._K = K_idx
+        self._els = els
+        self._lists: dict[tuple[str, int], list[GhostElement]] = {}
+
+    def _images(self, key, level_idx: int, fn, *args) -> list[GhostElement]:
+        out = self._lists.get(key)
+        if out is None:
+            out = [fn(*args, x) for x in self._els(level_idx)]
+            self._lists[key] = out
+        return out
+
+    def res(self, H_idx: int) -> list[GhostElement]:
+        """res^K_H of each test element at K."""
+        return self._images(("res", H_idx), self._K, self._system.ghost_res, self._K, H_idx)
+
+    def tr(self, H_idx: int) -> list[GhostElement]:
+        """tr^K_H of each test element at H."""
+        return self._images(("tr", H_idx), H_idx, self._system.ghost_tr, self._K, H_idx)
+
+    def nm(self, H_idx: int) -> list[GhostElement]:
+        """nm^K_H of each test element at H."""
+        return self._images(("nm", H_idx), H_idx, self._system.ghost_nm, self._K, H_idx)
+
+    def conj(self, g: int) -> list[GhostElement]:
+        """c_g of each test element at K."""
+        return self._images(("conj", g), self._K, self._system.ghost_conj, g)
+
+
 def _sub_label(system: GhostSystem, idx: int) -> str:
     s = system.lattice.subgroups[idx]
     return f"subgroup#{idx}(order {s.order})"
@@ -397,6 +454,7 @@ def verify_axioms(
         ringK = system.level(K_idx)
         K_bits = system._bits(K_idx)
         level_pairs = [ringK.class_reps[c] for c in range(ringK.num_classes)]
+        images = _Images(system, K_idx, els)
 
         # Chains H <= L <= K for functoriality of res/tr/nm.
         for L_idx in level_pairs:
@@ -408,19 +466,16 @@ def verify_axioms(
                     "H": _sub_label(system, H_idx),
                 }
                 if "res_functoriality" in enabled:
-                    for b in els(K_idx):
-                        two = system.ghost_res(L_idx, H_idx, system.ghost_res(K_idx, L_idx, b))
-                        one = system.ghost_res(K_idx, H_idx, b)
+                    for b, rl, one in zip(els(K_idx), images.res(L_idx), images.res(H_idx)):
+                        two = system.ghost_res(L_idx, H_idx, rl)
                         rec.check("res_functoriality", two == one, inst, f"b={b.values}")
                 if "tr_functoriality" in enabled:
-                    for a in els(H_idx):
+                    for a, one in zip(els(H_idx), images.tr(H_idx)):
                         two = system.ghost_tr(K_idx, L_idx, system.ghost_tr(L_idx, H_idx, a))
-                        one = system.ghost_tr(K_idx, H_idx, a)
                         rec.check("tr_functoriality", two == one, inst, f"a={a.values}")
                 if "nm_functoriality" in enabled:
-                    for a in els(H_idx):
+                    for a, one in zip(els(H_idx), images.nm(H_idx)):
                         two = system.ghost_nm(K_idx, L_idx, system.ghost_nm(L_idx, H_idx, a))
-                        one = system.ghost_nm(K_idx, H_idx, a)
                         rec.check("nm_functoriality", two == one, inst, f"a={a.values}")
 
         # Double-coset formulas and Frobenius for H, L <= K.
@@ -441,25 +496,28 @@ def verify_axioms(
                     gH_idx = lattice.subgroup_index(gH_bits)
                     meet_idx = lattice.subgroup_index(meet_bits)
                     legs.append((gma, gH_idx, meet_idx))
+                if {"additive_double_coset", "multiplicative_double_coset"} & enabled:
+                    # res^{gH}_{L cap gH} c_gamma(a) per leg, shared by both formulas.
+                    leg_parts = [
+                        [
+                            (meet_idx, system.ghost_res(gH_idx, meet_idx, system.ghost_conj(gma, a)))
+                            for gma, gH_idx, meet_idx in legs
+                        ]
+                        for a in els(H_idx)
+                    ]
                 if "additive_double_coset" in enabled:
-                    for a in els(H_idx):
-                        lhs = system.ghost_res(K_idx, L_idx, system.ghost_tr(K_idx, H_idx, a))
+                    for a, ta, parts in zip(els(H_idx), images.tr(H_idx), leg_parts):
+                        lhs = system.ghost_res(K_idx, L_idx, ta)
                         rhs = GhostElement(L_idx, (0,) * system.level(L_idx).num_classes)
-                        for gma, gH_idx, meet_idx in legs:
-                            ca = system.ghost_conj(gma, a)
-                            rhs = rhs + system.ghost_tr(
-                                L_idx, meet_idx, system.ghost_res(gH_idx, meet_idx, ca)
-                            )
+                        for meet_idx, part in parts:
+                            rhs = rhs + system.ghost_tr(L_idx, meet_idx, part)
                         rec.check("additive_double_coset", lhs == rhs, inst, f"a={a.values}")
                 if "multiplicative_double_coset" in enabled:
-                    for a in els(H_idx):
-                        lhs = system.ghost_res(K_idx, L_idx, system.ghost_nm(K_idx, H_idx, a))
+                    for a, na, parts in zip(els(H_idx), images.nm(H_idx), leg_parts):
+                        lhs = system.ghost_res(K_idx, L_idx, na)
                         rhs = system.level(L_idx).all_ones()
-                        for gma, gH_idx, meet_idx in legs:
-                            ca = system.ghost_conj(gma, a)
-                            rhs = rhs * system.ghost_nm(
-                                L_idx, meet_idx, system.ghost_res(gH_idx, meet_idx, ca)
-                            )
+                        for meet_idx, part in parts:
+                            rhs = rhs * system.ghost_nm(L_idx, meet_idx, part)
                         rec.check("multiplicative_double_coset", lhs == rhs, inst, f"a={a.values}")
 
         # Pairs H <= K: Frobenius, conjugacy compatibility, chi naturality,
@@ -470,10 +528,10 @@ def verify_axioms(
             inst = {"K": _sub_label(system, K_idx), "H": _sub_label(system, H_idx)}
 
             if "frobenius" in enabled:
-                for a in els(H_idx):
-                    for b in els(K_idx):
-                        lhs = system.ghost_tr(K_idx, H_idx, a) * b
-                        rhs = system.ghost_tr(K_idx, H_idx, a * system.ghost_res(K_idx, H_idx, b))
+                for a, ta in zip(els(H_idx), images.tr(H_idx)):
+                    for b, rb in zip(els(K_idx), images.res(H_idx)):
+                        lhs = ta * b
+                        rhs = system.ghost_tr(K_idx, H_idx, a * rb)
                         rec.check(
                             "frobenius", lhs == rhs, inst, f"a={a.values}, b={b.values}"
                         )
@@ -484,19 +542,21 @@ def verify_axioms(
                     gH_idx, _ = system.conj_route(g, H_idx)
                     ginst = dict(inst, g=g)
                     if "conjugacy_res" in enabled:
-                        for b in els(K_idx):
-                            lhs = system.ghost_conj(g, system.ghost_res(K_idx, H_idx, b))
-                            rhs = system.ghost_res(gK_idx, gH_idx, system.ghost_conj(g, b))
+                        for b, rb, cb in zip(els(K_idx), images.res(H_idx), images.conj(g)):
+                            lhs = system.ghost_conj(g, rb)
+                            rhs = system.ghost_res(gK_idx, gH_idx, cb)
                             rec.check("conjugacy_res", lhs == rhs, ginst, f"b={b.values}")
+                    if {"conjugacy_tr", "conjugacy_nm"} & enabled:
+                        conj_as = [system.ghost_conj(g, a) for a in els(H_idx)]
                     if "conjugacy_tr" in enabled:
-                        for a in els(H_idx):
-                            lhs = system.ghost_conj(g, system.ghost_tr(K_idx, H_idx, a))
-                            rhs = system.ghost_tr(gK_idx, gH_idx, system.ghost_conj(g, a))
+                        for a, ta, ca in zip(els(H_idx), images.tr(H_idx), conj_as):
+                            lhs = system.ghost_conj(g, ta)
+                            rhs = system.ghost_tr(gK_idx, gH_idx, ca)
                             rec.check("conjugacy_tr", lhs == rhs, ginst, f"a={a.values}")
                     if "conjugacy_nm" in enabled:
-                        for a in els(H_idx):
-                            lhs = system.ghost_conj(g, system.ghost_nm(K_idx, H_idx, a))
-                            rhs = system.ghost_nm(gK_idx, gH_idx, system.ghost_conj(g, a))
+                        for a, na, ca in zip(els(H_idx), images.nm(H_idx), conj_as):
+                            lhs = system.ghost_conj(g, na)
+                            rhs = system.ghost_nm(gK_idx, gH_idx, ca)
                             rec.check("conjugacy_nm", lhs == rhs, ginst, f"a={a.values}")
 
             if {"chi_res", "chi_tr", "chi_nm", "chi_conj"} & enabled:
@@ -537,12 +597,12 @@ def verify_axioms(
                 # cross terms are proper transfers, which die at the top level.
                 top_cls = ringK.num_classes - 1
                 e_list = els(H_idx)
+                tops = [na.values[top_cls] for na in images.nm(H_idx)]
                 for i, a in enumerate(e_list):
-                    for b in e_list[i:]:
+                    for j in range(i, len(e_list)):
+                        b = e_list[j]
                         lhs = system.ghost_nm(K_idx, H_idx, a + b)
-                        ra = system.ghost_nm(K_idx, H_idx, a)
-                        rb = system.ghost_nm(K_idx, H_idx, b)
-                        delta = lhs.values[top_cls] - ra.values[top_cls] - rb.values[top_cls]
+                        delta = lhs.values[top_cls] - tops[i] - tops[j]
                         rec.check(
                             "tambara_sum", delta == 0, inst, f"a={a.values}, b={b.values}"
                         )
@@ -564,19 +624,24 @@ def verify_axioms(
 
             if "weyl_constancy" in enabled:
                 # Recompute tr/nm coordinates at every subgroup of K directly
-                # from the formulas; they must be constant on K-classes.
+                # from the formulas; they must be constant on K-classes.  The
+                # term classes at each subgroup do not depend on the element.
+                columns = []
+                for sid in ringK.sub_ids:
+                    I_bits = lattice.subgroups[sid].members
+                    columns.append((
+                        ringK.local_class_of[sid],
+                        system.tr_term_classes(K_idx, H_idx, I_bits),
+                        system.nm_factor_classes(K_idx, H_idx, I_bits),
+                    ))
                 probe = els(H_idx)[: ringH.num_classes + 1]
-                for a in probe:
-                    trv = system.ghost_tr(K_idx, H_idx, a)
-                    nmv = system.ghost_nm(K_idx, H_idx, a)
-                    ok = True
-                    for sid in ringK.sub_ids:
-                        I_bits = lattice.subgroups[sid].members
-                        cls = ringK.local_class_of[sid]
-                        if system.tr_value_at(K_idx, H_idx, a, I_bits) != trv.values[cls]:
-                            ok = False
-                        if system.nm_value_at(K_idx, H_idx, a, I_bits) != nmv.values[cls]:
-                            ok = False
+                for a, trv, nmv in zip(probe, images.tr(H_idx), images.nm(H_idx)):
+                    get = a.values.__getitem__
+                    ok = all(
+                        sum(map(get, tr_ids)) == trv.values[cls]
+                        and prod(map(get, nm_ids)) == nmv.values[cls]
+                        for cls, tr_ids, nm_ids in columns
+                    )
                     rec.check("weyl_constancy", ok, inst, f"a={a.values}")
 
     # Conjugation functoriality: c_{g, ^h H} . c_{h, H} = c_{gh, H}.
@@ -585,11 +650,13 @@ def verify_axioms(
             pairs = [(g, h) for g in range(group.order) for h in range(group.order)]
         else:
             pairs = [(g, h) for g in conj_sample for h in conj_sample]
+        conjugators = sorted({h for _, h in pairs} | {mul[g][h] for g, h in pairs})
         for H_idx in class_rep_ids:
             for a in els(H_idx)[: system.level(H_idx).num_classes + 3]:
+                conj_a = {x: system.ghost_conj(x, a) for x in conjugators}
                 for g, h in pairs:
-                    lhs = system.ghost_conj(g, system.ghost_conj(h, a))
-                    rhs = system.ghost_conj(mul[g][h], a)
+                    lhs = system.ghost_conj(g, conj_a[h])
+                    rhs = conj_a[mul[g][h]]
                     rec.check(
                         "conj_functoriality",
                         lhs == rhs,

@@ -9,8 +9,10 @@ off the lattice in ``burnside``.  Nothing here consults the lattice formula or
 the ghost-side maps, so agreement between the two routes is meaningful
 evidence.
 
-Action tables are indexed by every element of the acting subgroup (not just
-generators) so fixed-point tests are table lookups; rows are filled lazily.
+Action rows are filled lazily, one per acting element asked for.  Fixed
+points are tested on a generating set of the subgroup only (a point is fixed
+by I iff it is fixed by I's generators), so a fixed-point count builds a row
+for each generator, not for every element of I.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ from .lattice import (
     bit_count,
     bits_iter,
     conjugate_bits,
+    generating_set,
     is_subset,
     left_transversal,
     right_transversal,
@@ -176,8 +179,12 @@ def coinduce(K_bits: int, X: GSet, cap: int = DEFAULT_COINDUCE_CAP) -> GSet:
     """Map_H(K, X): H-equivariant maps K -> X with K acting by right translation.
 
     A map is determined freely by its values on right-coset representatives
-    of H\\K, so there are |X|^[K:H] points; raises CapExceededError beyond
-    ``cap``.
+    t_0, ..., t_{m-1} of H\\K, so there are |X|^m points; point f has base-|X|
+    digit i equal to f(t_i).  Raises CapExceededError beyond ``cap``.
+
+    A row is built from the definition, digit by digit: (k.f)(t_i) =
+    h_i . f(t_j) where t_i k = h_i t_j, so digit j of f feeds exactly digit i
+    of k.f, and the row is the sum over j of a term list indexed by digit j.
     """
     group = X.group
     H_bits = X.acting_bits
@@ -195,46 +202,33 @@ def coinduce(K_bits: int, X: GSet, cap: int = DEFAULT_COINDUCE_CAP) -> GSet:
     for j, r in enumerate(reps):
         for h in bits_iter(H_bits):
             coset_of[mul[h][r]] = j
-    base = X.size
-    powers = [base**i for i in range(m)]
+    powers = [X.size**i for i in range(m)]
 
     def row_fn(k):
-        # (k.f)(t_i) = f(t_i k) = h_i . f(t_{j_i}) where t_i k = h_i t_{j_i}.
-        route = []
-        for t in reps:
+        terms = [()] * m
+        for i, t in enumerate(reps):
             u = mul[t][k]
             j = coset_of[u]
             h = mul[u][inv[reps[j]]]
-            route.append((j, X.action_row(h)))
-        out = [0] * size
-        for point in range(size):
-            digits = []
-            rem = point
-            for _ in range(m):
-                digits.append(rem % base)
-                rem //= base
-            val = 0
-            for i, (j, xrow) in enumerate(route):
-                val += xrow[digits[j]] * powers[i]
-            out[point] = val
+            terms[j] = [y * powers[i] for y in X.action_row(h)]
+        # Digit 0 varies fastest, so each later digit is the outer loop.
+        out = [0]
+        for tj in terms:
+            out = [x + y for y in tj for x in out]
         return out
 
     return GSet(group, K_bits, size, row_fn, label="coinduce")
 
 
 def fixed_points(X: GSet, I_bits: int) -> int:
-    """|X^I|: the number of points fixed by every element of I."""
+    """|X^I|: the number of points fixed by every generator of I (hence by I)."""
     if not is_subset(I_bits, X.acting_bits):
         raise ContainmentError("I must be contained in the acting subgroup")
-    ident = X.group.identity_index
-    rows = [X.action_row(g) for g in bits_iter(I_bits) if g != ident]
-    if not rows:
-        return X.size
-    count = 0
-    for x in range(X.size):
-        if all(row[x] == x for row in rows):
-            count += 1
-    return count
+    fixed = range(X.size)
+    for g in generating_set(X.group, I_bits):
+        row = X.action_row(g)
+        fixed = [x for x in fixed if row[x] == x]
+    return len(fixed)
 
 
 def orbit_decompose(X: GSet) -> list[tuple[Subgroup, int]]:

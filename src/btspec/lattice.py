@@ -176,6 +176,7 @@ class SubgroupLattice:
     class_reps: list[int]
     below: list[int]
     _normalizers: list[Subgroup | None] | None = field(default=None, repr=False)
+    _class_sizes: list[int] | None = field(default=None, repr=False)
     _residuals: dict[tuple[int, int], int] = field(default_factory=dict, repr=False)
     _contained_cache: dict[int, tuple[int, ...]] = field(default_factory=dict, repr=False)
 
@@ -194,7 +195,12 @@ class SubgroupLattice:
         return idx
 
     def class_size(self, cls: int) -> int:
-        return sum(1 for c in self.class_of if c == cls)
+        if self._class_sizes is None:
+            sizes = [0] * self.num_classes
+            for c in self.class_of:
+                sizes[c] += 1
+            self._class_sizes = sizes
+        return self._class_sizes[cls]
 
     def subgroups_within(self, sub_idx: int) -> tuple[int, ...]:
         """Indices of all subgroups contained in the given subgroup, ascending."""

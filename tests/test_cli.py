@@ -104,6 +104,42 @@ class TestLatticeBound:
         assert err.count("\n") == 1 and "Traceback" not in err
 
 
+
+class TestResidualArgsBeforeLattice:
+    """A bad --prime or --format for ``residual`` is refused before any lattice work."""
+
+    @pytest.fixture()
+    def no_lattice(self, monkeypatch):
+        import btspec.cli as cli_mod
+
+        def refuse(group):
+            raise AssertionError("subgroup_lattice must not run")
+
+        monkeypatch.setattr(cli_mod, "subgroup_lattice", refuse)
+
+    def test_nonprime_refused_first(self, invoke, no_lattice):
+        code, out, err = invoke("residual", C2_5, "--prime", "6")
+        assert (code, out) == (2, "")
+        assert err == "usage error: --prime must be a prime number, got 6\n"
+
+    def test_dot_refused_first(self, invoke, no_lattice):
+        code, out, err = invoke("--format", "dot", "residual", C2_5, "--prime", "2")
+        assert (code, out) == (2, "")
+        assert err == "usage error: dot format applies to spec, ring-spec, and fibers\n"
+
+    def test_prime_checked_before_format(self, invoke, no_lattice):
+        code, _, err = invoke("--format", "dot", "residual", "A4", "--prime", "6")
+        assert code == 2 and "--prime must be a prime number" in err
+
+    def test_spec_parse_error_still_first(self, invoke, no_lattice):
+        code, _, err = invoke("--format", "dot", "residual", "Z9", "--prime", "6")
+        assert code == 2 and "--prime" not in err and "dot" not in err
+
+    def test_realize_error_still_first(self, invoke, no_lattice):
+        code, _, err = invoke("--max-order", "10", "residual", "S4", "--prime", "6")
+        assert code == 1 and "max_order" in err
+
+
 class TestClosedPipe:
     def test_reader_closing_early_gets_no_traceback(self):
         # The C2^5 spectrum text is about 130 KB, more than a pipe buffer holds.
@@ -198,6 +234,14 @@ GOLDEN_STDOUT = [
     ("D60", "subgroups", "text", "d3db488be33504fd385e583ea879d60de1c606b1177ec732a9aba9a78e341216"),
     ("Q24", "subgroups", "text", "78e9f8dd2d0878361b5345f9b295c39cc706040001f239e1838a179b5613dd84"),
     ("C840", "subgroups", "text", "8abff7210cc0d7252fa2ca816a4b35e4833444c261ddf9d1a16de86177200636"),
+    ("S3", "verify", "text", "57f8abc15f8b110d43c862104e05a4786daebc0d59705ca9367d67164b0140e8"),
+    ("S3", "verify", "json", "f2cff0e84cd0d887be55a729ff1f9fc3e51c2a2941eb8d116fe33fa8f9814043"),
+    ("D4", "verify", "text", "0b99aaa7498c7b311d6beed8ab95da64a5baad69420c4efd1edb349aec196a4d"),
+    ("D4", "verify", "json", "4d293fd43cc2ebdba3a44987309514379ad68fbf6ca1140381395ef1787981a1"),
+    ("A4", "verify", "text", "91a0eb47931123a13053ed121bf904f5fa4b9ab1b1a822b981da9a8c8018a1e6"),
+    ("A4", "verify", "json", "a14005f28665c23c92891dac4e0c97ea85c6d2387bbf5cbf8f34758136fb710d"),
+    ("D6", "verify", "text", "eda874e044a23c9acf23a6b34060c85d9be7a929945af49a6b072e2792e2e4d5"),
+    ("D6", "verify", "json", "2eab95927bc22404662e2cd6e42fc3134e39f2d0d9d079515f5a580fe4544fc3"),
 ]
 
 

@@ -251,6 +251,94 @@ class FlippedNmSystem(GhostSystem):
         ]
 
 
+# Recorded from the sweep before its loop invariants were hoisted: the first
+# MAX_RECORDED_FAILURES failures (axiom, instance, detail) in check order, and
+# the number suppressed after them, for each mutant under
+# VerifyConfig(random_elements=4).
+PINNED_FAILURES = {
+    ("FlippedTrSystem", "A4"): (
+        13,
+        [
+            ("conjugacy_tr", {"K": "subgroup#9(order 12)", "H": "subgroup#4(order 3)", "g": 4}, "a=(1, 1)"),
+            ("conjugacy_tr", {"K": "subgroup#9(order 12)", "H": "subgroup#4(order 3)", "g": 4}, "a=(1, 1)"),
+            ("conjugacy_tr", {"K": "subgroup#9(order 12)", "H": "subgroup#4(order 3)", "g": 4}, "a=(-9, 5)"),
+            ("conjugacy_tr", {"K": "subgroup#9(order 12)", "H": "subgroup#4(order 3)", "g": 4}, "a=(0, 9)"),
+            ("conjugacy_tr", {"K": "subgroup#9(order 12)", "H": "subgroup#4(order 3)", "g": 4}, "a=(2, 7)"),
+            ("conjugacy_tr", {"K": "subgroup#9(order 12)", "H": "subgroup#4(order 3)", "g": 4}, "a=(-9, 6)"),
+            ("conjugacy_tr", {"K": "subgroup#9(order 12)", "H": "subgroup#4(order 3)", "g": 6}, "a=(1, 1)"),
+            ("conjugacy_tr", {"K": "subgroup#9(order 12)", "H": "subgroup#4(order 3)", "g": 6}, "a=(1, 1)"),
+            ("conjugacy_tr", {"K": "subgroup#9(order 12)", "H": "subgroup#4(order 3)", "g": 6}, "a=(-9, 5)"),
+            ("conjugacy_tr", {"K": "subgroup#9(order 12)", "H": "subgroup#4(order 3)", "g": 6}, "a=(0, 9)"),
+            ("conjugacy_tr", {"K": "subgroup#9(order 12)", "H": "subgroup#4(order 3)", "g": 6}, "a=(2, 7)"),
+            ("conjugacy_tr", {"K": "subgroup#9(order 12)", "H": "subgroup#4(order 3)", "g": 6}, "a=(-9, 6)"),
+            ("conjugacy_tr", {"K": "subgroup#9(order 12)", "H": "subgroup#4(order 3)", "g": 7}, "a=(1, 1)"),
+            ("conjugacy_tr", {"K": "subgroup#9(order 12)", "H": "subgroup#4(order 3)", "g": 7}, "a=(1, 1)"),
+            ("conjugacy_tr", {"K": "subgroup#9(order 12)", "H": "subgroup#4(order 3)", "g": 7}, "a=(-9, 5)"),
+            ("conjugacy_tr", {"K": "subgroup#9(order 12)", "H": "subgroup#4(order 3)", "g": 7}, "a=(0, 9)"),
+            ("conjugacy_tr", {"K": "subgroup#9(order 12)", "H": "subgroup#4(order 3)", "g": 7}, "a=(2, 7)"),
+            ("conjugacy_tr", {"K": "subgroup#9(order 12)", "H": "subgroup#4(order 3)", "g": 7}, "a=(-9, 6)"),
+            ("conjugacy_tr", {"K": "subgroup#9(order 12)", "H": "subgroup#4(order 3)", "g": 8}, "a=(1, 1)"),
+            ("conjugacy_tr", {"K": "subgroup#9(order 12)", "H": "subgroup#4(order 3)", "g": 8}, "a=(1, 1)"),
+            ("conjugacy_tr", {"K": "subgroup#9(order 12)", "H": "subgroup#4(order 3)", "g": 8}, "a=(-9, 5)"),
+            ("conjugacy_tr", {"K": "subgroup#9(order 12)", "H": "subgroup#4(order 3)", "g": 8}, "a=(0, 9)"),
+            ("conjugacy_tr", {"K": "subgroup#9(order 12)", "H": "subgroup#4(order 3)", "g": 8}, "a=(2, 7)"),
+            ("conjugacy_tr", {"K": "subgroup#9(order 12)", "H": "subgroup#4(order 3)", "g": 8}, "a=(-9, 6)"),
+            ("conjugacy_tr", {"K": "subgroup#9(order 12)", "H": "subgroup#4(order 3)", "g": 10}, "a=(1, 1)"),
+        ],
+    ),
+    ("FlippedTrSystem", "S4"): (
+        722,
+        [
+            ("conjugacy_tr", {"K": "subgroup#21(order 6)", "H": "subgroup#4(order 2)", "g": 5}, "a=(1, 1)"),
+            ("conjugacy_tr", {"K": "subgroup#21(order 6)", "H": "subgroup#4(order 2)", "g": 5}, "a=(1, 1)"),
+            ("conjugacy_tr", {"K": "subgroup#21(order 6)", "H": "subgroup#4(order 2)", "g": 5}, "a=(-9, 5)"),
+            ("conjugacy_tr", {"K": "subgroup#21(order 6)", "H": "subgroup#4(order 2)", "g": 5}, "a=(0, 9)"),
+            ("conjugacy_tr", {"K": "subgroup#21(order 6)", "H": "subgroup#4(order 2)", "g": 5}, "a=(2, 7)"),
+            ("conjugacy_tr", {"K": "subgroup#21(order 6)", "H": "subgroup#4(order 2)", "g": 5}, "a=(-9, 6)"),
+            ("conjugacy_tr", {"K": "subgroup#21(order 6)", "H": "subgroup#4(order 2)", "g": 8}, "a=(1, 1)"),
+            ("conjugacy_tr", {"K": "subgroup#21(order 6)", "H": "subgroup#4(order 2)", "g": 8}, "a=(1, 1)"),
+            ("conjugacy_tr", {"K": "subgroup#21(order 6)", "H": "subgroup#4(order 2)", "g": 8}, "a=(-9, 5)"),
+            ("conjugacy_tr", {"K": "subgroup#21(order 6)", "H": "subgroup#4(order 2)", "g": 8}, "a=(0, 9)"),
+            ("conjugacy_tr", {"K": "subgroup#21(order 6)", "H": "subgroup#4(order 2)", "g": 8}, "a=(2, 7)"),
+            ("conjugacy_tr", {"K": "subgroup#21(order 6)", "H": "subgroup#4(order 2)", "g": 8}, "a=(-9, 6)"),
+            ("conjugacy_tr", {"K": "subgroup#21(order 6)", "H": "subgroup#4(order 2)", "g": 9}, "a=(1, 1)"),
+            ("conjugacy_tr", {"K": "subgroup#21(order 6)", "H": "subgroup#4(order 2)", "g": 9}, "a=(1, 1)"),
+            ("conjugacy_tr", {"K": "subgroup#21(order 6)", "H": "subgroup#4(order 2)", "g": 9}, "a=(-9, 5)"),
+            ("conjugacy_tr", {"K": "subgroup#21(order 6)", "H": "subgroup#4(order 2)", "g": 9}, "a=(0, 9)"),
+            ("conjugacy_tr", {"K": "subgroup#21(order 6)", "H": "subgroup#4(order 2)", "g": 9}, "a=(2, 7)"),
+            ("conjugacy_tr", {"K": "subgroup#21(order 6)", "H": "subgroup#4(order 2)", "g": 9}, "a=(-9, 6)"),
+            ("conjugacy_tr", {"K": "subgroup#21(order 6)", "H": "subgroup#4(order 2)", "g": 22}, "a=(1, 1)"),
+            ("conjugacy_tr", {"K": "subgroup#21(order 6)", "H": "subgroup#4(order 2)", "g": 22}, "a=(1, 1)"),
+            ("conjugacy_tr", {"K": "subgroup#21(order 6)", "H": "subgroup#4(order 2)", "g": 22}, "a=(-9, 5)"),
+            ("conjugacy_tr", {"K": "subgroup#21(order 6)", "H": "subgroup#4(order 2)", "g": 22}, "a=(0, 9)"),
+            ("conjugacy_tr", {"K": "subgroup#21(order 6)", "H": "subgroup#4(order 2)", "g": 22}, "a=(2, 7)"),
+            ("conjugacy_tr", {"K": "subgroup#21(order 6)", "H": "subgroup#4(order 2)", "g": 22}, "a=(-9, 6)"),
+            ("conjugacy_tr", {"K": "subgroup#28(order 12)", "H": "subgroup#10(order 3)", "g": 1}, "a=(1, 1)"),
+        ],
+    ),
+    ("FlippedNmSystem", "S3"): (
+        0,
+        [
+            ("conjugacy_nm", {"K": "subgroup#5(order 6)", "H": "subgroup#1(order 2)", "g": 3}, "a=(2, 0)"),
+            ("conjugacy_nm", {"K": "subgroup#5(order 6)", "H": "subgroup#1(order 2)", "g": 3}, "a=(-3, -1)"),
+            ("conjugacy_nm", {"K": "subgroup#5(order 6)", "H": "subgroup#1(order 2)", "g": 3}, "a=(-5, -3)"),
+            ("conjugacy_nm", {"K": "subgroup#5(order 6)", "H": "subgroup#1(order 2)", "g": 5}, "a=(2, 0)"),
+            ("conjugacy_nm", {"K": "subgroup#5(order 6)", "H": "subgroup#1(order 2)", "g": 5}, "a=(-3, -1)"),
+            ("conjugacy_nm", {"K": "subgroup#5(order 6)", "H": "subgroup#1(order 2)", "g": 5}, "a=(-5, -3)"),
+            ("weyl_constancy", {"K": "subgroup#5(order 6)", "H": "subgroup#1(order 2)"}, "a=(2, 0)"),
+        ],
+    ),
+}
+
+# With no recording limit: the number of failures and the sha256 of the JSON
+# list of [axiom, instance, detail] in check order.
+PINNED_ALL_FAILURES = {
+    ("FlippedTrSystem", "A4"): (38, "18479df676c291583d5ee6de2d31fa688aaf7bd7a6c822e47e384764e663cc94"),
+    ("FlippedTrSystem", "S4"): (747, "86660632c1c4454c8dc4e6221bd5246c2889b1f297ca5d6bce27371781069408"),
+    ("FlippedNmSystem", "S3"): (7, "bb548b7c4e0bcf4b6ac93f8ff4c11e250ef2abb33ce29be827121382da17464f"),
+}
+
+
 class TestMutation:
     """The two conjugation conventions must not be interchangeable.
 
@@ -297,6 +385,39 @@ class TestMutation:
             ),
         )
         assert report.ok
+
+
+class TestPinnedFailures:
+    """The sweep records the same failures, in the same order, as it always has."""
+
+    SYSTEMS = {"FlippedTrSystem": FlippedTrSystem, "FlippedNmSystem": FlippedNmSystem}
+
+    @staticmethod
+    def _report(name, text):
+        from btspec.groups import group_from_text
+
+        system = TestPinnedFailures.SYSTEMS[name](group_from_text(text))
+        return verify_axioms(system, VerifyConfig(random_elements=4))
+
+    @pytest.mark.parametrize("name,text", list(PINNED_FAILURES))
+    def test_recorded_failures(self, name, text):
+        suppressed, failures = PINNED_FAILURES[name, text]
+        report = self._report(name, text)
+        assert [(f.axiom, f.instance, f.detail) for f in report.failures] == failures
+        assert report.suppressed_failures == suppressed
+
+    @pytest.mark.parametrize("name,text", list(PINNED_ALL_FAILURES))
+    def test_all_failures(self, name, text, monkeypatch):
+        import hashlib
+        import json
+
+        import btspec.ghost as ghost_mod
+
+        monkeypatch.setattr(ghost_mod, "MAX_RECORDED_FAILURES", 10**9)
+        report = self._report(name, text)
+        rows = [[f.axiom, f.instance, f.detail] for f in report.failures]
+        digest = hashlib.sha256(json.dumps(rows).encode()).hexdigest()
+        assert (len(rows), digest) == PINNED_ALL_FAILURES[name, text]
 
 
 class TestVerify:

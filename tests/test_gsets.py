@@ -15,7 +15,7 @@ from btspec.gsets import (
     product,
     restrict_gset,
 )
-from btspec.lattice import bits_iter
+from btspec.lattice import bits_iter, right_transversal
 
 from conftest import system_for
 
@@ -255,3 +255,86 @@ class TestFixedPointIdentity:
                     assert fixed_point_identity_check(
                         g, H.members, K.members, J.members
                     )
+
+
+# -- previous routes, kept as oracles ------------------------------------------
+
+
+def coinduce_row_by_digits(K_bits, X, k):
+    """Row of k on Map_H(K, X), decoding every point digit by digit."""
+    group = X.group
+    H_bits = X.acting_bits
+    mul, inv = group.mul_table, group.inv
+    reps = right_transversal(group, K_bits, H_bits)
+    m = len(reps)
+    size = X.size**m
+    coset_of = {}
+    for j, r in enumerate(reps):
+        for h in bits_iter(H_bits):
+            coset_of[mul[h][r]] = j
+    base = X.size
+    powers = [base**i for i in range(m)]
+    # (k.f)(t_i) = f(t_i k) = h_i . f(t_{j_i}) where t_i k = h_i t_{j_i}.
+    route = []
+    for t in reps:
+        u = mul[t][k]
+        j = coset_of[u]
+        h = mul[u][inv[reps[j]]]
+        route.append((j, X.action_row(h)))
+    out = [0] * size
+    for point in range(size):
+        digits = []
+        rem = point
+        for _ in range(m):
+            digits.append(rem % base)
+            rem //= base
+        val = 0
+        for i, (j, xrow) in enumerate(route):
+            val += xrow[digits[j]] * powers[i]
+        out[point] = val
+    return out
+
+
+def fixed_points_all_elements(X, I_bits):
+    """|X^I| tested against the row of every element of I."""
+    ident = X.group.identity_index
+    rows = [X.action_row(g) for g in bits_iter(I_bits) if g != ident]
+    if not rows:
+        return X.size
+    return sum(1 for x in range(X.size) if all(row[x] == x for row in rows))
+
+
+def coinduced_sets(text, max_size=1296):
+    """(X, Map_H(G, X)) for X = H/J over class representatives H of G, J of H."""
+    s = system_for(text)
+    g, lat = s.group, s.lattice
+    ringG = s.level(s.top_index)
+    for h_idx in ringG.class_reps:
+        H = lat.subgroups[h_idx]
+        ringH = s.level(h_idx)
+        for j_cls in range(ringH.num_classes):
+            J = ringH.class_rep_subgroup(j_cls)
+            if (H.order // J.order) ** (g.order // H.order) <= max_size:
+                X = coset_space(g, H.members, J.members)
+                yield X, coinduce(full_bits(g), X)
+
+
+class TestAgainstPreviousRoutes:
+    """Each coinduced set of S3, A4, S4 and D6 with at most 1296 points; S4's
+    Map_{S3}(S4, S3/e) has 1296."""
+
+    @pytest.mark.parametrize("text", ["S3", "A4", "S4", "D6"])
+    def test_coinduced_rows_match_digit_route(self, text):
+        for X, co in coinduced_sets(text):
+            for k in bits_iter(co.acting_bits):
+                assert list(co.action_row(k)) == coinduce_row_by_digits(co.acting_bits, X, k)
+
+    @pytest.mark.parametrize("text", ["S3", "A4", "S4", "D6"])
+    def test_fixed_points_match_all_elements(self, text):
+        subgroups = system_for(text).lattice.subgroups
+        for _, co in coinduced_sets(text):
+            for sub in subgroups:
+                assert fixed_points(co, sub.members) == fixed_points_all_elements(co, sub.members)
+
+    def test_largest_s4_case_is_over_1000_points(self):
+        assert max(co.size for _, co in coinduced_sets("S4")) == 1296
