@@ -193,14 +193,6 @@ class LevelRing:
             )
         return BurnsideElement(self.level_index, coeffs)
 
-    def ghost(self, values) -> GhostElement:
-        values = tuple(int(v) for v in values)
-        if len(values) != self.num_classes:
-            raise ValueError(
-                f"expected {self.num_classes} coordinates at this level, got {len(values)}"
-            )
-        return GhostElement(self.level_index, values)
-
     def marks(self, x: BurnsideElement) -> GhostElement:
         """Mark homomorphism: values_I = sum_K coeffs_K * |(H/K)^I|."""
         if x.level != self.level_index:

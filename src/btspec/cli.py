@@ -14,13 +14,13 @@ import json
 import os
 import sys
 from dataclasses import dataclass, field
-from functools import partial
 from pathlib import Path
 
 from . import cache as cache_mod
 from .errors import BtspecError, SpecParseError, SpecRangeError
 from .ghost import DEFAULT_SEED, GhostSystem, VerifyConfig, verify_axioms, ALL_AXIOMS
-from .groups import DEFAULT_MAX_ORDER, parse_group_spec, realize
+from .groups import DEFAULT_MAX_ORDER, FiniteGroup, parse_group_spec, realize
+from .gsets import DEFAULT_COINDUCE_CAP
 from .lattice import subgroup_lattice
 from .names import class_labels
 from .spectrum import (
@@ -46,7 +46,7 @@ class Config:
     cache_dir: Path = field(default_factory=cache_mod.default_cache_dir)
     use_cache: bool = True
     seed: int = DEFAULT_SEED
-    coinduce_cap: int = 100_000
+    coinduce_cap: int = DEFAULT_COINDUCE_CAP
     fmt: str = "text"
 
 
@@ -62,7 +62,7 @@ def _add_global_options(parser: argparse.ArgumentParser, suppress: bool) -> None
     parser.add_argument("--cache-dir", type=Path, default=d(None))
     parser.add_argument("--no-cache", action="store_true", default=d(False))
     parser.add_argument("--seed", type=lambda s: int(s, 0), default=d(DEFAULT_SEED))
-    parser.add_argument("--coinduce-cap", type=int, default=d(100_000))
+    parser.add_argument("--coinduce-cap", type=int, default=d(DEFAULT_COINDUCE_CAP))
     parser.add_argument(
         "--format", dest="fmt", choices=("text", "json", "dot"), default=d("text")
     )
@@ -140,13 +140,59 @@ class Session:
             )
 
 
-def open_session(spec_text: str, config: Config, check_args=None) -> Session:
-    """Realize the group, then build or load its lattice.  ``check_args``, if
-    given, runs in between, so argument errors cost no lattice work."""
-    spec = parse_group_spec(spec_text)
-    group = realize(spec, config.max_order)
-    if check_args is not None:
-        check_args()
+def check_args(args, config: Config) -> None:
+    """Refuse bad flags before any lattice work; ``run`` calls it after
+    ``realize``, so spec-parse and realize errors keep precedence.
+
+    Normalizes in place what the commands read: ``fibers --prime`` becomes an
+    int or GENERIC, ``verify --axioms`` a tuple or None (all axioms),
+    ``member --ideal`` a (label, prime) pair and ``member --element`` a list
+    of ints.
+    """
+    cmd = args.command
+    if cmd == "residual" and not is_prime(args.prime):
+        raise _UsageError(f"--prime must be a prime number, got {args.prime}")
+    elif cmd in ("spec", "ring-spec"):
+        for q in args.prime:
+            if not is_prime(q):
+                raise _UsageError(f"--prime must be prime, got {q}")
+    elif cmd == "fibers" and args.prime != GENERIC:
+        try:
+            p = int(args.prime)
+        except ValueError:
+            raise _UsageError(f"--prime must be 0, a prime, or GENERIC, got {args.prime!r}")
+        if p != 0 and not is_prime(p):
+            raise _UsageError(f"--prime must be 0, a prime, or GENERIC, got {p}")
+        args.prime = p
+    elif cmd == "verify":
+        if args.axioms:
+            args.axioms = tuple(a.strip() for a in args.axioms.split(",") if a.strip())
+            unknown = set(args.axioms) - set(ALL_AXIOMS)
+            if unknown:
+                raise _UsageError(
+                    f"unknown axioms: {', '.join(sorted(unknown))}; "
+                    f"choose from {', '.join(ALL_AXIOMS)}"
+                )
+        else:
+            args.axioms = None
+    elif cmd == "member":
+        if "," not in args.ideal:
+            raise _UsageError("--ideal must look like H,p (class label, prime or 0)")
+        h_label, _, p_text = args.ideal.partition(",")
+        try:
+            args.ideal = (h_label.strip(), validate_prime_or_zero(int(p_text.strip())))
+        except ValueError as exc:
+            raise _UsageError(str(exc))
+        try:
+            args.element = [int(tok) for tok in args.element.split(",")]
+        except ValueError:
+            raise _UsageError("--element must be comma-separated integers")
+    if config.fmt == "dot" and cmd not in ("spec", "ring-spec", "fibers"):
+        raise _UsageError("dot format applies to spec, ring-spec, and fibers")
+
+
+def open_session(group: FiniteGroup, config: Config) -> Session:
+    """Build or load the lattice of a realized group."""
     lattice = None
     key = cache_mod.spec_cache_key(group.name, config.max_order)
     path = cache_mod.cache_path(config.cache_dir, key)
@@ -195,8 +241,6 @@ def cmd_subgroups(session: Session, args) -> int:
             }
         )
         return 0
-    if session.config.fmt == "dot":
-        raise _UsageError("dot format applies to spec, ring-spec, and fibers")
     print(
         f"group {session.group.name}: order {session.group.order}, "
         f"{len(lat.subgroups)} subgroups in {lat.num_classes} conjugacy classes"
@@ -239,8 +283,6 @@ def cmd_marks(session: Session, args) -> int:
             {"level_label": level_label, "class_labels": local_labels, "matrix": matrix}
         )
         return 0
-    if session.config.fmt == "dot":
-        raise _UsageError("dot format applies to spec, ring-spec, and fibers")
     print(f"table of marks at level {level_label} (group {session.group.name})")
     width = max(6, max(len(l) for l in local_labels) + 1)
     print(" " * (width + 8) + "".join(f"{l:>{width}s}" for l in local_labels))
@@ -252,13 +294,6 @@ def cmd_marks(session: Session, args) -> int:
 
 
 # -- residual ---------------------------------------------------------------------
-
-
-def check_residual_args(args, config: Config) -> None:
-    if not is_prime(args.prime):
-        raise _UsageError(f"--prime must be a prime number, got {args.prime}")
-    if config.fmt == "dot":
-        raise _UsageError("dot format applies to spec, ring-spec, and fibers")
 
 
 def cmd_residual(session: Session, args) -> int:
@@ -395,39 +430,18 @@ def _emit_poset(session: Session, poset: SpectrumPoset) -> int:
     return 0
 
 
-def _extra_primes(args) -> list[int]:
-    primes = []
-    for q in args.prime:
-        if not is_prime(q):
-            raise _UsageError(f"--prime must be prime, got {q}")
-        primes.append(q)
-    return primes
-
-
 def cmd_spec(session: Session, args) -> int:
-    return _emit_poset(session, enumerate_spectrum(session.system, _extra_primes(args)))
+    return _emit_poset(session, enumerate_spectrum(session.system, args.prime))
 
 
 def cmd_ring_spec(session: Session, args) -> int:
-    return _emit_poset(
-        session, burnside_ring_spectrum(session.system, _extra_primes(args))
-    )
+    return _emit_poset(session, burnside_ring_spectrum(session.system, args.prime))
 
 
 def cmd_fibers(session: Session, args) -> int:
-    raw = args.prime
-    if raw == GENERIC:
-        key, extra = GENERIC, []
-    else:
-        try:
-            p = int(raw)
-        except ValueError:
-            raise _UsageError(f"--prime must be 0, a prime, or GENERIC, got {raw!r}")
-        if p != 0 and not is_prime(p):
-            raise _UsageError(f"--prime must be 0, a prime, or GENERIC, got {p}")
-        extra = [p] if p != 0 else []
-        key = str(p)
-    poset = enumerate_spectrum(session.system, extra)
+    p = args.prime
+    key = str(p)
+    poset = enumerate_spectrum(session.system, [] if p in (0, GENERIC) else [p])
     if key not in poset.fibers:
         raise BtspecError(f"no fiber {key} in the spectrum of {session.group.name}")
     if session.config.fmt == "json":
@@ -448,24 +462,13 @@ def cmd_fibers(session: Session, args) -> int:
 
 
 def cmd_verify(session: Session, args) -> int:
-    axioms = None
-    if args.axioms:
-        axioms = tuple(a.strip() for a in args.axioms.split(",") if a.strip())
-        unknown = set(axioms) - set(ALL_AXIOMS)
-        if unknown:
-            raise _UsageError(
-                f"unknown axioms: {', '.join(sorted(unknown))}; "
-                f"choose from {', '.join(ALL_AXIOMS)}"
-            )
     cfg = VerifyConfig(
-        seed=session.config.seed, coinduce_cap=session.config.coinduce_cap, axioms=axioms
+        seed=session.config.seed, coinduce_cap=session.config.coinduce_cap, axioms=args.axioms
     )
     report = verify_axioms(session.system, cfg)
     if session.config.fmt == "json":
         _emit_json(report.to_json_dict())
         return 0 if report.ok else 1
-    if session.config.fmt == "dot":
-        raise _UsageError("dot format applies to spec, ring-spec, and fibers")
     for name in ALL_AXIOMS:
         if name in report.counts:
             status = "pass" if all(f.axiom != name for f in report.failures) else "FAIL"
@@ -484,24 +487,13 @@ def cmd_verify(session: Session, args) -> int:
 
 
 def cmd_member(session: Session, args) -> int:
-    ideal_text = args.ideal
-    if "," not in ideal_text:
-        raise _UsageError("--ideal must look like H,p (class label, prime or 0)")
-    h_label, _, p_text = ideal_text.partition(",")
-    try:
-        p = validate_prime_or_zero(int(p_text.strip()))
-    except ValueError as exc:
-        raise _UsageError(str(exc))
-    k_cls = session.class_by_label(h_label.strip())
+    h_label, p = args.ideal
+    k_cls = session.class_by_label(h_label)
     level_cls = session.class_by_label(args.level)
     level_idx = session.lattice.class_reps[level_cls]
     ring = session.system.level(level_idx)
     try:
-        coeffs = [int(tok) for tok in args.element.split(",")]
-    except ValueError:
-        raise _UsageError("--element must be comma-separated integers")
-    try:
-        x = ring.element(coeffs)
+        x = ring.element(args.element)
     except ValueError as exc:
         raise _UsageError(str(exc))
     inside = burnside_ideal_membership(session.system, k_cls, p, x)
@@ -511,14 +503,14 @@ def cmd_member(session: Session, args) -> int:
                 "group": session.group.name,
                 "ideal": {"subgroup": session.labels[k_cls], "p": p},
                 "level": args.level,
-                "element": coeffs,
+                "element": args.element,
                 "member": inside,
             }
         )
     else:
         verdict = "MEMBER" if inside else "NOT a member"
         print(
-            f"element {coeffs} at level {args.level} is {verdict} of "
+            f"element {args.element} at level {args.level} is {verdict} of "
             f"p_{{{session.labels[k_cls]},{p}}}"
         )
     return 0
@@ -553,10 +545,9 @@ def run(argv) -> int:
     try:
         if config.max_order < 1:
             raise _UsageError(f"--max-order must be >= 1, got {config.max_order}")
-        check_args = None
-        if args.command == "residual":
-            check_args = partial(check_residual_args, args, config)
-        session = open_session(args.spec, config, check_args)
+        group = realize(parse_group_spec(args.spec), config.max_order)
+        check_args(args, config)
+        session = open_session(group, config)
         return _COMMANDS[args.command](session, args)
     except (SpecParseError, SpecRangeError, _UsageError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)

@@ -10,9 +10,9 @@ conjugacy classes).  The four structure maps act coordinatewise:
 
 with ^g S = g S g^-1 and S^g = g^-1 S g; the two conventions are NOT
 interchangeable here, and the verifier's double-coset checks fail if they are
-swapped.  Maps are compiled once per level pair into integer routing tables,
-so repeated applications are cheap; res and conj, which are pure
-projections, also keep an ``operator.itemgetter`` per route.
+swapped.  Maps are compiled once per level pair into routing tables, so
+repeated applications are cheap; the res and conj routes, which are pure
+projections, are ``operator.itemgetter`` callables.
 
 ``verify_axioms`` machine-checks, exhaustively over subgroup-chain classes:
 functoriality of all four maps, both double-coset formulas, Frobenius
@@ -34,6 +34,7 @@ from .burnside import BurnsideElement, GhostElement, LevelRing
 from .errors import CapExceededError, ContainmentError
 from .groups import FiniteGroup
 from .gsets import (
+    DEFAULT_COINDUCE_CAP,
     coinduce,
     conjugate_gset,
     coset_space,
@@ -75,13 +76,10 @@ class GhostSystem:
         self.group = group
         self.lattice = lattice if lattice is not None else subgroup_lattice(group)
         self._levels: dict[int, LevelRing] = {}
-        self._res_routes: dict[tuple[int, int], tuple[int, ...]] = {}
+        self._res_routes: dict[tuple[int, int], Callable] = {}
         self._tr_routes: dict[tuple[int, int], tuple[tuple[int, ...], ...]] = {}
         self._nm_routes: dict[tuple[int, int], tuple[tuple[int, ...], ...]] = {}
-        self._conj_routes: dict[tuple[int, int], tuple[int, tuple[int, ...]]] = {}
-        # Compiled forms of the res/conj routes, filled from the *_route methods.
-        self._res_projections: dict[tuple[int, int], Callable] = {}
-        self._conj_projections: dict[tuple[int, int], tuple[int, Callable]] = {}
+        self._conj_routes: dict[tuple[int, int], tuple[int, Callable]] = {}
 
     @property
     def top_index(self) -> int:
@@ -123,15 +121,14 @@ class GhostSystem:
             for g in double_coset_reps(group, I_bits, K_bits, H_bits)
         ]
 
-    def res_route(self, K_idx: int, H_idx: int) -> tuple[int, ...]:
+    def res_route(self, K_idx: int, H_idx: int) -> Callable:
+        """res^K_H as a compiled projection of K-coordinates onto H-coordinates."""
         key = (K_idx, H_idx)
         route = self._res_routes.get(key)
         if route is None:
             self._require_le(H_idx, K_idx)
             ringK, ringH = self.level(K_idx), self.level(H_idx)
-            route = tuple(
-                ringK.local_class_of[sid] for sid in ringH.class_reps
-            )
+            route = _projection(tuple(ringK.local_class_of[sid] for sid in ringH.class_reps))
             self._res_routes[key] = route
         return route
 
@@ -140,14 +137,9 @@ class GhostSystem:
         route = self._tr_routes.get(key)
         if route is None:
             self._require_le(H_idx, K_idx)
-            ringK, ringH = self.level(K_idx), self.level(H_idx)
-            K_bits, H_bits = self._bits(K_idx), self._bits(H_idx)
             route = tuple(
-                tuple(
-                    ringH.class_of_bits(ik)
-                    for ik in self._tr_terms(K_bits, H_bits, self._bits(rep))
-                )
-                for rep in ringK.class_reps
+                self.tr_term_classes(K_idx, H_idx, self._bits(rep))
+                for rep in self.level(K_idx).class_reps
             )
             self._tr_routes[key] = route
         return route
@@ -157,19 +149,15 @@ class GhostSystem:
         route = self._nm_routes.get(key)
         if route is None:
             self._require_le(H_idx, K_idx)
-            ringK, ringH = self.level(K_idx), self.level(H_idx)
-            K_bits, H_bits = self._bits(K_idx), self._bits(H_idx)
             route = tuple(
-                tuple(
-                    ringH.class_of_bits(f)
-                    for f in self._nm_factors(K_bits, H_bits, self._bits(rep))
-                )
-                for rep in ringK.class_reps
+                self.nm_factor_classes(K_idx, H_idx, self._bits(rep))
+                for rep in self.level(K_idx).class_reps
             )
             self._nm_routes[key] = route
         return route
 
-    def conj_route(self, g: int, H_idx: int) -> tuple[int, tuple[int, ...]]:
+    def conj_route(self, g: int, H_idx: int) -> tuple[int, Callable]:
+        """``(index of ^g H, projection of H-coordinates onto its class reps)``."""
         key = (g, H_idx)
         route = self._conj_routes.get(key)
         if route is None:
@@ -182,7 +170,7 @@ class GhostSystem:
                 ringH.class_of_bits(conjugate_bits(group, gi, self._bits(rep)))
                 for rep in ringT.class_reps
             )
-            route = (target_idx, mapping)
+            route = (target_idx, _projection(mapping))
             self._conj_routes[key] = route
         return route
 
@@ -191,12 +179,7 @@ class GhostSystem:
     def ghost_res(self, K_idx: int, H_idx: int, b: GhostElement) -> GhostElement:
         if b.level != K_idx:
             raise ValueError("element level does not match K")
-        key = (K_idx, H_idx)
-        project = self._res_projections.get(key)
-        if project is None:
-            project = _projection(self.res_route(K_idx, H_idx))
-            self._res_projections[key] = project
-        return GhostElement(H_idx, project(b.values))
+        return GhostElement(H_idx, self.res_route(K_idx, H_idx)(b.values))
 
     def ghost_tr(self, K_idx: int, H_idx: int, a: GhostElement) -> GhostElement:
         if a.level != H_idx:
@@ -213,13 +196,7 @@ class GhostSystem:
         return GhostElement(K_idx, tuple([prod(map(get, factors)) for factors in route]))
 
     def ghost_conj(self, g: int, a: GhostElement) -> GhostElement:
-        key = (g, a.level)
-        compiled = self._conj_projections.get(key)
-        if compiled is None:
-            target_idx, mapping = self.conj_route(g, a.level)
-            compiled = (target_idx, _projection(mapping))
-            self._conj_projections[key] = compiled
-        target_idx, project = compiled
+        target_idx, project = self.conj_route(g, a.level)
         return GhostElement(target_idx, project(a.values))
 
     def ghost_map(self, x: BurnsideElement) -> GhostElement:
@@ -232,7 +209,7 @@ class GhostSystem:
         """Norm on virtual elements, routed through the injective ghost map."""
         return self.unmark(self.ghost_nm(K_idx, H_idx, self.ghost_map(x)))
 
-    # -- per-subgroup coordinates (Weyl-invariance checks) ----------------------
+    # -- per-subgroup coordinates (routes and Weyl-invariance checks) ----------
 
     def tr_term_classes(self, K_idx: int, H_idx: int, I_bits: int) -> tuple[int, ...]:
         """H-classes of the terms I^k of tr^K_H at the subgroup I (not only class reps)."""
@@ -291,7 +268,7 @@ class VerifyConfig:
 
     seed: int = DEFAULT_SEED
     random_elements: int = 32
-    coinduce_cap: int = 100_000
+    coinduce_cap: int = DEFAULT_COINDUCE_CAP
     axioms: tuple[str, ...] | None = None
 
 

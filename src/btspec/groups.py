@@ -393,13 +393,6 @@ class FiniteGroup:
     def name(self) -> str:
         return self.spec.canonical_text()
 
-    def mul(self, a: int, b: int) -> int:
-        return self.mul_table[a][b]
-
-    def conj(self, g: int, x: int) -> int:
-        """g x g^-1."""
-        return self.mul_table[self.mul_table[g][x]][self.inv[g]]
-
     def element_order(self, x: int) -> int:
         if self._orders is None:
             self._orders = [0] * self.order

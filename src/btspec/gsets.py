@@ -40,17 +40,12 @@ class GSet:
     cached; ``act(g, x)`` is then a pair of lookups.
     """
 
-    def __init__(self, group: FiniteGroup, acting_bits: int, size: int, row_fn, label: str = ""):
+    def __init__(self, group: FiniteGroup, acting_bits: int, size: int, row_fn):
         self.group = group
         self.acting_bits = acting_bits
         self.size = size
-        self.label = label
         self._row_fn = row_fn
         self._rows: dict[int, tuple[int, ...]] = {}
-
-    @property
-    def acting(self) -> Subgroup:
-        return Subgroup(self.acting_bits, bit_count(self.acting_bits))
 
     def action_row(self, g: int) -> tuple[int, ...]:
         row = self._rows.get(g)
@@ -96,7 +91,7 @@ def coset_space(group: FiniteGroup, H_bits: int, K_bits: int) -> GSet:
         row = mul[g]
         return [coset_of[row[r]] for r in reps]
 
-    return GSet(group, H_bits, len(reps), row_fn, label="coset")
+    return GSet(group, H_bits, len(reps), row_fn)
 
 
 def product(X: GSet, Y: GSet) -> GSet:
@@ -109,7 +104,7 @@ def product(X: GSet, Y: GSet) -> GSet:
         rx, ry = X.action_row(g), Y.action_row(g)
         return [rx[i] * sy + ry[j] for i in range(X.size) for j in range(sy)]
 
-    return GSet(X.group, X.acting_bits, X.size * sy, row_fn, label="product")
+    return GSet(X.group, X.acting_bits, X.size * sy, row_fn)
 
 
 def disjoint_union(X: GSet, Y: GSet) -> GSet:
@@ -121,14 +116,14 @@ def disjoint_union(X: GSet, Y: GSet) -> GSet:
         rx, ry = X.action_row(g), Y.action_row(g)
         return list(rx) + [sx + p for p in ry]
 
-    return GSet(X.group, X.acting_bits, sx + Y.size, row_fn, label="union")
+    return GSet(X.group, X.acting_bits, sx + Y.size, row_fn)
 
 
 def restrict_gset(X: GSet, H_bits: int) -> GSet:
     """The same points with the action restricted to H <= acting subgroup."""
     if not is_subset(H_bits, X.acting_bits):
         raise ContainmentError("restriction target must be a subgroup of the acting subgroup")
-    return GSet(X.group, H_bits, X.size, lambda g: X.action_row(g), label="restrict")
+    return GSet(X.group, H_bits, X.size, lambda g: X.action_row(g))
 
 
 def conjugate_gset(g: int, X: GSet) -> GSet:
@@ -141,7 +136,7 @@ def conjugate_gset(g: int, X: GSet) -> GSet:
         # k = g h g^-1 acts as h = g^-1 k g.
         return X.action_row(mul[mul[inv[g]][k]][g])
 
-    return GSet(group, target, X.size, row_fn, label="conjugate")
+    return GSet(group, target, X.size, row_fn)
 
 
 def induce(K_bits: int, X: GSet) -> GSet:
@@ -172,7 +167,7 @@ def induce(K_bits: int, X: GSet) -> GSet:
                 out[base_t + x] = base_j + xrow[x]
         return out
 
-    return GSet(group, K_bits, len(reps) * sx, row_fn, label="induce")
+    return GSet(group, K_bits, len(reps) * sx, row_fn)
 
 
 def coinduce(K_bits: int, X: GSet, cap: int = DEFAULT_COINDUCE_CAP) -> GSet:
@@ -217,7 +212,7 @@ def coinduce(K_bits: int, X: GSet, cap: int = DEFAULT_COINDUCE_CAP) -> GSet:
             out = [x + y for y in tj for x in out]
         return out
 
-    return GSet(group, K_bits, size, row_fn, label="coinduce")
+    return GSet(group, K_bits, size, row_fn)
 
 
 def fixed_points(X: GSet, I_bits: int) -> int:

@@ -12,6 +12,7 @@ import pytest
 from btspec.cache import cache_load, cache_path, cache_store, spec_cache_key
 from btspec.cli import run
 from btspec.errors import SpecRangeError
+from btspec.ghost import ALL_AXIOMS
 from btspec.groups import DEFAULT_MAX_ORDER, MAX_DEGREE, group_from_text, parse_group_spec
 from btspec.lattice import MAX_SUBGROUPS, subgroup_lattice
 
@@ -105,8 +106,12 @@ class TestLatticeBound:
 
 
 
-class TestResidualArgsBeforeLattice:
-    """A bad --prime or --format for ``residual`` is refused before any lattice work."""
+DOT_REFUSED = "usage error: dot format applies to spec, ring-spec, and fibers\n"
+MEMBER_FLAGS = ("--level", "e", "--element", "1")
+
+
+class TestArgsBeforeLattice:
+    """Every usage error is reported after ``realize`` and before any lattice work."""
 
     @pytest.fixture()
     def no_lattice(self, monkeypatch):
@@ -117,27 +122,90 @@ class TestResidualArgsBeforeLattice:
 
         monkeypatch.setattr(cli_mod, "subgroup_lattice", refuse)
 
-    def test_nonprime_refused_first(self, invoke, no_lattice):
-        code, out, err = invoke("residual", C2_5, "--prime", "6")
-        assert (code, out) == (2, "")
-        assert err == "usage error: --prime must be a prime number, got 6\n"
-
-    def test_dot_refused_first(self, invoke, no_lattice):
-        code, out, err = invoke("--format", "dot", "residual", C2_5, "--prime", "2")
-        assert (code, out) == (2, "")
-        assert err == "usage error: dot format applies to spec, ring-spec, and fibers\n"
-
-    def test_prime_checked_before_format(self, invoke, no_lattice):
-        code, _, err = invoke("--format", "dot", "residual", "A4", "--prime", "6")
-        assert code == 2 and "--prime must be a prime number" in err
-
-    def test_spec_parse_error_still_first(self, invoke, no_lattice):
-        code, _, err = invoke("--format", "dot", "residual", "Z9", "--prime", "6")
-        assert code == 2 and "--prime" not in err and "dot" not in err
-
-    def test_realize_error_still_first(self, invoke, no_lattice):
-        code, _, err = invoke("--max-order", "10", "residual", "S4", "--prime", "6")
-        assert code == 1 and "max_order" in err
+    @pytest.mark.parametrize(
+        "argv, code, err",
+        [
+            pytest.param(
+                ("residual", C2_5, "--prime", "6"), 2,
+                "usage error: --prime must be a prime number, got 6\n",
+                id="residual-nonprime",
+            ),
+            pytest.param(
+                ("--format", "dot", "residual", C2_5, "--prime", "2"), 2, DOT_REFUSED,
+                id="residual-dot",
+            ),
+            pytest.param(
+                ("--format", "dot", "residual", "A4", "--prime", "6"), 2,
+                "usage error: --prime must be a prime number, got 6\n",
+                id="residual-prime-before-format",
+            ),
+            pytest.param(
+                ("--format", "dot", "residual", "Z9", "--prime", "6"), 2,
+                "usage error: unrecognized group spec 'Z9' (at position 0)\n",
+                id="residual-spec-parse-first",
+            ),
+            pytest.param(
+                ("--max-order", "10", "residual", "S4", "--prime", "6"), 1,
+                "error: group closure for 'S4' exceeds max_order=10\n",
+                id="residual-realize-first",
+            ),
+            pytest.param(("--format", "dot", "verify", C2_5), 2, DOT_REFUSED, id="verify-dot"),
+            pytest.param(("--format", "dot", "marks", C2_5), 2, DOT_REFUSED, id="marks-dot"),
+            pytest.param(
+                ("--format", "dot", "subgroups", C2_5), 2, DOT_REFUSED, id="subgroups-dot"
+            ),
+            pytest.param(
+                ("--format", "dot", "member", C2_5, "--ideal", "e,2", *MEMBER_FLAGS), 2,
+                DOT_REFUSED, id="member-dot",
+            ),
+            pytest.param(
+                ("fibers", C2_5, "--prime", "6"), 2,
+                "usage error: --prime must be 0, a prime, or GENERIC, got 6\n",
+                id="fibers-nonprime",
+            ),
+            pytest.param(
+                ("fibers", C2_5, "--prime", "x"), 2,
+                "usage error: --prime must be 0, a prime, or GENERIC, got 'x'\n",
+                id="fibers-not-a-number",
+            ),
+            pytest.param(
+                ("spec", C2_5, "--prime", "4"), 2, "usage error: --prime must be prime, got 4\n",
+                id="spec-nonprime",
+            ),
+            pytest.param(
+                ("ring-spec", C2_5, "--prime", "4"), 2,
+                "usage error: --prime must be prime, got 4\n",
+                id="ring-spec-nonprime",
+            ),
+            pytest.param(
+                ("verify", C2_5, "--axioms", "bogus"), 2,
+                "usage error: unknown axioms: bogus; choose from " + ", ".join(ALL_AXIOMS) + "\n",
+                id="verify-unknown-axiom",
+            ),
+            pytest.param(
+                ("member", C2_5, "--ideal", "K4", *MEMBER_FLAGS), 2,
+                "usage error: --ideal must look like H,p (class label, prime or 0)\n",
+                id="member-ideal-shape",
+            ),
+            pytest.param(
+                ("member", C2_5, "--ideal", "e,6", *MEMBER_FLAGS), 2,
+                "usage error: expected a prime or 0, got 6\n",
+                id="member-ideal-prime",
+            ),
+            pytest.param(
+                ("member", C2_5, "--ideal", "e,2", "--level", "e", "--element", "1,x"), 2,
+                "usage error: --element must be comma-separated integers\n",
+                id="member-element-not-integers",
+            ),
+            pytest.param(
+                ("--format", "dot", "verify", "Z9", "--axioms", "bogus"), 2,
+                "usage error: unrecognized group spec 'Z9' (at position 0)\n",
+                id="verify-spec-parse-first",
+            ),
+        ],
+    )
+    def test_refused_before_lattice(self, invoke, no_lattice, argv, code, err):
+        assert invoke(*argv) == (code, "", err)
 
 
 class TestClosedPipe:

@@ -3,7 +3,8 @@
 Drives ``cli.run`` in-process over named specs with small parameters,
 ``perm:`` strings (elementary abelian C2^k up to k = 7, where C2^7 has more
 subgroups than ``lattice.MAX_SUBGROUPS``, and random cycles), and malformed
-text.
+text, under subgroups, spec, marks, residual, ring-spec and fibers with good
+and bad ``--prime`` values and every ``--format``.
 """
 
 import contextlib
@@ -30,10 +31,17 @@ CYCLES = st.lists(
 MALFORMED = st.text(alphabet="CDQSAperm:();,x -0123456789", max_size=16)
 SPECS = st.one_of(NAMED, ELEMENTARY, CYCLES, MALFORMED)
 
-COMMANDS = st.one_of(
-    st.sampled_from([["subgroups"], ["spec"], ["marks"]]),
-    st.integers(-1, 8).map(lambda p: ["residual", "--prime", str(p)]),
-)
+COMMANDS = st.tuples(
+    st.one_of(
+        st.sampled_from([["subgroups"], ["spec"], ["marks"]]),
+        st.integers(-1, 8).map(lambda p: ["residual", "--prime", str(p)]),
+        st.integers(-1, 8).map(lambda p: ["ring-spec", "--prime", str(p)]),
+        st.sampled_from([*map(str, range(9)), "GENERIC", "junk"]).map(
+            lambda p: ["fibers", "--prime", p]
+        ),
+    ),
+    st.sampled_from(["text", "json", "dot"]),
+).map(lambda cf: [*cf[0], "--format", cf[1]])
 MAX_ORDERS = st.sampled_from(["0", "24", "60", "128", "200"])
 
 
