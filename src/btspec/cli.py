@@ -13,14 +13,13 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 from . import cache as cache_mod
 from .errors import BtspecError, SpecParseError, SpecRangeError
 from .ghost import DEFAULT_SEED, GhostSystem, VerifyConfig, verify_axioms, ALL_AXIOMS
-from .groups import DEFAULT_MAX_ORDER, FiniteGroup, parse_group_spec, realize
-from .gsets import DEFAULT_COINDUCE_CAP
+from .groups import DEFAULT_MAX_ORDER, MAX_ORDER, FiniteGroup, parse_group_spec, realize
 from .lattice import subgroup_lattice
 from .names import class_labels
 from .spectrum import (
@@ -40,18 +39,15 @@ GENERIC_NOTE = (
 )
 
 
-@dataclass
-class Config:
-    max_order: int = DEFAULT_MAX_ORDER
-    cache_dir: Path = field(default_factory=cache_mod.default_cache_dir)
-    use_cache: bool = True
-    seed: int = DEFAULT_SEED
-    coinduce_cap: int = DEFAULT_COINDUCE_CAP
-    fmt: str = "text"
-
 
 class _UsageError(Exception):
     pass
+
+
+class _Parser(argparse.ArgumentParser):
+    # argparse would print its usage block and exit; report one line instead.
+    def error(self, message):
+        raise _UsageError(message)
 
 
 def _add_global_options(parser: argparse.ArgumentParser, suppress: bool) -> None:
@@ -62,19 +58,18 @@ def _add_global_options(parser: argparse.ArgumentParser, suppress: bool) -> None
     parser.add_argument("--cache-dir", type=Path, default=d(None))
     parser.add_argument("--no-cache", action="store_true", default=d(False))
     parser.add_argument("--seed", type=lambda s: int(s, 0), default=d(DEFAULT_SEED))
-    parser.add_argument("--coinduce-cap", type=int, default=d(DEFAULT_COINDUCE_CAP))
     parser.add_argument(
         "--format", dest="fmt", choices=("text", "json", "dot"), default=d("text")
     )
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="btspec",
         description="Prime spectra of Burnside Tambara functors over finite groups.",
     )
     _add_global_options(parser, suppress=False)
-    common = argparse.ArgumentParser(add_help=False)
+    common = _Parser(add_help=False)
     _add_global_options(common, suppress=True)
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -119,7 +114,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 @dataclass
 class Session:
-    config: Config
     system: GhostSystem
     labels: list[str]
 
@@ -140,28 +134,35 @@ class Session:
             )
 
 
-def check_args(args, config: Config) -> None:
+def _below_limit(p: int, what: str = "--prime") -> int:
+    # ``is_prime`` is exact well past 2^64; prime flags stay below it.
+    if p >= 1 << 64:
+        raise _UsageError(f"{what} must be below 2^64, got {p}")
+    return p
+
+
+def check_args(args) -> None:
     """Refuse bad flags before any lattice work; ``run`` calls it after
     ``realize``, so spec-parse and realize errors keep precedence.
 
     Normalizes in place what the commands read: ``fibers --prime`` becomes an
     int or GENERIC, ``verify --axioms`` a tuple or None (all axioms),
     ``member --ideal`` a (label, prime) pair and ``member --element`` a list
-    of ints.
+    of ints.  Every prime flag must be below 2^64.
     """
     cmd = args.command
-    if cmd == "residual" and not is_prime(args.prime):
+    if cmd == "residual" and not is_prime(_below_limit(args.prime)):
         raise _UsageError(f"--prime must be a prime number, got {args.prime}")
     elif cmd in ("spec", "ring-spec"):
         for q in args.prime:
-            if not is_prime(q):
+            if not is_prime(_below_limit(q)):
                 raise _UsageError(f"--prime must be prime, got {q}")
     elif cmd == "fibers" and args.prime != GENERIC:
         try:
             p = int(args.prime)
         except ValueError:
             raise _UsageError(f"--prime must be 0, a prime, or GENERIC, got {args.prime!r}")
-        if p != 0 and not is_prime(p):
+        if p != 0 and not is_prime(_below_limit(p)):
             raise _UsageError(f"--prime must be 0, a prime, or GENERIC, got {p}")
         args.prime = p
     elif cmd == "verify":
@@ -180,33 +181,34 @@ def check_args(args, config: Config) -> None:
             raise _UsageError("--ideal must look like H,p (class label, prime or 0)")
         h_label, _, p_text = args.ideal.partition(",")
         try:
-            args.ideal = (h_label.strip(), validate_prime_or_zero(int(p_text.strip())))
+            p = _below_limit(int(p_text.strip()), "the prime of --ideal")
+            args.ideal = (h_label.strip(), validate_prime_or_zero(p))
         except ValueError as exc:
             raise _UsageError(str(exc))
         try:
             args.element = [int(tok) for tok in args.element.split(",")]
         except ValueError:
             raise _UsageError("--element must be comma-separated integers")
-    if config.fmt == "dot" and cmd not in ("spec", "ring-spec", "fibers"):
+    if args.fmt == "dot" and cmd not in ("spec", "ring-spec", "fibers"):
         raise _UsageError("dot format applies to spec, ring-spec, and fibers")
 
 
-def open_session(group: FiniteGroup, config: Config) -> Session:
+def open_session(group: FiniteGroup, args) -> Session:
     """Build or load the lattice of a realized group."""
     lattice = None
-    key = cache_mod.spec_cache_key(group.name, config.max_order)
-    path = cache_mod.cache_path(config.cache_dir, key)
-    if config.use_cache:
+    key = cache_mod.spec_cache_key(group.name, args.max_order)
+    path = cache_mod.cache_path(args.cache_dir or cache_mod.default_cache_dir(), key)
+    if not args.no_cache:
         lattice = cache_mod.cache_load(path, group, key)
     if lattice is None:
         lattice = subgroup_lattice(group)
-        if config.use_cache:
+        if not args.no_cache:
             try:
                 cache_mod.cache_store(path, group, lattice, key)
             except OSError as exc:
                 print(f"btspec: cache write failed: {exc}", file=sys.stderr)
     system = GhostSystem(group, lattice)
-    return Session(config, system, class_labels(group, lattice))
+    return Session(system, class_labels(group, lattice))
 
 
 def _emit_json(payload) -> None:
@@ -230,7 +232,7 @@ def cmd_subgroups(session: Session, args) -> int:
                 "normalizer_order": lat.normalizer(rep_idx).order,
             }
         )
-    if session.config.fmt == "json":
+    if args.fmt == "json":
         _emit_json(
             {
                 "group": session.group.name,
@@ -278,7 +280,7 @@ def cmd_marks(session: Session, args) -> int:
     local_labels = _level_class_labels(session, ring)
     level_label = session.labels[lat.class_of[level_idx]]
     matrix = [list(row) for row in ring.marks_matrix]
-    if session.config.fmt == "json":
+    if args.fmt == "json":
         _emit_json(
             {"level_label": level_label, "class_labels": local_labels, "matrix": matrix}
         )
@@ -302,7 +304,7 @@ def cmd_residual(session: Session, args) -> int:
         (session.labels[cls], session.labels[residual_class(session.system, cls, p)])
         for cls in range(session.lattice.num_classes)
     ]
-    if session.config.fmt == "json":
+    if args.fmt == "json":
         _emit_json({"group": session.group.name, "prime": p, "rows": rows})
         return 0
     print(f"p-residual subgroups O^{p} for {session.group.name}")
@@ -321,7 +323,10 @@ def _node_label(session: Session, poset: SpectrumPoset, node_id: int) -> str:
     return "p_{%s,%s}" % (session.labels[node.residual_class], p_part)
 
 
-def _poset_json(session: Session, poset: SpectrumPoset) -> dict:
+def _poset_json(session: Session, poset: SpectrumPoset, keys=None) -> dict:
+    """The poset as JSON; with ``keys``, only those fibers' nodes and edges."""
+    fibers = poset.fibers if keys is None else {k: poset.fibers[k] for k in keys}
+    keep = {i for ids in fibers.values() for i in ids}
     return {
         "group": poset.group,
         "kind": poset.kind,
@@ -336,9 +341,10 @@ def _poset_json(session: Session, poset: SpectrumPoset) -> dict:
                 "member_subgroup_labels": [session.labels[c] for c in n.member_classes],
             }
             for n in poset.nodes
+            if n.node_id in keep
         ],
-        "edges": [[a, b] for a, b in poset.edges],
-        "fibers": {k: list(v) for k, v in poset.fibers.items()},
+        "edges": [[a, b] for a, b in poset.edges if a in keep and b in keep],
+        "fibers": {k: list(v) for k, v in fibers.items()},
     }
 
 
@@ -419,8 +425,7 @@ def _print_poset_dot(session: Session, poset: SpectrumPoset) -> None:
     print("\n".join(out))
 
 
-def _emit_poset(session: Session, poset: SpectrumPoset) -> int:
-    fmt = session.config.fmt
+def _emit_poset(session: Session, poset: SpectrumPoset, fmt: str) -> int:
     if fmt == "json":
         _emit_json(_poset_json(session, poset))
     elif fmt == "dot":
@@ -431,11 +436,11 @@ def _emit_poset(session: Session, poset: SpectrumPoset) -> int:
 
 
 def cmd_spec(session: Session, args) -> int:
-    return _emit_poset(session, enumerate_spectrum(session.system, args.prime))
+    return _emit_poset(session, enumerate_spectrum(session.system, args.prime), args.fmt)
 
 
 def cmd_ring_spec(session: Session, args) -> int:
-    return _emit_poset(session, burnside_ring_spectrum(session.system, args.prime))
+    return _emit_poset(session, burnside_ring_spectrum(session.system, args.prime), args.fmt)
 
 
 def cmd_fibers(session: Session, args) -> int:
@@ -444,14 +449,9 @@ def cmd_fibers(session: Session, args) -> int:
     poset = enumerate_spectrum(session.system, [] if p in (0, GENERIC) else [p])
     if key not in poset.fibers:
         raise BtspecError(f"no fiber {key} in the spectrum of {session.group.name}")
-    if session.config.fmt == "json":
-        payload = _poset_json(session, poset)
-        keep = set(poset.fibers[key])
-        payload["nodes"] = [n for n in payload["nodes"] if n["id"] in keep]
-        payload["edges"] = [e for e in payload["edges"] if e[0] in keep and e[1] in keep]
-        payload["fibers"] = {key: list(poset.fibers[key])}
-        _emit_json(payload)
-    elif session.config.fmt == "dot":
+    if args.fmt == "json":
+        _emit_json(_poset_json(session, poset, keys=[key]))
+    elif args.fmt == "dot":
         print("\n".join(_dot_graph(session, poset, f"fiber_{key}", list(poset.fibers[key]))))
     else:
         _print_fiber_text(session, poset, key)
@@ -462,11 +462,8 @@ def cmd_fibers(session: Session, args) -> int:
 
 
 def cmd_verify(session: Session, args) -> int:
-    cfg = VerifyConfig(
-        seed=session.config.seed, coinduce_cap=session.config.coinduce_cap, axioms=args.axioms
-    )
-    report = verify_axioms(session.system, cfg)
-    if session.config.fmt == "json":
+    report = verify_axioms(session.system, VerifyConfig(seed=args.seed, axioms=args.axioms))
+    if args.fmt == "json":
         _emit_json(report.to_json_dict())
         return 0 if report.ok else 1
     for name in ALL_AXIOMS:
@@ -497,7 +494,7 @@ def cmd_member(session: Session, args) -> int:
     except ValueError as exc:
         raise _UsageError(str(exc))
     inside = burnside_ideal_membership(session.system, k_cls, p, x)
-    if session.config.fmt == "json":
+    if args.fmt == "json":
         _emit_json(
             {
                 "group": session.group.name,
@@ -529,26 +526,18 @@ _COMMANDS = {
 
 
 def run(argv) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code or 0)
-    config = Config(
-        max_order=args.max_order,
-        cache_dir=args.cache_dir if args.cache_dir is not None else cache_mod.default_cache_dir(),
-        use_cache=not args.no_cache,
-        seed=args.seed,
-        coinduce_cap=args.coinduce_cap,
-        fmt=args.fmt,
-    )
-    try:
-        if config.max_order < 1:
-            raise _UsageError(f"--max-order must be >= 1, got {config.max_order}")
-        group = realize(parse_group_spec(args.spec), config.max_order)
-        check_args(args, config)
-        session = open_session(group, config)
+        args = build_parser().parse_args(argv)
+        if args.max_order < 1:
+            raise _UsageError(f"--max-order must be >= 1, got {args.max_order}")
+        if args.max_order > MAX_ORDER:
+            raise _UsageError(f"--max-order must be <= {MAX_ORDER}, got {args.max_order}")
+        group = realize(parse_group_spec(args.spec), args.max_order)
+        check_args(args)
+        session = open_session(group, args)
         return _COMMANDS[args.command](session, args)
+    except SystemExit as exc:  # --help
+        return int(exc.code or 0)
     except (SpecParseError, SpecRangeError, _UsageError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2

@@ -34,7 +34,6 @@ from .burnside import BurnsideElement, GhostElement, LevelRing
 from .errors import CapExceededError, ContainmentError
 from .groups import FiniteGroup
 from .gsets import (
-    DEFAULT_COINDUCE_CAP,
     coinduce,
     conjugate_gset,
     coset_space,
@@ -268,7 +267,6 @@ class VerifyConfig:
 
     seed: int = DEFAULT_SEED
     random_elements: int = 32
-    coinduce_cap: int = DEFAULT_COINDUCE_CAP
     axioms: tuple[str, ...] | None = None
 
 
@@ -548,10 +546,10 @@ def verify_axioms(
                         rec.check("chi_tr", lhs == rhs, xinst, f"chi(X)={chi_x.values}")
                     if "chi_nm" in enabled:
                         try:
-                            co = coinduce(K_bits, X, cap=cfg.coinduce_cap)
+                            co = coinduce(K_bits, X)
                         except CapExceededError:
-                            co = None
-                        if co is not None:
+                            pass
+                        else:
                             lhs = system.ghost_nm(K_idx, H_idx, chi_x)
                             rhs = system.oracle_marks(co, K_idx)
                             rec.check("chi_nm", lhs == rhs, xinst, f"chi(X)={chi_x.values}")

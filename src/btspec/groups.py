@@ -18,6 +18,10 @@ from .errors import OrderExceededError, SpecParseError, SpecRangeError
 
 DEFAULT_MAX_ORDER = 2000
 
+# Largest max_order accepted: it bounds realize's n x n multiplication table.
+# At order 4096 (D2048, C4096) realize takes about 5 s and 240-270 MB (CPython 3.11).
+MAX_ORDER = 4096
+
 # Largest permutation degree a spec may ask for.  Specs are checked against it
 # before any permutation is built, so no input sizes an allocation; D1000, the
 # largest dihedral group within the default max order, needs 1000 points.
@@ -76,9 +80,6 @@ class Permutation:
                     raise ValueError(f"point {a} repeated across cycles")
                 img[a] = b
         return Permutation(tuple(img))
-
-
-NAMED_KINDS = ("cyclic", "dihedral", "quaternion", "symmetric", "alternating", "psl2", "gl3")
 
 
 @dataclass(frozen=True)
@@ -413,10 +414,11 @@ class FiniteGroup:
 def realize(spec: GroupSpec, max_order: int = DEFAULT_MAX_ORDER) -> FiniteGroup:
     """Enumerate the group generated by the spec's generators via BFS closure.
 
-    Raises OrderExceededError if the closure passes ``max_order``.
+    Raises OrderExceededError if the closure passes ``max_order``, which
+    must lie in 1..MAX_ORDER.
     """
-    if max_order < 1:
-        raise ValueError("max_order must be >= 1")
+    if not 1 <= max_order <= MAX_ORDER:
+        raise ValueError(f"max_order must be in 1..{MAX_ORDER}, got {max_order}")
     raw = _generators_for(spec)
     degree = max((g.degree for g in raw), default=1)
     gens = sorted({g for g in raw if not g.is_identity()}, key=lambda p: p.images)

@@ -30,14 +30,15 @@ from .lattice import (
     right_transversal,
 )
 
-DEFAULT_COINDUCE_CAP = 100_000
+# Most points a coinduced set may have; larger sets are skipped by the verifier.
+COINDUCE_CAP = 100_000
 
 
 class GSet:
     """Finite set with an action of a subgroup of the ambient group.
 
     Rows of the action table are computed on demand through ``row_fn`` and
-    cached; ``act(g, x)`` is then a pair of lookups.
+    cached.
     """
 
     def __init__(self, group: FiniteGroup, acting_bits: int, size: int, row_fn):
@@ -55,9 +56,6 @@ class GSet:
             row = tuple(self._row_fn(g))
             self._rows[g] = row
         return row
-
-    def act(self, g: int, x: int) -> int:
-        return self.action_row(g)[x]
 
     def check(self) -> None:
         """Assert the action respects the group law; test helper, O(|H|^2 * size)."""
@@ -170,12 +168,12 @@ def induce(K_bits: int, X: GSet) -> GSet:
     return GSet(group, K_bits, len(reps) * sx, row_fn)
 
 
-def coinduce(K_bits: int, X: GSet, cap: int = DEFAULT_COINDUCE_CAP) -> GSet:
+def coinduce(K_bits: int, X: GSet) -> GSet:
     """Map_H(K, X): H-equivariant maps K -> X with K acting by right translation.
 
     A map is determined freely by its values on right-coset representatives
     t_0, ..., t_{m-1} of H\\K, so there are |X|^m points; point f has base-|X|
-    digit i equal to f(t_i).  Raises CapExceededError beyond ``cap``.
+    digit i equal to f(t_i).  Raises CapExceededError beyond ``COINDUCE_CAP``.
 
     A row is built from the definition, digit by digit: (k.f)(t_i) =
     h_i . f(t_j) where t_i k = h_i t_j, so digit j of f feeds exactly digit i
@@ -189,9 +187,9 @@ def coinduce(K_bits: int, X: GSet, cap: int = DEFAULT_COINDUCE_CAP) -> GSet:
     reps = right_transversal(group, K_bits, H_bits)
     m = len(reps)
     size = X.size**m
-    if size > cap:
+    if size > COINDUCE_CAP:
         raise CapExceededError(
-            f"coinduction would have {X.size}^{m} = {size} points, above cap {cap}"
+            f"coinduction would have {X.size}^{m} = {size} points, above cap {COINDUCE_CAP}"
         )
     coset_of = {}
     for j, r in enumerate(reps):

@@ -178,7 +178,6 @@ class SubgroupLattice:
     _normalizers: list[Subgroup | None] | None = field(default=None, repr=False)
     _class_sizes: list[int] | None = field(default=None, repr=False)
     _residuals: dict[tuple[int, int], int] = field(default_factory=dict, repr=False)
-    _contained_cache: dict[int, tuple[int, ...]] = field(default_factory=dict, repr=False)
 
     @property
     def num_classes(self) -> int:
@@ -204,14 +203,8 @@ class SubgroupLattice:
 
     def subgroups_within(self, sub_idx: int) -> tuple[int, ...]:
         """Indices of all subgroups contained in the given subgroup, ascending."""
-        cached = self._contained_cache.get(sub_idx)
-        if cached is None:
-            top = self.subgroups[sub_idx].members
-            cached = tuple(
-                i for i, s in enumerate(self.subgroups) if is_subset(s.members, top)
-            )
-            self._contained_cache[sub_idx] = cached
-        return cached
+        top = self.subgroups[sub_idx].members
+        return tuple(i for i, s in enumerate(self.subgroups) if is_subset(s.members, top))
 
     def normalizer(self, sub_idx: int) -> Subgroup:
         if self._normalizers is None:

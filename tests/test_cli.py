@@ -3,6 +3,7 @@
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -10,10 +11,12 @@ from pathlib import Path
 import pytest
 
 from btspec.cache import cache_load, cache_path, cache_store, spec_cache_key
-from btspec.cli import run
+from btspec.cli import build_parser, run
 from btspec.errors import SpecRangeError
 from btspec.ghost import ALL_AXIOMS
-from btspec.groups import DEFAULT_MAX_ORDER, MAX_DEGREE, group_from_text, parse_group_spec
+from btspec.groups import (
+    DEFAULT_MAX_ORDER, MAX_DEGREE, MAX_ORDER, group_from_text, parse_group_spec,
+)
 from btspec.lattice import MAX_SUBGROUPS, subgroup_lattice
 
 from conftest import C2_5, C2_7, C840
@@ -66,6 +69,36 @@ class TestExitCodes:
         assert code == 2 and out == ""
         assert err.startswith("usage error:") and "--max-order" in err
         assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("value", [str(MAX_ORDER + 1), "50000"])
+    def test_usage_error_max_order_above_bound(self, invoke, value):
+        code, out, err = invoke("--max-order", value, "subgroups", "C2")
+        assert code == 2 and out == ""
+        assert err == f"usage error: --max-order must be <= {MAX_ORDER}, got {value}\n"
+
+    def test_max_order_bound_is_inclusive(self, invoke):
+        assert invoke("--max-order", str(MAX_ORDER), "subgroups", "C2")[0] == 0
+
+    def test_coinduce_cap_flag_is_refused(self, invoke):
+        code, out, err = invoke("verify", "--coinduce-cap", "5", "S3")
+        assert code == 2 and out == ""
+        assert err.startswith("usage error:") and "--coinduce-cap" in err
+        assert err.count("\n") == 1
+
+    def test_prime_beyond_64_bits_is_refused(self, invoke):
+        code, out, err = invoke("residual", "A4", "--prime", str(2**64))
+        assert code == 2 and out == ""
+        assert err == f"usage error: --prime must be below 2^64, got {2**64}\n"
+
+    def test_huge_prime_is_checked_in_bounded_time(self):
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+        proc = subprocess.run(
+            [sys.executable, "-m", "btspec.cli", "--no-cache", "residual", "A4",
+             "--prime", "1000000000000000003"],
+            capture_output=True, env=env, timeout=30,
+        )
+        assert proc.returncode == 0 and proc.stderr == b""
+        assert proc.stdout.startswith(b"p-residual subgroups O^1000000000000000003 for A4\n")
 
 
 class TestDegreeBound:
@@ -606,3 +639,18 @@ class TestCache:
         out = capsys.readouterr().out
         assert code == 0
         assert "member --element" in out and "e,C2,C3,K4,A4" in out
+
+
+class TestReadme:
+    def test_global_options_paragraph_names_every_global_flag(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        start = readme.index("\nGlobal options:")
+        paragraph = readme[start:readme.index("\n\n", start)]
+        documented = set(re.findall(r"--[a-z][a-z-]*", paragraph))
+        defined = {
+            flag
+            for action in build_parser()._actions
+            for flag in action.option_strings
+            if flag.startswith("--") and flag != "--help"
+        }
+        assert documented == defined

@@ -4,7 +4,8 @@ Drives ``cli.run`` in-process over named specs with small parameters,
 ``perm:`` strings (elementary abelian C2^k up to k = 7, where C2^7 has more
 subgroups than ``lattice.MAX_SUBGROUPS``, and random cycles), and malformed
 text, under subgroups, spec, marks, residual, ring-spec and fibers with good
-and bad ``--prime`` values and every ``--format``.
+and bad ``--prime`` values (a prime above 10^18 and 2^64 among them), every
+``--format`` and ``--max-order`` values on both sides of ``groups.MAX_ORDER``.
 """
 
 import contextlib
@@ -34,7 +35,9 @@ SPECS = st.one_of(NAMED, ELEMENTARY, CYCLES, MALFORMED)
 COMMANDS = st.tuples(
     st.one_of(
         st.sampled_from([["subgroups"], ["spec"], ["marks"]]),
-        st.integers(-1, 8).map(lambda p: ["residual", "--prime", str(p)]),
+        st.one_of(st.integers(-1, 8), st.sampled_from([10**18 + 3, 2**64])).map(
+            lambda p: ["residual", "--prime", str(p)]
+        ),
         st.integers(-1, 8).map(lambda p: ["ring-spec", "--prime", str(p)]),
         st.sampled_from([*map(str, range(9)), "GENERIC", "junk"]).map(
             lambda p: ["fibers", "--prime", p]
@@ -42,7 +45,7 @@ COMMANDS = st.tuples(
     ),
     st.sampled_from(["text", "json", "dot"]),
 ).map(lambda cf: [*cf[0], "--format", cf[1]])
-MAX_ORDERS = st.sampled_from(["0", "24", "60", "128", "200"])
+MAX_ORDERS = st.sampled_from(["0", "24", "60", "128", "200", "4097", "1000000"])
 
 
 @settings(
@@ -54,6 +57,8 @@ MAX_ORDERS = st.sampled_from(["0", "24", "60", "128", "200"])
 )
 @given(spec=SPECS, command=COMMANDS, max_order=MAX_ORDERS)
 @example(spec=C2_7, command=["spec"], max_order="128")
+@example(spec="S8", command=["subgroups"], max_order="50000")
+@example(spec="A4", command=["residual", "--prime", str(10**18 + 3)], max_order="24")
 def test_cli_exits_cleanly(spec, command, max_order):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):

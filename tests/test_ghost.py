@@ -166,7 +166,7 @@ class TestGhostMap:
                     assert s.ghost_tr(K_idx, H_idx, chi) == s.oracle_marks(
                         induce(K_bits, X), K_idx
                     )
-                    co = coinduce(K_bits, X, cap=100_000)
+                    co = coinduce(K_bits, X)
                     assert s.ghost_nm(K_idx, H_idx, chi) == s.oracle_marks(co, K_idx)
 
 

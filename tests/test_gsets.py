@@ -4,6 +4,7 @@ import pytest
 
 from btspec.errors import CapExceededError, ContainmentError
 from btspec.gsets import (
+    COINDUCE_CAP,
     coinduce,
     conjugate_gset,
     coset_space,
@@ -164,11 +165,13 @@ class TestInduceCoinduce:
         assert fixed_points(co, full_bits(g)) == 1
 
     def test_coinduce_cap(self, sys_a4):
+        # 3^12 = 531,441 points exceed COINDUCE_CAP; it raises before any row is built.
         g = sys_a4.group
         X = coset_space(g, 1, 1)
-        two = disjoint_union(X, X)
+        three = disjoint_union(disjoint_union(X, X), X)
+        assert three.size ** g.order > COINDUCE_CAP
         with pytest.raises(CapExceededError):
-            coinduce(full_bits(g), two, cap=100)
+            coinduce(full_bits(g), three)
 
     def test_coinduce_action_law(self):
         sysg = system_for("C4")

@@ -147,6 +147,28 @@ class TestPrimeHelpers:
     def test_is_prime(self):
         assert [n for n in range(20) if is_prime(n)] == [2, 3, 5, 7, 11, 13, 17, 19]
 
+    def test_is_prime_matches_trial_division(self):
+        def by_trial(n):
+            return n >= 2 and all(n % d for d in range(2, int(n**0.5) + 1))
+
+        assert [n for n in range(-5, 20_000) if is_prime(n)] == [
+            n for n in range(-5, 20_000) if by_trial(n)
+        ]
+
+    @pytest.mark.parametrize(
+        "n, prime",
+        [
+            (10**18 + 3, True),
+            (561, False),  # Carmichael number 3 * 11 * 17
+            (3215031751, False),  # 151 * 751 * 28351, strong pseudoprime to bases 2, 3, 5, 7
+            (2**61 - 1, True),
+            (2**64 - 59, True),  # largest prime below 2^64
+            ((2**32 - 5) * (2**32 - 17), False),
+        ],
+    )
+    def test_is_prime_large(self, n, prime):
+        assert is_prime(n) is prime
+
     def test_validate(self):
         validate_prime_or_zero(0)
         validate_prime_or_zero(13)
