@@ -24,13 +24,7 @@ from .errors import NotInImageError
 # Read only by bench/tracer.py, which wraps these names here to count calls.
 from .gsets import coset_space, fixed_points
 from .groups import FiniteGroup
-from .lattice import (
-    SubgroupLattice,
-    conjugate_bits,
-    double_coset_reps,
-    generating_set,
-    is_subset,
-)
+from .lattice import SubgroupLattice, conjugate_bits, generating_set, is_subset
 
 
 @dataclass(frozen=True)
@@ -99,8 +93,7 @@ class LevelRing:
     """Burnside/ghost ring data at one level subgroup H.
 
     Holds the H-conjugacy classes of subgroups of H (indexed locally, sorted by
-    (order, bitset) of the class representative), the table of marks, and the
-    double-coset multiplication of basis orbits.
+    (order, bitset) of the class representative) and the table of marks.
     """
 
     def __init__(self, group: FiniteGroup, lattice: SubgroupLattice, level_index: int):
@@ -141,7 +134,6 @@ class LevelRing:
         self.local_class_of = local_cls
         self.num_classes = len(reps)
         self._marks_matrix: list[list[int]] | None = None
-        self._basis_products: dict[tuple[int, int], tuple[int, ...]] = {}
 
     def class_rep_subgroup(self, cls: int):
         return self.lattice.subgroups[self.class_reps[cls]]
@@ -225,39 +217,10 @@ class LevelRing:
             coeffs[i] = q
         return BurnsideElement(self.level_index, tuple(coeffs))
 
-    def basis_product(self, k_cls: int, l_cls: int) -> tuple[int, ...]:
-        """[H/K] * [H/L] = sum over K\\H/L of [H/(K cap ^g L)]."""
-        key = (min(k_cls, l_cls), max(k_cls, l_cls))
-        cached = self._basis_products.get(key)
-        if cached is None:
-            K_bits = self.class_rep_subgroup(key[0]).members
-            L_bits = self.class_rep_subgroup(key[1]).members
-            out = [0] * self.num_classes
-            H_bits = self.subgroup.members
-            for g in double_coset_reps(self.group, K_bits, H_bits, L_bits):
-                meet = K_bits & conjugate_bits(self.group, g, L_bits)
-                out[self.class_of_bits(meet)] += 1
-            cached = tuple(out)
-            self._basis_products[key] = cached
-        return cached
-
     def multiply(self, x: BurnsideElement, y: BurnsideElement) -> BurnsideElement:
-        """Bilinear extension of the double-coset basis products."""
-        if x.level != self.level_index or y.level != self.level_index:
-            raise ValueError("elements belong to a different level")
-        out = [0] * self.num_classes
-        for k_cls, a in enumerate(x.coeffs):
-            if a == 0:
-                continue
-            for l_cls, b in enumerate(y.coeffs):
-                if b == 0:
-                    continue
-                prod = self.basis_product(k_cls, l_cls)
-                ab = a * b
-                for i, c in enumerate(prod):
-                    if c:
-                        out[i] += ab * c
-        return BurnsideElement(self.level_index, tuple(out))
+        """The product in A(H), read off marks: the mark map is an injective
+        ring homomorphism, so x * y = unmark(marks(x) * marks(y))."""
+        return self.unmark(self.marks(x) * self.marks(y))
 
     def all_ones(self) -> GhostElement:
         return GhostElement(self.level_index, (1,) * self.num_classes)

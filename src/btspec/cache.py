@@ -77,7 +77,7 @@ def cache_store(path: Path, group: FiniteGroup, lattice: SubgroupLattice, key: s
 def _is_subgroup(group: FiniteGroup, s: Subgroup) -> bool:
     """True iff the bitset holds the identity, its order divides |G|, and the
     closure of its elements is itself."""
-    if group.order % s.order or not s.members >> group.identity_index & 1:
+    if group.order % s.order or not s.members & 1:
         return False
     return closure(group, generating_set(group, s.members)) == s.members
 
@@ -87,7 +87,7 @@ def cache_load(path: Path, group: FiniteGroup, key: str) -> SubgroupLattice | No
     corruption) whenever the entry cannot be fully validated."""
     try:
         raw = json.loads(Path(path).read_text(encoding="utf-8"))
-    except FileNotFoundError:
+    except (FileNotFoundError, NotADirectoryError):  # no entry: a plain miss
         return None
     except (OSError, json.JSONDecodeError):
         print(f"btspec: ignoring unreadable cache entry {path}", file=sys.stderr)

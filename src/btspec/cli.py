@@ -24,6 +24,7 @@ from .lattice import subgroup_lattice
 from .names import class_labels
 from .spectrum import (
     GENERIC,
+    MAX_EXTRA_PRIMES,
     SpectrumPoset,
     burnside_ring_spectrum,
     burnside_ideal_membership,
@@ -148,12 +149,16 @@ def check_args(args) -> None:
     Normalizes in place what the commands read: ``fibers --prime`` becomes an
     int or GENERIC, ``verify --axioms`` a tuple or None (all axioms),
     ``member --ideal`` a (label, prime) pair and ``member --element`` a list
-    of ints.  Every prime flag must be below 2^64.
+    of ints.  Every prime flag must be below 2^64, and ``spec``/``ring-spec``
+    take at most ``MAX_EXTRA_PRIMES`` distinct ``--prime`` values.
     """
     cmd = args.command
     if cmd == "residual" and not is_prime(_below_limit(args.prime)):
         raise _UsageError(f"--prime must be a prime number, got {args.prime}")
     elif cmd in ("spec", "ring-spec"):
+        distinct = len(set(args.prime))
+        if distinct > MAX_EXTRA_PRIMES:
+            raise _UsageError(f"at most {MAX_EXTRA_PRIMES} distinct --prime values, got {distinct}")
         for q in args.prime:
             if not is_prime(_below_limit(q)):
                 raise _UsageError(f"--prime must be prime, got {q}")
@@ -177,14 +182,16 @@ def check_args(args) -> None:
         else:
             args.axioms = None
     elif cmd == "member":
-        if "," not in args.ideal:
-            raise _UsageError("--ideal must look like H,p (class label, prime or 0)")
         h_label, _, p_text = args.ideal.partition(",")
         try:
-            p = _below_limit(int(p_text.strip()), "the prime of --ideal")
-            args.ideal = (h_label.strip(), validate_prime_or_zero(p))
+            p = int(p_text)
+        except ValueError:  # no comma, or no integer after it
+            raise _UsageError("--ideal must look like H,p (class label, prime or 0)")
+        try:
+            p = validate_prime_or_zero(_below_limit(p, "the prime of --ideal"))
         except ValueError as exc:
             raise _UsageError(str(exc))
+        args.ideal = (h_label.strip(), p)
         try:
             args.element = [int(tok) for tok in args.element.split(",")]
         except ValueError:
@@ -222,14 +229,14 @@ def cmd_subgroups(session: Session, args) -> int:
     lat = session.lattice
     rows = []
     for cls in range(lat.num_classes):
-        rep_idx = lat.class_reps[cls]
-        rep = lat.subgroups[rep_idx]
+        rep = lat.subgroups[lat.class_reps[cls]]
         rows.append(
             {
                 "label": session.labels[cls],
                 "order": rep.order,
                 "class_size": lat.class_size(cls),
-                "normalizer_order": lat.normalizer(rep_idx).order,
+                # Orbit-stabilizer: a class of subgroups H has [G : N_G(H)] members.
+                "normalizer_order": session.group.order // lat.class_size(cls),
             }
         )
     if args.fmt == "json":

@@ -392,7 +392,7 @@ def _sub_label(system: GhostSystem, idx: int) -> str:
 
 
 def verify_axioms(
-    group_or_system, config: VerifyConfig | None = None
+    system: GhostSystem, config: VerifyConfig | None = None
 ) -> VerificationReport:
     """Run the full axiom sweep; returns a report with per-axiom instance counts.
 
@@ -402,10 +402,6 @@ def verify_axioms(
     random ghost vectors.
     """
     cfg = config or VerifyConfig()
-    if isinstance(group_or_system, GhostSystem):
-        system = group_or_system
-    else:
-        system = GhostSystem(group_or_system)
     group = system.group
     lattice = system.lattice
     report = VerificationReport(group=group.name)

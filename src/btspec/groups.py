@@ -382,7 +382,6 @@ class FiniteGroup:
     elements: list[Permutation]
     mul_table: list[list[int]]
     inv: list[int]
-    identity_index: int = 0
     gen_indices: tuple[int, ...] = ()
     _orders: list[int] | None = field(default=None, repr=False)
 
@@ -399,7 +398,7 @@ class FiniteGroup:
             self._orders = [0] * self.order
         if self._orders[x] == 0:
             power, k = x, 1
-            while power != self.identity_index:
+            while power != 0:
                 power = self.mul_table[power][x]
                 k += 1
             self._orders[x] = k
@@ -457,7 +456,7 @@ def realize(spec: GroupSpec, max_order: int = DEFAULT_MAX_ORDER) -> FiniteGroup:
             row[j] = step_rows[row[x]][gi]
     inv = [mul[i].index(0) for i in range(n)]
     gen_indices = tuple(index[g.images] for g in gens)
-    return FiniteGroup(spec, degree, elements, mul, inv, 0, gen_indices)
+    return FiniteGroup(spec, degree, elements, mul, inv, gen_indices)
 
 
 def group_from_text(text: str, max_order: int = DEFAULT_MAX_ORDER) -> FiniteGroup:

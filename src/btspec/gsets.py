@@ -1,13 +1,14 @@
 """Brute-force finite G-set engine: an oracle only, never a production route.
 
-Coset spaces, products, disjoint unions, restriction, conjugation, induction
-(K x_H X) and coinduction (Map_H(K, X)) are all realized as honest point sets
-with explicit actions, and marks are counted fixed point by fixed point.  Its
-callers are the verifier's chi_* naturality checks (through
-``GhostSystem.oracle_marks``) and the tests; the table of marks itself is read
-off the lattice in ``burnside``.  Nothing here consults the lattice formula or
-the ghost-side maps, so agreement between the two routes is meaningful
-evidence.
+Coset spaces H/K, restriction, conjugation, induction (K x_H X) and
+coinduction (Map_H(K, X)) are realized as honest point sets with explicit
+actions, and marks are counted fixed point by fixed point.  These are the
+constructions the verifier's chi_* naturality checks need (through
+``GhostSystem.oracle_marks``); the table of marks itself is read off the
+lattice in ``burnside``.  Products, disjoint unions, orbit decomposition and
+the fixed-point counting identity, which only the tests use, live in
+``tests/oracles.py``.  Nothing here consults the lattice formula or the
+ghost-side maps, so agreement between the two routes is meaningful evidence.
 
 Action rows are filled lazily, one per acting element asked for.  Fixed
 points are tested on a generating set of the subgroup only (a point is fixed
@@ -20,8 +21,6 @@ from __future__ import annotations
 from .errors import CapExceededError, ContainmentError
 from .groups import FiniteGroup
 from .lattice import (
-    Subgroup,
-    bit_count,
     bits_iter,
     conjugate_bits,
     generating_set,
@@ -57,21 +56,6 @@ class GSet:
             self._rows[g] = row
         return row
 
-    def check(self) -> None:
-        """Assert the action respects the group law; test helper, O(|H|^2 * size)."""
-        members = list(bits_iter(self.acting_bits))
-        ident = self.group.identity_index
-        assert self.action_row(ident) == tuple(range(self.size)), "identity must act trivially"
-        mul = self.group.mul_table
-        for g in members:
-            rg = self.action_row(g)
-            for h in members:
-                rh = self.action_row(h)
-                rgh = self.action_row(mul[g][h])
-                assert all(rg[rh[x]] == rgh[x] for x in range(self.size)), (
-                    f"action violates the group law at g={g}, h={h}"
-                )
-
 
 def coset_space(group: FiniteGroup, H_bits: int, K_bits: int) -> GSet:
     """The H-set H/K of left cosets, K <= H, points ordered by least coset rep."""
@@ -90,31 +74,6 @@ def coset_space(group: FiniteGroup, H_bits: int, K_bits: int) -> GSet:
         return [coset_of[row[r]] for r in reps]
 
     return GSet(group, H_bits, len(reps), row_fn)
-
-
-def product(X: GSet, Y: GSet) -> GSet:
-    """Cartesian product with the diagonal action; point (x, y) has index x*|Y| + y."""
-    if X.acting_bits != Y.acting_bits:
-        raise ContainmentError("product requires a common acting subgroup")
-    sy = Y.size
-
-    def row_fn(g):
-        rx, ry = X.action_row(g), Y.action_row(g)
-        return [rx[i] * sy + ry[j] for i in range(X.size) for j in range(sy)]
-
-    return GSet(X.group, X.acting_bits, X.size * sy, row_fn)
-
-
-def disjoint_union(X: GSet, Y: GSet) -> GSet:
-    if X.acting_bits != Y.acting_bits:
-        raise ContainmentError("disjoint union requires a common acting subgroup")
-    sx = X.size
-
-    def row_fn(g):
-        rx, ry = X.action_row(g), Y.action_row(g)
-        return list(rx) + [sx + p for p in ry]
-
-    return GSet(X.group, X.acting_bits, sx + Y.size, row_fn)
 
 
 def restrict_gset(X: GSet, H_bits: int) -> GSet:
@@ -222,65 +181,3 @@ def fixed_points(X: GSet, I_bits: int) -> int:
         row = X.action_row(g)
         fixed = [x for x in fixed if row[x] == x]
     return len(fixed)
-
-
-def orbit_decompose(X: GSet) -> list[tuple[Subgroup, int]]:
-    """Orbits grouped by conjugacy class of point stabilizer.
-
-    Returns (canonical stabilizer, multiplicity) pairs sorted by (order, bits),
-    where the canonical stabilizer is the least bitset among the stabilizers
-    occurring along each orbit.  Sum of multiplicity * index(stabilizer)
-    recovers |X|.
-    """
-    members = list(bits_iter(X.acting_bits))
-    rows = {g: X.action_row(g) for g in members}
-    seen = [False] * X.size
-    counts: dict[int, int] = {}
-    for x0 in range(X.size):
-        if seen[x0]:
-            continue
-        orbit = {x0}
-        frontier = [x0]
-        while frontier:
-            nxt = []
-            for x in frontier:
-                for g in members:
-                    y = rows[g][x]
-                    if y not in orbit:
-                        orbit.add(y)
-                        nxt.append(y)
-            frontier = nxt
-        best = None
-        for x in orbit:
-            seen[x] = True
-            stab = 0
-            for g in members:
-                if rows[g][x] == x:
-                    stab |= 1 << g
-            if best is None or stab < best:
-                best = stab
-        counts[best] = counts.get(best, 0) + 1
-    out = [(Subgroup(b, bit_count(b)), m) for b, m in counts.items()]
-    out.sort(key=lambda t: (t[0].order, t[0].members))
-    return out
-
-
-def fixed_point_identity_check(
-    group: FiniteGroup, H_bits: int, K_bits: int, J_bits: int
-) -> bool:
-    """Check |(G/H)^J| = sum over J-fixed cosets xK of |(K/H)^{J^x}|.
-
-    Requires H <= K <= G and J <= G; the inner fixed-point sets use the
-    conjugate J^x = x^-1 J x, which lands inside K exactly when xK is J-fixed.
-    """
-    if not is_subset(H_bits, K_bits):
-        raise ContainmentError("H must be contained in K")
-    full = (1 << group.order) - 1
-    lhs = fixed_points(coset_space(group, full, H_bits), J_bits)
-    inner = coset_space(group, K_bits, H_bits)
-    rhs = 0
-    for x in left_transversal(group, full, K_bits):
-        jx = conjugate_bits(group, group.inv[x], J_bits)
-        if is_subset(jx, K_bits):
-            rhs += fixed_points(inner, jx)
-    return lhs == rhs

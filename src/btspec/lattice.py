@@ -57,15 +57,14 @@ class Subgroup:
         return list(bits_iter(self.members))
 
 
-def closure(group: FiniteGroup, generators, base: int | None = None) -> int:
+def closure(group: FiniteGroup, generators, base: int = 1) -> int:
     """Bitset of the subgroup generated by the given element indices.
 
-    With ``base`` (the bitset of a subgroup S) it is the join of S and the
+    With ``base`` (the bitset of a subgroup S; by default the trivial
+    subgroup, as the identity is element 0) it is the join of S and the
     generators, grown from S one whole left coset yS at a time.
     """
     mul = group.mul_table
-    if base is None:
-        base = 1 << group.identity_index
     base_list = list(bits_iter(base))
     bits = base
     frontier = base_list
@@ -89,7 +88,7 @@ def closure(group: FiniteGroup, generators, base: int | None = None) -> int:
 def generating_set(group: FiniteGroup, bits: int) -> list[int]:
     """A small generating set of the subgroup ``bits``: least elements first."""
     gens: list[int] = []
-    span = 1 << group.identity_index
+    span = 1  # the trivial subgroup
     for x in bits_iter(bits):
         if span == bits:
             break
@@ -175,7 +174,6 @@ class SubgroupLattice:
     class_of: list[int]
     class_reps: list[int]
     below: list[int]
-    _normalizers: list[Subgroup | None] | None = field(default=None, repr=False)
     _class_sizes: list[int] | None = field(default=None, repr=False)
     _residuals: dict[tuple[int, int], int] = field(default_factory=dict, repr=False)
 
@@ -205,16 +203,6 @@ class SubgroupLattice:
         """Indices of all subgroups contained in the given subgroup, ascending."""
         top = self.subgroups[sub_idx].members
         return tuple(i for i, s in enumerate(self.subgroups) if is_subset(s.members, top))
-
-    def normalizer(self, sub_idx: int) -> Subgroup:
-        if self._normalizers is None:
-            self._normalizers = [None] * len(self.subgroups)
-        cached = self._normalizers[sub_idx]
-        if cached is None:
-            bits = normalizer_bits(self.group, self.subgroups[sub_idx].members)
-            cached = Subgroup(bits, bit_count(bits))
-            self._normalizers[sub_idx] = cached
-        return cached
 
     def is_subconjugate(self, h_idx: int, k_idx: int) -> bool:
         """True iff some conjugate of subgroup h lies inside subgroup k."""
@@ -317,7 +305,7 @@ def subgroup_lattice(group: FiniteGroup) -> SubgroupLattice:
                         new.append(cb)
             frontier = new
 
-    add_class(1 << group.identity_index, ())
+    add_class(1, ())
     for s_bits, s_gens in reps:  # add_class appends while this loop walks reps
         conj = () if group.is_abelian else generating_set(group, normalizer_bits(group, s_bits))
         done = bytearray(group.order)
@@ -358,7 +346,7 @@ def subgroup_lattice(group: FiniteGroup) -> SubgroupLattice:
 def p_residual_bits(group: FiniteGroup, H_bits: int, p: int) -> int:
     """Bitset of O^p(H), the subgroup generated by all p'-elements of H: the
     span grows only by p'-elements not already in it, as in generating_set."""
-    span = 1 << group.identity_index
+    span = 1  # the trivial subgroup
     for x in bits_iter(H_bits):
         if not span >> x & 1 and group.element_order(x) % p:
             span = closure(group, (x,), span)

@@ -42,6 +42,11 @@ from .lattice import bits_iter, conjugate_bits, is_subset
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
+# Most extra primes the CLI materializes as fibers.  Each adds one node per
+# class, and successor rows are bitsets over all node ids, so time and memory
+# grow about with the square of the fiber count.
+MAX_EXTRA_PRIMES = 4
+
 
 def is_prime(n: int) -> bool:
     """Deterministic Miller-Rabin on the first 12 prime bases: exact for
@@ -140,18 +145,6 @@ def make_family(lattice, classes) -> frozenset[int]:
 def principal_family(lattice, cls: int) -> frozenset[int]:
     """F_H = all classes subconjugate to the given class."""
     return frozenset(bits_iter(lattice.below[cls]))
-
-
-def all_families(lattice) -> list[frozenset[int]]:
-    """Every nonempty downward-closed class set, ordered by (size, sorted members)."""
-    n = lattice.num_classes
-    out = []
-    for mask in range(1, 1 << n):
-        cset = frozenset(c for c in range(n) if mask >> c & 1)
-        if family_closed(lattice, cset):
-            out.append(cset)
-    out.sort(key=lambda f: (len(f), sorted(f)))
-    return out
 
 
 def family_maximal_classes(lattice, family) -> list[int]:
@@ -369,21 +362,15 @@ def q_condition_check(
     p: int,
     a: GhostElement,
     b: GhostElement,
-    exhaustive_levels: bool = False,
 ) -> bool:
     """Evaluate the primality relation Q for the ideal attached to (family, p).
 
     Iterates every pair of generalized products nm.conj.res applied to a and b
     over all admissible (H1, g1, H2, g2, L); conjugation equivariance of the
-    ideal reduces L to class representatives unless ``exhaustive_levels``.
+    ideal reduces L to class representatives.
     """
     validate_prime_or_zero(p)
-    lattice = system.lattice
-    if exhaustive_levels:
-        level_ids = list(range(len(lattice.subgroups)))
-    else:
-        level_ids = [lattice.class_reps[c] for c in range(lattice.num_classes)]
-    for L_idx in level_ids:
+    for L_idx in system.lattice.class_reps:
         va = _norm_route_values(system, a, L_idx)
         vb = _norm_route_values(system, b, L_idx)
         for v1 in va:

@@ -1,0 +1,184 @@
+"""Independent oracles that only the tests call.
+
+Each function here recomputes a quantity that ``btspec`` computes by one
+production route, by a different and more direct route: G-set products,
+disjoint unions and orbit decompositions for Burnside products, the
+double-coset formula for ``LevelRing.multiply``, the fixed-point counting
+identity, every subgroup family, and the Q-condition over every level.
+"""
+
+from __future__ import annotations
+
+from btspec.burnside import BurnsideElement
+from btspec.errors import ContainmentError
+from btspec.groups import FiniteGroup
+from btspec.gsets import GSet, coset_space, fixed_points
+from btspec.lattice import (
+    Subgroup,
+    bit_count,
+    bits_iter,
+    conjugate_bits,
+    double_coset_reps,
+    is_subset,
+    left_transversal,
+)
+from btspec.spectrum import (
+    _norm_route_values,
+    family_closed,
+    ghost_ideal_membership,
+    validate_prime_or_zero,
+)
+
+
+# -- G-sets --------------------------------------------------------------------
+
+
+def check_action(X: GSet) -> None:
+    """Assert the action respects the group law; O(|H|^2 * size)."""
+    members = list(bits_iter(X.acting_bits))
+    assert X.action_row(0) == tuple(range(X.size)), "identity must act trivially"
+    mul = X.group.mul_table
+    for g in members:
+        rg = X.action_row(g)
+        for h in members:
+            rh = X.action_row(h)
+            rgh = X.action_row(mul[g][h])
+            assert all(rg[rh[x]] == rgh[x] for x in range(X.size)), (
+                f"action violates the group law at g={g}, h={h}"
+            )
+
+
+def product(X: GSet, Y: GSet) -> GSet:
+    """Cartesian product with the diagonal action; point (x, y) has index x*|Y| + y."""
+    if X.acting_bits != Y.acting_bits:
+        raise ContainmentError("product requires a common acting subgroup")
+    sy = Y.size
+
+    def row_fn(g):
+        rx, ry = X.action_row(g), Y.action_row(g)
+        return [rx[i] * sy + ry[j] for i in range(X.size) for j in range(sy)]
+
+    return GSet(X.group, X.acting_bits, X.size * sy, row_fn)
+
+
+def disjoint_union(X: GSet, Y: GSet) -> GSet:
+    if X.acting_bits != Y.acting_bits:
+        raise ContainmentError("disjoint union requires a common acting subgroup")
+    sx = X.size
+
+    def row_fn(g):
+        rx, ry = X.action_row(g), Y.action_row(g)
+        return list(rx) + [sx + p for p in ry]
+
+    return GSet(X.group, X.acting_bits, sx + Y.size, row_fn)
+
+
+def orbit_decompose(X: GSet) -> list[tuple[Subgroup, int]]:
+    """Orbits grouped by conjugacy class of point stabilizer.
+
+    Returns (canonical stabilizer, multiplicity) pairs sorted by (order, bits),
+    where the canonical stabilizer is the least bitset among the stabilizers
+    occurring along each orbit.  Sum of multiplicity * index(stabilizer)
+    recovers |X|.
+    """
+    members = list(bits_iter(X.acting_bits))
+    rows = {g: X.action_row(g) for g in members}
+    seen = [False] * X.size
+    counts: dict[int, int] = {}
+    for x0 in range(X.size):
+        if seen[x0]:
+            continue
+        orbit = {x0}
+        frontier = [x0]
+        while frontier:
+            nxt = []
+            for x in frontier:
+                for g in members:
+                    y = rows[g][x]
+                    if y not in orbit:
+                        orbit.add(y)
+                        nxt.append(y)
+            frontier = nxt
+        best = None
+        for x in orbit:
+            seen[x] = True
+            stab = 0
+            for g in members:
+                if rows[g][x] == x:
+                    stab |= 1 << g
+            if best is None or stab < best:
+                best = stab
+        counts[best] = counts.get(best, 0) + 1
+    out = [(Subgroup(b, bit_count(b)), m) for b, m in counts.items()]
+    out.sort(key=lambda t: (t[0].order, t[0].members))
+    return out
+
+
+def fixed_point_identity_check(
+    group: FiniteGroup, H_bits: int, K_bits: int, J_bits: int
+) -> bool:
+    """Check |(G/H)^J| = sum over J-fixed cosets xK of |(K/H)^{J^x}|.
+
+    Requires H <= K <= G and J <= G; the inner fixed-point sets use the
+    conjugate J^x = x^-1 J x, which lands inside K exactly when xK is J-fixed.
+    """
+    if not is_subset(H_bits, K_bits):
+        raise ContainmentError("H must be contained in K")
+    full = (1 << group.order) - 1
+    lhs = fixed_points(coset_space(group, full, H_bits), J_bits)
+    inner = coset_space(group, K_bits, H_bits)
+    rhs = 0
+    for x in left_transversal(group, full, K_bits):
+        jx = conjugate_bits(group, group.inv[x], J_bits)
+        if is_subset(jx, K_bits):
+            rhs += fixed_points(inner, jx)
+    return lhs == rhs
+
+
+# -- Burnside rings ------------------------------------------------------------
+
+
+def double_coset_product(ring, x: BurnsideElement, y: BurnsideElement) -> BurnsideElement:
+    """x * y in A(H) as the bilinear extension of the double-coset formula
+    [H/K] * [H/L] = sum over K\\H/L of [H/(K cap ^g L)]."""
+    group, H_bits = ring.group, ring.subgroup.members
+    out = [0] * ring.num_classes
+    for k_cls, a in enumerate(x.coeffs):
+        if a == 0:
+            continue
+        K_bits = ring.class_rep_subgroup(k_cls).members
+        for l_cls, b in enumerate(y.coeffs):
+            if b == 0:
+                continue
+            L_bits = ring.class_rep_subgroup(l_cls).members
+            for g in double_coset_reps(group, K_bits, H_bits, L_bits):
+                out[ring.class_of_bits(K_bits & conjugate_bits(group, g, L_bits))] += a * b
+    return BurnsideElement(ring.level_index, tuple(out))
+
+
+# -- spectrum ------------------------------------------------------------------
+
+
+def all_families(lattice) -> list[frozenset[int]]:
+    """Every nonempty downward-closed class set, ordered by (size, sorted members)."""
+    n = lattice.num_classes
+    out = []
+    for mask in range(1, 1 << n):
+        cset = frozenset(c for c in range(n) if mask >> c & 1)
+        if family_closed(lattice, cset):
+            out.append(cset)
+    out.sort(key=lambda f: (len(f), sorted(f)))
+    return out
+
+
+def q_condition_all_levels(system, family, p: int, a, b) -> bool:
+    """``q_condition_check`` with L over every subgroup, not only class reps."""
+    validate_prime_or_zero(p)
+    for L_idx in range(len(system.lattice.subgroups)):
+        va = _norm_route_values(system, a, L_idx)
+        vb = _norm_route_values(system, b, L_idx)
+        for v1 in va:
+            for v2 in vb:
+                if not ghost_ideal_membership(system, family, p, v1 * v2):
+                    return False
+    return True

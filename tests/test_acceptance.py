@@ -17,10 +17,9 @@ from btspec.burnside import BurnsideElement, GhostElement
 from btspec.cli import run as cli_run
 from btspec.ghost import GhostSystem, VerifyConfig, verify_axioms
 from btspec.groups import group_from_text
-from btspec.gsets import coinduce, coset_space, induce, orbit_decompose, product
+from btspec.gsets import coinduce, coset_space, induce
 from btspec.spectrum import (
     GENERIC,
-    all_families,
     burnside_ring_spectrum,
     enumerate_spectrum,
     ghost_ideal_membership,
@@ -31,6 +30,7 @@ from btspec.spectrum import (
 )
 
 from conftest import CORPUS, labels_for, system_for
+from oracles import all_families, orbit_decompose, product
 
 
 def _passed(num, started, detail):

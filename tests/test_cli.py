@@ -17,9 +17,10 @@ from btspec.ghost import ALL_AXIOMS
 from btspec.groups import (
     DEFAULT_MAX_ORDER, MAX_DEGREE, MAX_ORDER, group_from_text, parse_group_spec,
 )
-from btspec.lattice import MAX_SUBGROUPS, subgroup_lattice
+from btspec.lattice import MAX_SUBGROUPS, bit_count, normalizer_bits, subgroup_lattice
+from btspec.spectrum import MAX_EXTRA_PRIMES
 
-from conftest import C2_5, C2_7, C840
+from conftest import C2_5, C2_7, C2_S6, C840, CORPUS, system_for
 
 
 @pytest.fixture()
@@ -143,6 +144,21 @@ DOT_REFUSED = "usage error: dot format applies to spec, ring-spec, and fibers\n"
 MEMBER_FLAGS = ("--level", "e", "--element", "1")
 
 
+def prime_flags(n):
+    """``--prime q`` for the first n primes from 5 up: none divides 2^a 3^b."""
+    primes, q = [], 5
+    while len(primes) < n:
+        if all(q % d for d in range(2, int(q**0.5) + 1)):
+            primes.append(q)
+        q += 2
+    return tuple(tok for p in primes for tok in ("--prime", str(p)))
+
+
+TOO_MANY_PRIMES = (
+    f"usage error: at most {MAX_EXTRA_PRIMES} distinct --prime values, got {MAX_EXTRA_PRIMES + 1}\n"
+)
+
+
 class TestArgsBeforeLattice:
     """Every usage error is reported after ``realize`` and before any lattice work."""
 
@@ -211,6 +227,14 @@ class TestArgsBeforeLattice:
                 id="ring-spec-nonprime",
             ),
             pytest.param(
+                ("spec", C2_5, *prime_flags(MAX_EXTRA_PRIMES + 1)), 2, TOO_MANY_PRIMES,
+                id="spec-too-many-primes",
+            ),
+            pytest.param(
+                ("ring-spec", C2_5, *prime_flags(MAX_EXTRA_PRIMES + 1)), 2, TOO_MANY_PRIMES,
+                id="ring-spec-too-many-primes",
+            ),
+            pytest.param(
                 ("verify", C2_5, "--axioms", "bogus"), 2,
                 "usage error: unknown axioms: bogus; choose from " + ", ".join(ALL_AXIOMS) + "\n",
                 id="verify-unknown-axiom",
@@ -219,6 +243,16 @@ class TestArgsBeforeLattice:
                 ("member", C2_5, "--ideal", "K4", *MEMBER_FLAGS), 2,
                 "usage error: --ideal must look like H,p (class label, prime or 0)\n",
                 id="member-ideal-shape",
+            ),
+            pytest.param(
+                ("member", "A4", "--ideal", "e,", "--level", "A4", "--element", "1,0,0,0,0"), 2,
+                "usage error: --ideal must look like H,p (class label, prime or 0)\n",
+                id="member-ideal-empty-prime",
+            ),
+            pytest.param(
+                ("member", "A4", "--ideal", "e,x", "--level", "A4", "--element", "1,0,0,0,0"), 2,
+                "usage error: --ideal must look like H,p (class label, prime or 0)\n",
+                id="member-ideal-prime-not-integer",
             ),
             pytest.param(
                 ("member", C2_5, "--ideal", "e,6", *MEMBER_FLAGS), 2,
@@ -239,6 +273,46 @@ class TestArgsBeforeLattice:
     )
     def test_refused_before_lattice(self, invoke, no_lattice, argv, code, err):
         assert invoke(*argv) == (code, "", err)
+
+
+class TestExtraPrimeBound:
+    """Each distinct spec/ring-spec --prime adds a fiber, and the successor
+    rows grow with the square of the node count: the count is bounded."""
+
+    def test_1000_distinct_primes_refused_quickly(self):
+        # Unbounded, 1000 extra fibers on C2^4 (67 classes) would be about
+        # 67,000 nodes, each with a successor row of about 67,000 bits.
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+        proc = subprocess.run(
+            [sys.executable, "-m", "btspec.cli", "--no-cache", "spec",
+             "perm:(0 1);(2 3);(4 5);(6 7)", *prime_flags(1000)],
+            capture_output=True, env=env, timeout=30,
+        )
+        assert proc.returncode == 2 and proc.stdout == b""
+        assert proc.stderr == (
+            f"usage error: at most {MAX_EXTRA_PRIMES} distinct --prime values, got 1000\n"
+        ).encode()
+
+    def test_bound_is_inclusive_and_counts_distinct_values(self, invoke):
+        flags = prime_flags(MAX_EXTRA_PRIMES)
+        code, out, err = invoke("spec", "perm:(0 1);(2 3);(4 5);(6 7)", *flags, *flags)
+        assert code == 0 and err == ""
+        assert out.count("\nfiber ") == 3 + MAX_EXTRA_PRIMES  # 0, 2, the extras, GENERIC
+
+
+class TestNormalizerOrders:
+    """``subgroups`` prints |G| / class size; the oracle computes N_G(H) itself."""
+
+    @pytest.mark.parametrize("text", CORPUS + ["GL3_2", "S6", C2_S6])
+    def test_printed_order_is_normalizer_order(self, invoke, text):
+        code, out, _ = invoke("--format", "json", "subgroups", text)
+        assert code == 0
+        lat = system_for(text).lattice
+        printed = [row["normalizer_order"] for row in json.loads(out)["classes"]]
+        assert printed == [
+            bit_count(normalizer_bits(lat.group, lat.subgroups[rep].members))
+            for rep in lat.class_reps
+        ]
 
 
 class TestClosedPipe:
@@ -335,6 +409,8 @@ GOLDEN_STDOUT = [
     ("D60", "subgroups", "text", "d3db488be33504fd385e583ea879d60de1c606b1177ec732a9aba9a78e341216"),
     ("Q24", "subgroups", "text", "78e9f8dd2d0878361b5345f9b295c39cc706040001f239e1838a179b5613dd84"),
     ("C840", "subgroups", "text", "8abff7210cc0d7252fa2ca816a4b35e4833444c261ddf9d1a16de86177200636"),
+    ("S6", "subgroups", "json", "e86be7d27ea057a31003b0a0c70fe9948109b1c8f942013f33bcc38f5352831f"),
+    ("C2_S6", "subgroups", "json", "229463ee9dbd55eb07af65b77cf629146c465f21a9ac7218f9985ed3d7951ad9"),
     ("S3", "verify", "text", "57f8abc15f8b110d43c862104e05a4786daebc0d59705ca9367d67164b0140e8"),
     ("S3", "verify", "json", "f2cff0e84cd0d887be55a729ff1f9fc3e51c2a2941eb8d116fe33fa8f9814043"),
     ("D4", "verify", "text", "0b99aaa7498c7b311d6beed8ab95da64a5baad69420c4efd1edb349aec196a4d"),
@@ -353,7 +429,7 @@ class TestGoldenStdout:
         ids=[f"{g} {c} {f}" for g, c, f, _ in GOLDEN_STDOUT],
     )
     def test_stdout_sha256(self, invoke, group, command, fmt, digest):
-        spec = {"C2_5": C2_5, "C840": C840}.get(group, group)
+        spec = {"C2_5": C2_5, "C2_S6": C2_S6, "C840": C840}.get(group, group)
         cmd, *rest = command.split()
         code, out, err = invoke("--format", fmt, cmd, spec, *rest)
         assert code == 0 and err == ""
@@ -615,6 +691,17 @@ class TestCache:
         out2 = capsys.readouterr().out
         assert code == 0 and out1 == out2
 
+    def test_cache_dir_that_is_a_file(self, tmp_path, capsys):
+        # Reading under a regular file is a miss, not a corrupt entry; only
+        # the failed write is reported.
+        blocker = tmp_path / "not-a-dir"
+        blocker.write_text("")
+        assert run(["--cache-dir", str(blocker), "subgroups", "A4"]) == 0
+        captured = capsys.readouterr()
+        assert "5 conjugacy classes" in captured.out
+        assert captured.err.count("\n") == 1
+        assert captured.err.startswith("btspec: cache write failed:")
+
     def test_cli_survives_corrupt_cache(self, tmp_path, capsys):
         cache_dir = tmp_path / "cache"
         run(["--cache-dir", str(cache_dir), "subgroups", "A4"])
@@ -654,3 +741,30 @@ class TestReadme:
             if flag.startswith("--") and flag != "--help"
         }
         assert documented == defined
+
+    def test_package_exports_resolve(self):
+        import btspec
+
+        missing = [name for name in btspec.__all__ if not hasattr(btspec, name)]
+        assert missing == []
+
+    def test_library_paragraph_names_existing_methods(self):
+        from btspec import GhostSystem, LevelRing
+
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        start = readme.index("\nStructure maps live on")
+        paragraph = " ".join(readme[start:readme.index("\n\n", start)].split())
+        on_system = re.findall(r"`(\w+)`", re.search(r"`GhostSystem` \(([^)]*)\)", paragraph)[1])
+        on_ring = re.findall(r"`(\w+)`", re.search(r"level rings expose ([^.]*)\.", paragraph)[1])
+        assert set(on_system) >= {"ghost_res", "ghost_tr", "ghost_nm", "ghost_conj", "burnside_nm"}
+        assert set(on_ring) >= {"marks", "unmark", "multiply"}
+        assert all(callable(getattr(GhostSystem, name, None)) for name in on_system)
+        assert all(callable(getattr(LevelRing, name, None)) for name in on_ring)
+
+    def test_oracles_live_only_in_tests(self):
+        from btspec import gsets, spectrum
+
+        for name in ("product", "disjoint_union", "orbit_decompose", "fixed_point_identity_check"):
+            assert not hasattr(gsets, name), name
+        assert not hasattr(gsets.GSet, "check")
+        assert not hasattr(spectrum, "all_families")

@@ -3,6 +3,7 @@
 import pytest
 
 from btspec.lattice import (
+    bit_count,
     bits_iter,
     closure,
     conjugate_bits,
@@ -10,6 +11,7 @@ from btspec.lattice import (
     is_subconjugate,
     is_subset,
     left_transversal,
+    normalizer_bits,
     p_residual,
 )
 from btspec.spectrum import prime_factors
@@ -260,13 +262,17 @@ class TestPResidual:
                 assert quotient == 1
 
 
+def normalizer_order(lat, idx):
+    return bit_count(normalizer_bits(lat.group, lat.subgroups[idx].members))
+
+
 class TestNormalizers:
     def test_s3(self, sys_s3):
         lat = sys_s3.lattice
         c2_idx = next(i for i, s in enumerate(lat.subgroups) if s.order == 2)
         c3_idx = next(i for i, s in enumerate(lat.subgroups) if s.order == 3)
-        assert lat.normalizer(c2_idx).order == 2
-        assert lat.normalizer(c3_idx).order == 6
+        assert normalizer_order(lat, c2_idx) == 2
+        assert normalizer_order(lat, c3_idx) == 6
 
     def test_diagonal_of_marks_is_weyl_order(self, sys_a4):
         ring = sys_a4.level(sys_a4.top_index)
@@ -274,5 +280,5 @@ class TestNormalizers:
         for cls in range(ring.num_classes):
             rep_idx = ring.class_reps[cls]
             rep = lat.subgroups[rep_idx]
-            weyl = lat.normalizer(rep_idx).order // rep.order
+            weyl = normalizer_order(lat, rep_idx) // rep.order
             assert ring.marks_matrix[cls][cls] == weyl

@@ -23,8 +23,8 @@ def _members(bits):
 
 def _generated(group, gens):
     mul = group.mul_table
-    bits = 1 << group.identity_index
-    frontier = [group.identity_index]
+    bits = 1  # the identity is element 0
+    frontier = [0]
     while frontier:
         new = []
         for x in frontier:

@@ -5,7 +5,6 @@ import pytest
 from btspec.burnside import GhostElement
 from btspec.spectrum import (
     GENERIC,
-    all_families,
     burnside_ideal_membership,
     burnside_ring_spectrum,
     enumerate_spectrum,
@@ -23,6 +22,7 @@ from btspec.spectrum import (
 )
 
 from conftest import C2_5, C840, CORPUS, labels_for, system_for
+from oracles import all_families, q_condition_all_levels
 
 
 def cls_of(text, label):
@@ -551,7 +551,8 @@ class TestWitness:
             {labels.index("e"), labels.index("C2"), labels.index("C3")},
         )
         a, b = non_prime_witness(sys_c6, fam, 2)
-        assert q_condition_check(sys_c6, fam, 2, a, b, exhaustive_levels=True)
+        assert q_condition_check(sys_c6, fam, 2, a, b)
+        assert q_condition_all_levels(sys_c6, fam, 2, a, b)
 
 
 class TestSemanticSoundness:
