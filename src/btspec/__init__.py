@@ -29,22 +29,16 @@ from .groups import (
 from .lattice import (
     Subgroup,
     SubgroupLattice,
-    double_cosets,
-    is_subconjugate,
-    p_residual,
     subgroup_lattice,
 )
 from .names import class_labels
 from .spectrum import (
-    PrimeIdeal,
     SpectrumNode,
     SpectrumPoset,
     burnside_ideal_membership,
     burnside_ring_spectrum,
     enumerate_spectrum,
     ghost_ideal_membership,
-    ideal_contains,
-    make_prime_ideal,
     non_prime_witness,
     q_condition_check,
 )
@@ -74,20 +68,14 @@ __all__ = [
     "realize",
     "Subgroup",
     "SubgroupLattice",
-    "double_cosets",
-    "is_subconjugate",
-    "p_residual",
     "subgroup_lattice",
     "class_labels",
-    "PrimeIdeal",
     "SpectrumNode",
     "SpectrumPoset",
     "burnside_ideal_membership",
     "burnside_ring_spectrum",
     "enumerate_spectrum",
     "ghost_ideal_membership",
-    "ideal_contains",
-    "make_prime_ideal",
     "non_prime_witness",
     "q_condition_check",
     "__version__",

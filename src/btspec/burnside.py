@@ -45,12 +45,6 @@ class BurnsideElement:
     def __neg__(self) -> "BurnsideElement":
         return BurnsideElement(self.level, tuple(-a for a in self.coeffs))
 
-    def scale(self, n: int) -> "BurnsideElement":
-        return BurnsideElement(self.level, tuple(n * a for a in self.coeffs))
-
-    def is_zero(self) -> bool:
-        return all(a == 0 for a in self.coeffs)
-
     def _check(self, other):
         if self.level != other.level:
             raise ValueError("level mismatch")
@@ -77,12 +71,6 @@ class GhostElement:
 
     def __neg__(self) -> "GhostElement":
         return GhostElement(self.level, tuple(-a for a in self.values))
-
-    def scale(self, n: int) -> "GhostElement":
-        return GhostElement(self.level, tuple(n * a for a in self.values))
-
-    def is_zero(self) -> bool:
-        return all(a == 0 for a in self.values)
 
     def _check(self, other):
         if self.level != other.level:
@@ -173,9 +161,6 @@ class LevelRing:
     def one(self) -> BurnsideElement:
         # [H/H] is the multiplicative unit; H itself is the last local class.
         return self.basis_element(self.num_classes - 1)
-
-    def zero(self) -> BurnsideElement:
-        return BurnsideElement(self.level_index, (0,) * self.num_classes)
 
     def element(self, coeffs) -> BurnsideElement:
         coeffs = tuple(int(c) for c in coeffs)

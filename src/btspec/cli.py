@@ -17,17 +17,17 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from . import cache as cache_mod
-from .errors import BtspecError, SpecParseError, SpecRangeError
+from .errors import BtspecError, PrimeCountError, SpecParseError, SpecRangeError
 from .ghost import DEFAULT_SEED, GhostSystem, VerifyConfig, verify_axioms, ALL_AXIOMS
 from .groups import DEFAULT_MAX_ORDER, MAX_ORDER, FiniteGroup, parse_group_spec, realize
 from .lattice import subgroup_lattice
 from .names import class_labels
 from .spectrum import (
     GENERIC,
-    MAX_EXTRA_PRIMES,
     SpectrumPoset,
     burnside_ring_spectrum,
     burnside_ideal_membership,
+    check_extra_primes,
     enumerate_spectrum,
     is_prime,
     residual_class,
@@ -39,6 +39,10 @@ GENERIC_NOTE = (
     "they are reported once under the key GENERIC"
 )
 
+# Error messages longer than this are cut to it, ending in "...": some echo
+# their input (a spec, a label, a flag value), and the longest fixed one, for
+# an unknown --axioms value, is about 300 characters.
+MAX_MESSAGE = 400
 
 
 class _UsageError(Exception):
@@ -156,9 +160,7 @@ def check_args(args) -> None:
     if cmd == "residual" and not is_prime(_below_limit(args.prime)):
         raise _UsageError(f"--prime must be a prime number, got {args.prime}")
     elif cmd in ("spec", "ring-spec"):
-        distinct = len(set(args.prime))
-        if distinct > MAX_EXTRA_PRIMES:
-            raise _UsageError(f"at most {MAX_EXTRA_PRIMES} distinct --prime values, got {distinct}")
+        check_extra_primes(args.prime)
         for q in args.prime:
             if not is_prime(_below_limit(q)):
                 raise _UsageError(f"--prime must be prime, got {q}")
@@ -532,6 +534,11 @@ _COMMANDS = {
 }
 
 
+def _clip(exc: Exception) -> str:
+    text = str(exc)
+    return text if len(text) <= MAX_MESSAGE else text[: MAX_MESSAGE - 3] + "..."
+
+
 def run(argv) -> int:
     try:
         args = build_parser().parse_args(argv)
@@ -545,11 +552,11 @@ def run(argv) -> int:
         return _COMMANDS[args.command](session, args)
     except SystemExit as exc:  # --help
         return int(exc.code or 0)
-    except (SpecParseError, SpecRangeError, _UsageError) as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
+    except (SpecParseError, SpecRangeError, PrimeCountError, _UsageError) as exc:
+        print(f"usage error: {_clip(exc)}", file=sys.stderr)
         return 2
     except BtspecError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        print(f"error: {_clip(exc)}", file=sys.stderr)
         return 1
 
 

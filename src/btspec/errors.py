@@ -27,6 +27,10 @@ class LatticeSizeError(BtspecError):
     """The group has more subgroups than lattice.MAX_SUBGROUPS."""
 
 
+class PrimeCountError(BtspecError):
+    """More distinct extra primes than spectrum.MAX_EXTRA_PRIMES."""
+
+
 class ContainmentError(BtspecError):
     """A required subgroup containment does not hold."""
 

@@ -100,26 +100,6 @@ class GhostSystem:
 
     # -- routing-table construction ------------------------------------------
 
-    def _tr_terms(self, K_bits: int, H_bits: int, I_bits: int) -> list[int]:
-        """Bitsets I^k over left-coset reps k of K/H, kept when I^k <= H."""
-        group = self.group
-        inv = group.inv
-        out = []
-        for k in left_transversal(group, K_bits, H_bits):
-            ik = conjugate_bits(group, inv[k], I_bits)
-            if is_subset(ik, H_bits):
-                out.append(ik)
-        return out
-
-    def _nm_factors(self, K_bits: int, H_bits: int, I_bits: int) -> list[int]:
-        """Bitsets I^g cap H over double-coset reps g of I\\K/H."""
-        group = self.group
-        inv = group.inv
-        return [
-            conjugate_bits(group, inv[g], I_bits) & H_bits
-            for g in double_coset_reps(group, I_bits, K_bits, H_bits)
-        ]
-
     def res_route(self, K_idx: int, H_idx: int) -> Callable:
         """res^K_H as a compiled projection of K-coordinates onto H-coordinates."""
         key = (K_idx, H_idx)
@@ -211,19 +191,24 @@ class GhostSystem:
     # -- per-subgroup coordinates (routes and Weyl-invariance checks) ----------
 
     def tr_term_classes(self, K_idx: int, H_idx: int, I_bits: int) -> tuple[int, ...]:
-        """H-classes of the terms I^k of tr^K_H at the subgroup I (not only class reps)."""
+        """H-classes of the terms I^k of tr^K_H at the subgroup I (not only class
+        reps): k runs over left-coset reps of K/H, kept when I^k <= H."""
+        group, H_bits = self.group, self._bits(H_idx)
         ringH = self.level(H_idx)
-        return tuple(
-            ringH.class_of_bits(ik)
-            for ik in self._tr_terms(self._bits(K_idx), self._bits(H_idx), I_bits)
+        terms = (
+            conjugate_bits(group, group.inv[k], I_bits)
+            for k in left_transversal(group, self._bits(K_idx), H_bits)
         )
+        return tuple(ringH.class_of_bits(ik) for ik in terms if is_subset(ik, H_bits))
 
     def nm_factor_classes(self, K_idx: int, H_idx: int, I_bits: int) -> tuple[int, ...]:
-        """H-classes of the factors I^g cap H of nm^K_H at the subgroup I."""
+        """H-classes of the factors I^g cap H of nm^K_H at the subgroup I, g over
+        double-coset reps of I\\K/H."""
+        group, H_bits = self.group, self._bits(H_idx)
         ringH = self.level(H_idx)
         return tuple(
-            ringH.class_of_bits(f)
-            for f in self._nm_factors(self._bits(K_idx), self._bits(H_idx), I_bits)
+            ringH.class_of_bits(conjugate_bits(group, group.inv[g], I_bits) & H_bits)
+            for g in double_coset_reps(group, I_bits, self._bits(K_idx), H_bits)
         )
 
     # -- oracle-side marks ------------------------------------------------------

@@ -50,9 +50,6 @@ class Permutation:
         img = self.images
         return Permutation(tuple(img[i] for i in other.images))
 
-    def __call__(self, point: int) -> int:
-        return self.images[point]
-
     def inverse(self) -> "Permutation":
         inv = [0] * len(self.images)
         for i, j in enumerate(self.images):

@@ -53,9 +53,6 @@ class Subgroup:
     members: int
     order: int
 
-    def element_indices(self) -> list[int]:
-        return list(bits_iter(self.members))
-
 
 def closure(group: FiniteGroup, generators, base: int = 1) -> int:
     """Bitset of the subgroup generated by the given element indices.
@@ -204,10 +201,6 @@ class SubgroupLattice:
         top = self.subgroups[sub_idx].members
         return tuple(i for i, s in enumerate(self.subgroups) if is_subset(s.members, top))
 
-    def is_subconjugate(self, h_idx: int, k_idx: int) -> bool:
-        """True iff some conjugate of subgroup h lies inside subgroup k."""
-        return bool(self.below[self.class_of[k_idx]] >> self.class_of[h_idx] & 1)
-
     def residual_class(self, cls: int, p: int) -> int:
         """Conjugacy class of O^p(H) for H the representative of class cls."""
         key = (cls, p)
@@ -351,21 +344,3 @@ def p_residual_bits(group: FiniteGroup, H_bits: int, p: int) -> int:
         if not span >> x & 1 and group.element_order(x) % p:
             span = closure(group, (x,), span)
     return span
-
-
-def p_residual(lattice: SubgroupLattice, H: Subgroup, p: int) -> Subgroup:
-    """O^p(H): smallest normal subgroup of H with p-power-order quotient."""
-    bits = p_residual_bits(lattice.group, H.members, p)
-    return lattice.subgroups[lattice.subgroup_index(bits)]
-
-
-def is_subconjugate(lattice: SubgroupLattice, H: Subgroup, K: Subgroup) -> bool:
-    return lattice.is_subconjugate(
-        lattice.subgroup_index(H.members), lattice.subgroup_index(K.members)
-    )
-
-
-def double_cosets(lattice_or_group, L: Subgroup, K: Subgroup, H: Subgroup) -> list[int]:
-    """Representatives of L\\K/H, one per double coset, least element index first."""
-    group = getattr(lattice_or_group, "group", lattice_or_group)
-    return double_coset_reps(group, L.members, K.members, H.members)

@@ -18,7 +18,9 @@ alongside the fibers over 0 and over each prime dividing |G|.
 
 All four rules read one fact, subconjugacy of canonical classes, so no node
 pair is ever compared: each node's successors are one bitset, filled from the
-classes subconjugate to its own.
+classes subconjugate to its own.  Containment lives only there:
+``_successor_rows`` fills the bitsets and ``SpectrumPoset.contains`` reads
+them.
 
 The companion Zariski spectrum of the plain Burnside ring A(G) has the same
 node set but only the 0-to-p containments with matching residual, and Krull
@@ -36,15 +38,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .burnside import BurnsideElement, GhostElement
+from .errors import PrimeCountError
 from .ghost import GhostSystem
 from .lattice import bits_iter, conjugate_bits, is_subset
 
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
-# Most extra primes the CLI materializes as fibers.  Each adds one node per
-# class, and successor rows are bitsets over all node ids, so time and memory
-# grow about with the square of the fiber count.
+# Most distinct extra primes a spectrum materializes as fibers.  Each adds one
+# node per class, and successor rows are bitsets over all node ids, so time
+# and memory grow about with the square of the fiber count.
 MAX_EXTRA_PRIMES = 4
 
 
@@ -79,6 +82,14 @@ def validate_prime_or_zero(p: int) -> int:
     return p
 
 
+def check_extra_primes(extra_primes) -> None:
+    """Refuse more than MAX_EXTRA_PRIMES distinct extra primes.  The message
+    names the CLI flag, which reports this error as a usage error."""
+    distinct = len(set(extra_primes))
+    if distinct > MAX_EXTRA_PRIMES:
+        raise PrimeCountError(f"at most {MAX_EXTRA_PRIMES} distinct --prime values, got {distinct}")
+
+
 def prime_factors(n: int) -> list[int]:
     out, d = [], 2
     while d * d <= n:
@@ -97,33 +108,6 @@ def residual_class(system: GhostSystem, cls: int, p: int) -> int:
     return system.lattice.residual_class(cls, p)
 
 
-@dataclass(frozen=True, eq=False)
-class PrimeIdeal:
-    """Prime ideal indexed by (subgroup class, p); equality is canonical.
-
-    Two ideals are equal iff they have the same p and, for p > 0, conjugate
-    p-residuals (for p = 0, conjugate subgroups).
-    """
-
-    subgroup_class: int
-    p: int
-    canonical_class: int
-
-    def __eq__(self, other):
-        if not isinstance(other, PrimeIdeal):
-            return NotImplemented
-        return self.p == other.p and self.canonical_class == other.canonical_class
-
-    def __hash__(self):
-        return hash((self.p, self.canonical_class))
-
-
-def make_prime_ideal(system: GhostSystem, cls: int, p: int) -> PrimeIdeal:
-    validate_prime_or_zero(p)
-    canonical = cls if p == 0 else residual_class(system, cls, p)
-    return PrimeIdeal(cls, p, canonical)
-
-
 # -- subgroup families --------------------------------------------------------
 
 
@@ -133,13 +117,6 @@ def family_closed(lattice, classes) -> bool:
     for c in classes:
         mask |= 1 << c
     return mask != 0 and all(not lattice.below[c] & ~mask for c in bits_iter(mask))
-
-
-def make_family(lattice, classes) -> frozenset[int]:
-    cset = frozenset(classes)
-    if not family_closed(lattice, cset):
-        raise ValueError("a subgroup family must be nonempty and closed under subconjugacy")
-    return cset
 
 
 def principal_family(lattice, cls: int) -> frozenset[int]:
@@ -184,17 +161,6 @@ def burnside_ideal_membership(
     return ghost_ideal_membership(
         system, principal_family(system.lattice, k_cls), p, system.ghost_map(x)
     )
-
-
-# -- containment ---------------------------------------------------------------
-
-
-def ideal_contains(system: GhostSystem, i1: PrimeIdeal, i2: PrimeIdeal) -> bool:
-    """True iff i1 is contained in i2: i1 has characteristic 0 or that of i2,
-    and the canonical class of i2 is subconjugate to that of i1."""
-    if i1.p != 0 and i1.p != i2.p:
-        return False
-    return bool(system.lattice.below[i1.canonical_class] >> i2.canonical_class & 1)
 
 
 # -- spectrum poset --------------------------------------------------------------
@@ -311,10 +277,10 @@ def _assemble(system, fiber_keys, ring: bool) -> SpectrumPoset:
 
 
 def _fiber_keys(system, extra_primes) -> list[str]:
+    extra_primes = set(extra_primes)
+    check_extra_primes(extra_primes)
     divisors = prime_factors(system.group.order)
-    extras = sorted(
-        {validate_prime_or_zero(q) for q in extra_primes} - set(divisors) - {0}
-    )
+    extras = sorted({validate_prime_or_zero(q) for q in extra_primes} - set(divisors) - {0})
     return ["0"] + [str(p) for p in divisors] + [str(q) for q in extras] + [GENERIC]
 
 

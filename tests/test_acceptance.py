@@ -373,7 +373,7 @@ def test_criterion_10_semantic_containment_a4():
             basis = ring.basis_element(j)
             pool.append(basis)
             for s in (2, 3, 5):
-                pool.append(basis.scale(s))
+                pool.append(ring.element([s * c for c in basis.coeffs]))
             indicator = [0] * ring.num_classes
             indicator[j] = cokernel_exponent(ring, j)
             pool.append(ring.unmark(GhostElement(level_idx, tuple(indicator))))

@@ -190,7 +190,7 @@ class TestMultiply:
         free = ring.basis_element(0)
         for i in range(ring.num_classes):
             k_order = ring.class_rep_subgroup(i).order
-            expected = ring.basis_element(0).scale(12 // k_order)
+            expected = ring.element([12 // k_order] + [0] * (ring.num_classes - 1))
             assert ring.multiply(free, ring.basis_element(i)) == expected
 
     @pytest.mark.parametrize("text", CORPUS)

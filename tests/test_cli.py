@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 from btspec.cache import cache_load, cache_path, cache_store, spec_cache_key
-from btspec.cli import build_parser, run
+from btspec.cli import MAX_MESSAGE, build_parser, run
 from btspec.errors import SpecRangeError
 from btspec.ghost import ALL_AXIOMS
 from btspec.groups import (
@@ -298,6 +298,35 @@ class TestExtraPrimeBound:
         code, out, err = invoke("spec", "perm:(0 1);(2 3);(4 5);(6 7)", *flags, *flags)
         assert code == 0 and err == ""
         assert out.count("\nfiber ") == 3 + MAX_EXTRA_PRIMES  # 0, 2, the extras, GENERIC
+
+
+C2_6 = "perm:(0 1);(2 3);(4 5);(6 7);(8 9);(10 11)"
+
+
+class TestLongInputErrors:
+    """Errors that echo their input stay one line of bounded length."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            pytest.param(("verify", "A4", "--seed", "7" * 5000), id="verify-seed"),
+            pytest.param(("spec", "x" * 20000), id="spec-text"),
+            pytest.param(("spec", "A4", "--prime", "7" * 5000), id="spec-prime"),
+            pytest.param(
+                ("member", "A4", "--ideal", "Q" * 3000 + ",2", "--level", "A4",
+                 "--element", "1,0,0,0,0"),
+                id="member-ideal-label",
+            ),
+            # The message lists all 2825 class labels of C2^6.
+            pytest.param(("marks", C2_6, "--level", "L" * 3000), id="marks-level"),
+        ],
+    )
+    def test_message_is_cut(self, invoke, argv):
+        code, out, err = invoke(*argv)
+        assert code in (1, 2) and out == ""
+        prefix, _, message = err.partition(": ")
+        assert prefix in ("error", "usage error")
+        assert message.endswith("...\n") and len(message) == MAX_MESSAGE + 1
 
 
 class TestNormalizerOrders:
@@ -762,9 +791,46 @@ class TestReadme:
         assert all(callable(getattr(LevelRing, name, None)) for name in on_ring)
 
     def test_oracles_live_only_in_tests(self):
-        from btspec import gsets, spectrum
+        import btspec
+        from btspec import burnside, ghost, groups, gsets, lattice, spectrum
 
         for name in ("product", "disjoint_union", "orbit_decompose", "fixed_point_identity_check"):
             assert not hasattr(gsets, name), name
         assert not hasattr(gsets.GSet, "check")
         assert not hasattr(spectrum, "all_families")
+        # Wrappers only tests called; the tests call what they wrapped.
+        for module, names in (
+            (lattice, ("double_cosets", "p_residual", "is_subconjugate")),
+            (spectrum, ("make_family", "PrimeIdeal", "make_prime_ideal", "ideal_contains")),
+        ):
+            for name in names:
+                assert not hasattr(module, name) and name not in btspec.__all__, name
+        for cls, names in (
+            (lattice.Subgroup, ("element_indices",)),
+            (lattice.SubgroupLattice, ("is_subconjugate",)),
+            (burnside.BurnsideElement, ("scale", "is_zero")),
+            (burnside.GhostElement, ("scale", "is_zero")),
+            (burnside.LevelRing, ("zero",)),
+            (groups.Permutation, ("__call__",)),
+            (ghost.GhostSystem, ("_tr_terms", "_nm_factors")),
+        ):
+            for name in names:
+                assert name not in vars(cls), f"{cls.__name__}.{name}"
+
+    def test_every_export_is_used_outside_tests(self):
+        import btspec
+
+        root = Path(__file__).resolve().parents[1]
+        paths = [p for p in (root / "src" / "btspec").glob("*.py") if p.name != "__init__.py"]
+        paths += [*(root / "scripts").glob("*.py"), root / "README.md"]
+        lines = [line for p in paths for line in p.read_text().splitlines()]
+        unused = [
+            name
+            for name in btspec.__all__
+            if name != "__version__"
+            and not any(
+                re.search(rf"\b{name}\b", line) and not re.match(rf"\s*(def|class) {name}\b", line)
+                for line in lines
+            )
+        ]
+        assert unused == []

@@ -3,9 +3,11 @@
 Drives ``cli.run`` in-process over named specs with small parameters,
 ``perm:`` strings (elementary abelian C2^k up to k = 7, where C2^7 has more
 subgroups than ``lattice.MAX_SUBGROUPS``, and random cycles), and malformed
-text, under subgroups, spec, marks, residual, ring-spec and fibers with good
-and bad ``--prime`` values (a prime above 10^18 and 2^64 among them), every
-``--format`` and ``--max-order`` values on both sides of ``groups.MAX_ORDER``.
+text, under subgroups, spec, marks, residual, ring-spec, fibers and member
+with good and bad ``--prime`` values (a prime above 10^18 and 2^64 among
+them), good and bad ``marks --level`` and ``member --ideal``/``--level``/
+``--element`` values, every ``--format`` and ``--max-order`` values on both
+sides of ``groups.MAX_ORDER``.
 """
 
 import contextlib
@@ -42,6 +44,12 @@ COMMANDS = st.tuples(
         st.sampled_from([*map(str, range(9)), "GENERIC", "junk"]).map(
             lambda p: ["fibers", "--prime", p]
         ),
+        st.sampled_from(["e", "C2", "C3", "junk"]).map(lambda l: ["marks", "--level", l]),
+        st.tuples(
+            st.sampled_from(["e,0", "e,2", "C2,3", "e,6", "e,x", "e", "junk,2"]),
+            st.sampled_from(["e", "C2", "junk"]),
+            st.sampled_from(["1", "1,0", "2,-1", "x", ""]),
+        ).map(lambda f: ["member", "--ideal", f[0], "--level", f[1], "--element", f[2]]),
     ),
     st.sampled_from(["text", "json", "dot"]),
 ).map(lambda cf: [*cf[0], "--format", cf[1]])
@@ -59,6 +67,12 @@ MAX_ORDERS = st.sampled_from(["0", "24", "60", "128", "200", "4097", "1000000"])
 @example(spec=C2_7, command=["spec"], max_order="128")
 @example(spec="S8", command=["subgroups"], max_order="50000")
 @example(spec="A4", command=["residual", "--prime", str(10**18 + 3)], max_order="24")
+@example(spec="A4", command=["marks", "--level", "K4"], max_order="24")
+@example(
+    spec="A4",
+    command=["member", "--ideal", "K4,2", "--level", "A4", "--element", "0,0,1,0,0"],
+    max_order="24",
+)
 def test_cli_exits_cleanly(spec, command, max_order):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
