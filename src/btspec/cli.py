@@ -55,6 +55,12 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+def integer(text: str) -> int:
+    """An int written as any Python int literal (``12``, ``0x1f``, ``0b101``);
+    argparse names this function in its error for a bad value."""
+    return int(text, 0)
+
+
 def _add_global_options(parser: argparse.ArgumentParser, suppress: bool) -> None:
     # Global options are accepted both before and after the subcommand; the
     # per-subcommand copies use SUPPRESS so they never clobber earlier values.
@@ -62,7 +68,7 @@ def _add_global_options(parser: argparse.ArgumentParser, suppress: bool) -> None
     parser.add_argument("--max-order", type=int, default=d(DEFAULT_MAX_ORDER))
     parser.add_argument("--cache-dir", type=Path, default=d(None))
     parser.add_argument("--no-cache", action="store_true", default=d(False))
-    parser.add_argument("--seed", type=lambda s: int(s, 0), default=d(DEFAULT_SEED))
+    parser.add_argument("--seed", type=integer, default=d(DEFAULT_SEED))
     parser.add_argument(
         "--format", dest="fmt", choices=("text", "json", "dot"), default=d("text")
     )

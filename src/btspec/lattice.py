@@ -137,24 +137,6 @@ def right_transversal(group: FiniteGroup, K_bits: int, H_bits: int) -> list[int]
     return reps
 
 
-def double_coset_reps(group: FiniteGroup, L_bits: int, K_bits: int, H_bits: int) -> list[int]:
-    """Least-index representatives of the double cosets L\\K/H (L, H <= K)."""
-    if not (is_subset(L_bits, K_bits) and is_subset(H_bits, K_bits)):
-        raise ContainmentError("L and H must be contained in K")
-    mul = group.mul_table
-    reps, covered = [], 0
-    h_list = list(bits_iter(H_bits))
-    for k in bits_iter(K_bits):
-        if covered >> k & 1:
-            continue
-        reps.append(k)
-        for l in bits_iter(L_bits):
-            row = mul[mul[l][k]]
-            for h in h_list:
-                covered |= 1 << row[h]
-    return reps
-
-
 @dataclass
 class SubgroupLattice:
     """All subgroups of a group, their conjugacy classes, and subconjugacy.

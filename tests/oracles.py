@@ -3,8 +3,10 @@
 Each function here recomputes a quantity that ``btspec`` computes by one
 production route, by a different and more direct route: G-set products,
 disjoint unions and orbit decompositions for Burnside products, the
-double-coset formula for ``LevelRing.multiply``, the fixed-point counting
-identity, every subgroup family, and the Q-condition over every level.
+double-coset formula for ``LevelRing.multiply``, double cosets covered
+element by element for ``GhostSystem.double_coset_reps``, the fixed-point
+counting identity, every subgroup family, and the Q-condition over every
+level.
 """
 
 from __future__ import annotations
@@ -18,7 +20,6 @@ from btspec.lattice import (
     bit_count,
     bits_iter,
     conjugate_bits,
-    double_coset_reps,
     is_subset,
     left_transversal,
 )
@@ -133,6 +134,27 @@ def fixed_point_identity_check(
         if is_subset(jx, K_bits):
             rhs += fixed_points(inner, jx)
     return lhs == rhs
+
+
+# -- cosets --------------------------------------------------------------------
+
+
+def double_coset_reps(group: FiniteGroup, L_bits: int, K_bits: int, H_bits: int) -> list[int]:
+    """Least-index representatives of the double cosets L\\K/H (L, H <= K)."""
+    if not (is_subset(L_bits, K_bits) and is_subset(H_bits, K_bits)):
+        raise ContainmentError("L and H must be contained in K")
+    mul = group.mul_table
+    reps, covered = [], 0
+    h_list = list(bits_iter(H_bits))
+    for k in bits_iter(K_bits):
+        if covered >> k & 1:
+            continue
+        reps.append(k)
+        for l in bits_iter(L_bits):
+            row = mul[mul[l][k]]
+            for h in h_list:
+                covered |= 1 << row[h]
+    return reps
 
 
 # -- Burnside rings ------------------------------------------------------------

@@ -86,6 +86,16 @@ class TestExitCodes:
         assert err.startswith("usage error:") and "--coinduce-cap" in err
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize("flags", [("--seed", "x"), ("verify", "A4", "--seed", "x")])
+    def test_bad_seed_names_its_type(self, invoke, flags):
+        code, out, err = invoke(*flags)
+        assert code == 2 and out == ""
+        assert err == "usage error: argument --seed: invalid integer value: 'x'\n"
+
+    @pytest.mark.parametrize("value,seed", [("0x10", 16), ("0b101", 5), ("-7", -7), ("12", 12)])
+    def test_seed_accepts_int_literals(self, value, seed):
+        assert build_parser().parse_args(["--seed", value, "verify", "S3"]).seed == seed
+
     def test_prime_beyond_64_bits_is_refused(self, invoke):
         code, out, err = invoke("residual", "A4", "--prime", str(2**64))
         assert code == 2 and out == ""
@@ -800,7 +810,7 @@ class TestReadme:
         assert not hasattr(spectrum, "all_families")
         # Wrappers only tests called; the tests call what they wrapped.
         for module, names in (
-            (lattice, ("double_cosets", "p_residual", "is_subconjugate")),
+            (lattice, ("double_cosets", "double_coset_reps", "p_residual", "is_subconjugate")),
             (spectrum, ("make_family", "PrimeIdeal", "make_prime_ideal", "ideal_contains")),
         ):
             for name in names:

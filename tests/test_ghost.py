@@ -1,14 +1,17 @@
 """Ghost structure maps, mark-map naturality, and the axiom verifier."""
 
+from operator import itemgetter
+
 import pytest
 
 from btspec.burnside import BurnsideElement, GhostElement
 from btspec.errors import ContainmentError
 from btspec.ghost import GhostSystem, VerifyConfig, verify_axioms
 from btspec.gsets import coinduce, coset_space, induce
-from btspec.lattice import conjugate_bits, double_coset_reps, is_subset, left_transversal
+from btspec.lattice import conjugate_bits, is_subset, left_transversal
 
 from conftest import system_for
+from oracles import double_coset_reps
 
 
 def sub_idx_of_order(lattice, order, nth=0):
@@ -435,3 +438,204 @@ class TestVerify:
         report = verify_axioms(sys_s3, VerifyConfig(axioms=("frobenius",)))
         assert set(report.counts) == {"frobenius"}
         assert report.ok
+
+
+class ExtraTermSystem(GhostSystem):
+    """Deliberate fault injection: at every nontrivial subgroup I, tr^K_H gains
+    a term at the trivial subgroup, which no conjugate of I is."""
+
+    def tr_term_classes(self, K_idx, H_idx, I_bits):
+        terms = super().tr_term_classes(K_idx, H_idx, I_bits)
+        return terms if I_bits == 1 else terms + (0,)
+
+
+class DroppedLegSystem(GhostSystem):
+    """Deliberate fault injection: nm^L_1 loses the last factor of its top
+    coordinate for L the C2 class rep, a leg of the multiplicative
+    double-coset formula wherever L meets a conjugate of H trivially."""
+
+    def nm_route(self, K_idx, H_idx):
+        route = super().nm_route(K_idx, H_idx)
+        if (K_idx, H_idx) == (sub_idx_of_order(self.lattice, 2), 0):
+            route = route[:-1] + (route[-1][:-1],)
+        return route
+
+
+def _misread_last(project, n):
+    """``project`` on n source coordinates, reading source 0 at its last target."""
+    return itemgetter(*project(tuple(range(n)))[:-1], 0)
+
+
+class MisreadResSystem(GhostSystem):
+    """Deliberate fault injection: res^G_C2, for C2 the class rep, reads the
+    trivial subgroup's coordinate at C2's own."""
+
+    def res_route(self, K_idx, H_idx):
+        route = super().res_route(K_idx, H_idx)
+        if (K_idx, H_idx) == (self.top_index, sub_idx_of_order(self.lattice, 2)):
+            route = _misread_last(route, self.level(K_idx).num_classes)
+        return route
+
+
+class MisreadConjSystem(GhostSystem):
+    """Deliberate fault injection: c_g on the C2 class rep, for the least g
+    normalizing C2 outside it, reads the trivial subgroup's coordinate at
+    C2's own."""
+
+    def conj_route(self, g, H_idx):
+        target_idx, project = super().conj_route(g, H_idx)
+        C2 = sub_idx_of_order(self.lattice, 2)
+        bits = self.lattice.subgroups[C2].members
+        g0 = next(
+            x for x in range(self.group.order)
+            if not bits >> x & 1 and conjugate_bits(self.group, x, bits) == bits
+        )
+        if (g, H_idx) == (g0, C2):
+            project = _misread_last(project, self.level(H_idx).num_classes)
+        return target_idx, project
+
+
+def _loops_only(monkeypatch):
+    """Make every identity decision fail, so each block runs its loop."""
+    import btspec.ghost as ghost_mod
+
+    monkeypatch.setattr(ghost_mod._Recorder, "proved", lambda self, axiom, holds, n: False)
+
+
+def _summary(report):
+    return (
+        list(report.counts.items()),
+        [(f.axiom, f.instance, f.detail) for f in report.failures],
+        report.suppressed_failures,
+    )
+
+
+class TestIdentityProofs:
+    """Deciding a block on the routing tables gives the report the
+    per-element loops give: counts in the same key order, the same failures
+    in the same order, the same number suppressed."""
+
+    MUTANTS = {
+        "FlippedTrSystem": FlippedTrSystem,
+        "FlippedNmSystem": FlippedNmSystem,
+        "ExtraTermSystem": ExtraTermSystem,
+        "DroppedLegSystem": DroppedLegSystem,
+        "MisreadResSystem": MisreadResSystem,
+        "MisreadConjSystem": MisreadConjSystem,
+    }
+
+    @staticmethod
+    def _both(make, cfg, monkeypatch):
+        proved = _summary(verify_axioms(make(), cfg))
+        with monkeypatch.context() as m:
+            _loops_only(m)
+            looped = _summary(verify_axioms(make(), cfg))
+        return proved, looped
+
+    @pytest.mark.parametrize("text", ["S3", "A4", "Q8", "D6", "S4"])
+    def test_corpus_agrees_with_loops(self, text, monkeypatch):
+        from btspec.groups import group_from_text
+
+        proved, looped = self._both(
+            lambda: GhostSystem(group_from_text(text)),
+            VerifyConfig(random_elements=4),
+            monkeypatch,
+        )
+        assert proved == looped
+        assert not proved[1]
+
+    @pytest.mark.parametrize("text", ["S3", "A4", "Q8"])
+    def test_default_config_agrees_with_loops(self, text, monkeypatch):
+        proved, looped = self._both(lambda: system_for(text), None, monkeypatch)
+        assert proved == looped
+
+    @pytest.mark.parametrize("cap", [25, 10**9])
+    @pytest.mark.parametrize(
+        "name,text",
+        [
+            ("FlippedTrSystem", "A4"),
+            ("FlippedTrSystem", "S4"),
+            ("FlippedNmSystem", "S3"),
+            ("FlippedNmSystem", "A4"),
+            ("ExtraTermSystem", "S3"),
+            ("ExtraTermSystem", "Q8"),
+            ("DroppedLegSystem", "S3"),
+            ("DroppedLegSystem", "A4"),
+            ("MisreadResSystem", "A4"),
+            ("MisreadConjSystem", "A4"),
+        ],
+    )
+    def test_mutants_agree_with_loops(self, name, text, cap, monkeypatch):
+        import btspec.ghost as ghost_mod
+        from btspec.groups import group_from_text
+
+        monkeypatch.setattr(ghost_mod, "MAX_RECORDED_FAILURES", cap)
+        proved, looped = self._both(
+            lambda: self.MUTANTS[name](group_from_text(text)),
+            VerifyConfig(random_elements=4),
+            monkeypatch,
+        )
+        assert proved == looped
+        assert proved[1]
+
+    @pytest.mark.parametrize("text", ["S3", "A4"])
+    def test_dropped_leg_reaches_the_fallback(self, text, monkeypatch):
+        import btspec.ghost as ghost_mod
+
+        fallback_checks = []
+        check = ghost_mod._Recorder.check
+
+        def spy(self, axiom, ok, instance, detail=""):
+            if axiom == "multiplicative_double_coset":
+                fallback_checks.append(ok)
+            check(self, axiom, ok, instance, detail)
+
+        monkeypatch.setattr(ghost_mod._Recorder, "check", spy)
+        from btspec.groups import group_from_text
+
+        report = verify_axioms(
+            DroppedLegSystem(group_from_text(text)),
+            VerifyConfig(axioms=("multiplicative_double_coset",), random_elements=4),
+        )
+        assert fallback_checks and not all(fallback_checks)
+        assert {f.axiom for f in report.failures} == {"multiplicative_double_coset"}
+        assert report.counts == verify_axioms(
+            system_for(text),
+            VerifyConfig(axioms=("multiplicative_double_coset",), random_elements=4),
+        ).counts
+
+
+class TestCosets:
+    """``GhostSystem`` reads transversals and double cosets off one coset map
+    per (K, H); they must match the lattice's direct enumeration."""
+
+    @pytest.mark.parametrize("text", ["S3", "A4", "Q8", "D6", "S4"])
+    def test_match_lattice(self, text):
+        s = system_for(text)
+        g, lat = s.group, s.lattice
+        for K_idx in lat.class_reps:
+            K_bits = lat.subgroups[K_idx].members
+            reps = s.level(K_idx).class_reps
+            for H_idx in reps:
+                H_bits = lat.subgroups[H_idx].members
+                assert s.left_cosets(K_idx, H_idx)[0] == left_transversal(g, K_bits, H_bits)
+                for L_idx in reps:
+                    L_bits = lat.subgroups[L_idx].members
+                    assert s.double_coset_reps(L_bits, K_idx, H_idx) == double_coset_reps(
+                        g, L_bits, K_bits, H_bits
+                    )
+
+
+class TestAxiomSweepScript:
+    def test_small_groups_pass(self, capsys):
+        import importlib.util
+        from pathlib import Path
+
+        path = Path(__file__).resolve().parents[1] / "scripts" / "axiom_sweep.py"
+        spec = importlib.util.spec_from_file_location("axiom_sweep", path)
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        assert module.main(["S3", "A4"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert [line.split()[0] for line in lines] == ["S3", "A4", "total:"]
+        assert all(line.endswith("ok") for line in lines[:2])

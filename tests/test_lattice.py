@@ -7,7 +7,6 @@ from btspec.lattice import (
     bits_iter,
     closure,
     conjugate_bits,
-    double_coset_reps,
     is_subset,
     left_transversal,
     normalizer_bits,
@@ -16,6 +15,7 @@ from btspec.lattice import (
 from btspec.spectrum import prime_factors
 
 from conftest import C840, CORPUS, labels_for, system_for
+from oracles import double_coset_reps
 
 
 def p_residual_normal_oracle(lattice, H, p):
