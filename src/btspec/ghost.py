@@ -11,10 +11,10 @@ conjugacy classes).  The four structure maps act coordinatewise:
 with ^g S = g S g^-1 and S^g = g^-1 S g; the two conventions are NOT
 interchangeable here, and the verifier's double-coset checks fail if they are
 swapped.  Maps are compiled once per level pair into routing tables, so
-repeated applications are cheap; the res and conj routes, which are pure
-projections, are ``operator.itemgetter`` callables.  Left cosets K/H are
-enumerated once per (K, H) and serve both the transfer terms and the double
-cosets of the norm factors.
+repeated applications are cheap: a res or conj route is the tuple of source
+coordinates its target coordinates read.  Left cosets K/H are enumerated once
+per (K, H) and serve both the transfer terms and the double cosets of the norm
+factors.
 
 ``verify_axioms`` machine-checks, exhaustively over subgroup-chain classes:
 functoriality of all four maps, both double-coset formulas, Frobenius
@@ -39,10 +39,8 @@ routes are applied.
 from __future__ import annotations
 
 import random
-from collections.abc import Callable
 from dataclasses import dataclass, field
 from math import prod
-from operator import itemgetter
 
 from .burnside import BurnsideElement, GhostElement, LevelRing
 from .errors import CapExceededError, ContainmentError
@@ -70,14 +68,6 @@ CONJ_PAIR_CAP = 4096  # all (g, h) pairs for conj_functoriality while |G|^2 fits
 MAX_RECORDED_FAILURES = 25  # later failures are only counted
 
 
-def _projection(route: tuple[int, ...]) -> Callable:
-    """``vals -> tuple(vals[i] for i in route)`` as one C call (route nonempty)."""
-    if len(route) == 1:
-        i = route[0]
-        return lambda vals: (vals[i],)  # itemgetter(i) would return a scalar
-    return itemgetter(*route)
-
-
 class GhostSystem:
     """Level-indexed ghost rings with restriction, transfer, norm, conjugation.
 
@@ -89,10 +79,10 @@ class GhostSystem:
         self.group = group
         self.lattice = lattice if lattice is not None else subgroup_lattice(group)
         self._levels: dict[int, LevelRing] = {}
-        self._res_routes: dict[tuple[int, int], Callable] = {}
+        self._res_routes: dict[tuple[int, int], tuple[int, ...]] = {}
         self._tr_routes: dict[tuple[int, int], tuple[tuple[int, ...], ...]] = {}
         self._nm_routes: dict[tuple[int, int], tuple[tuple[int, ...], ...]] = {}
-        self._conj_routes: dict[tuple[int, int], tuple[int, Callable]] = {}
+        self._conj_routes: dict[tuple[int, int], tuple[int, tuple[int, ...]]] = {}
         self._cosets: dict[tuple[int, int], tuple[list[int], dict[int, int]]] = {}
 
     @property
@@ -115,14 +105,14 @@ class GhostSystem:
 
     # -- routing-table construction ------------------------------------------
 
-    def res_route(self, K_idx: int, H_idx: int) -> Callable:
-        """res^K_H as a compiled projection of K-coordinates onto H-coordinates."""
+    def res_route(self, K_idx: int, H_idx: int) -> tuple[int, ...]:
+        """res^K_H as the K-coordinate each H-coordinate reads."""
         key = (K_idx, H_idx)
         route = self._res_routes.get(key)
         if route is None:
             self._require_le(H_idx, K_idx)
             ringK, ringH = self.level(K_idx), self.level(H_idx)
-            route = _projection(tuple(ringK.local_class_of[sid] for sid in ringH.class_reps))
+            route = tuple(ringK.local_class_of[sid] for sid in ringH.class_reps)
             self._res_routes[key] = route
         return route
 
@@ -150,8 +140,8 @@ class GhostSystem:
             self._nm_routes[key] = route
         return route
 
-    def conj_route(self, g: int, H_idx: int) -> tuple[int, Callable]:
-        """``(index of ^g H, projection of H-coordinates onto its class reps)``."""
+    def conj_route(self, g: int, H_idx: int) -> tuple[int, tuple[int, ...]]:
+        """``(index of ^g H, the H-coordinate each of its coordinates reads)``."""
         key = (g, H_idx)
         route = self._conj_routes.get(key)
         if route is None:
@@ -160,11 +150,13 @@ class GhostSystem:
             target_idx = self.lattice.subgroup_index(target_bits)
             ringH, ringT = self.level(H_idx), self.level(target_idx)
             gi = group.inv[g]
-            mapping = tuple(
-                ringH.class_of_bits(conjugate_bits(group, gi, self._bits(rep)))
-                for rep in ringT.class_reps
+            route = (
+                target_idx,
+                tuple(
+                    ringH.class_of_bits(conjugate_bits(group, gi, self._bits(rep)))
+                    for rep in ringT.class_reps
+                ),
             )
-            route = (target_idx, _projection(mapping))
             self._conj_routes[key] = route
         return route
 
@@ -173,7 +165,8 @@ class GhostSystem:
     def ghost_res(self, K_idx: int, H_idx: int, b: GhostElement) -> GhostElement:
         if b.level != K_idx:
             raise ValueError("element level does not match K")
-        return GhostElement(H_idx, self.res_route(K_idx, H_idx)(b.values))
+        route = self.res_route(K_idx, H_idx)
+        return GhostElement(H_idx, tuple(map(b.values.__getitem__, route)))
 
     def ghost_tr(self, K_idx: int, H_idx: int, a: GhostElement) -> GhostElement:
         if a.level != H_idx:
@@ -190,8 +183,8 @@ class GhostSystem:
         return GhostElement(K_idx, tuple([prod(map(get, factors)) for factors in route]))
 
     def ghost_conj(self, g: int, a: GhostElement) -> GhostElement:
-        target_idx, project = self.conj_route(g, a.level)
-        return GhostElement(target_idx, project(a.values))
+        target_idx, route = self.conj_route(g, a.level)
+        return GhostElement(target_idx, tuple(map(a.values.__getitem__, route)))
 
     def ghost_map(self, x: BurnsideElement) -> GhostElement:
         return self.level(x.level).marks(x)
@@ -360,16 +353,12 @@ class _Recorder:
             else:
                 self.report.suppressed_failures += 1
 
-    def add(self, axiom: str, n: int) -> None:
-        """Count n instances that passed together; n = 0 adds no key."""
-        if n:
-            self.report.counts[axiom] = self.report.counts.get(axiom, 0) + n
-
     def proved(self, axiom: str, holds: bool, n: int) -> bool:
         """Count a block of n instances whose identity holds on the routing
-        tables; False sends the block to its per-element loop."""
-        if holds:
-            self.add(axiom, n)
+        tables (n = 0 adds no key); False sends the block to its per-element
+        loop."""
+        if holds and n:
+            self.report.counts[axiom] = self.report.counts.get(axiom, 0) + n
         return holds
 
 
@@ -392,82 +381,6 @@ def _test_elements(system: GhostSystem, level_idx: int, cfg: VerifyConfig, cache
             )
         cache[level_idx] = els
     return els
-
-
-class _Images:
-    """Structure-map images of the test elements under one level K.
-
-    Each list is built on first use and then shared by every check that needs
-    it; the sweep makes one instance per K, so the lists never outlive it.
-    """
-
-    def __init__(self, system: GhostSystem, K_idx: int, els):
-        self._system = system
-        self._K = K_idx
-        self._els = els
-        self._lists: dict[tuple[str, int], list[GhostElement]] = {}
-
-    def _images(self, key, level_idx: int, fn, *args) -> list[GhostElement]:
-        out = self._lists.get(key)
-        if out is None:
-            out = [fn(*args, x) for x in self._els(level_idx)]
-            self._lists[key] = out
-        return out
-
-    def res(self, H_idx: int) -> list[GhostElement]:
-        """res^K_H of each test element at K."""
-        return self._images(("res", H_idx), self._K, self._system.ghost_res, self._K, H_idx)
-
-    def tr(self, H_idx: int) -> list[GhostElement]:
-        """tr^K_H of each test element at H."""
-        return self._images(("tr", H_idx), H_idx, self._system.ghost_tr, self._K, H_idx)
-
-    def nm(self, H_idx: int) -> list[GhostElement]:
-        """nm^K_H of each test element at H."""
-        return self._images(("nm", H_idx), H_idx, self._system.ghost_nm, self._K, H_idx)
-
-    def conj(self, g: int) -> list[GhostElement]:
-        """c_g of each test element at K."""
-        return self._images(("conj", g), self._K, self._system.ghost_conj, g)
-
-
-class _Forms:
-    """The structure maps as coordinate forms, read off the routing tables.
-
-    A projection (res, conj) is the tuple of source coordinates it reads,
-    found by applying its route to ``(0, 1, ..., n-1)``; tr and nm are their
-    routes, each target coordinate a multiset of source coordinates to add or
-    to multiply.  Two composites of sums (or of products) agree on every ghost
-    element iff their multisets agree at every coordinate, so comparing sorted
-    lists decides an identity exactly.
-    """
-
-    def __init__(self, system: GhostSystem):
-        self._system = system
-        self._res: dict[tuple[int, int], tuple[int, ...]] = {}
-        self._conj: dict[tuple[int, int], tuple[int, tuple[int, ...]]] = {}
-
-    def _identity(self, level_idx: int) -> tuple[int, ...]:
-        return tuple(range(self._system.level(level_idx).num_classes))
-
-    def res(self, K_idx: int, H_idx: int) -> tuple[int, ...]:
-        """The K-coordinate each H-coordinate of res^K_H reads."""
-        key = (K_idx, H_idx)
-        out = self._res.get(key)
-        if out is None:
-            out = self._system.res_route(K_idx, H_idx)(self._identity(K_idx))
-            self._res[key] = out
-        return out
-
-    def conj(self, g: int, H_idx: int) -> tuple[int, tuple[int, ...]]:
-        """The index of ^g H and the H-coordinate each of its coordinates reads."""
-        key = (g, H_idx)
-        out = self._conj.get(key)
-        if out is None:
-            target_idx, project = self._system.conj_route(g, H_idx)
-            out = (target_idx, project(self._identity(H_idx)))
-            self._conj[key] = out
-        return out
 
 
 def _sorted(route) -> list[list[int]]:
@@ -505,12 +418,16 @@ def verify_axioms(
     random ghost vectors.
 
     Each block of checks (one axiom at one chain, pair or conjugator) first
-    decides its identity on the routing tables through ``_Forms``: when it
-    holds for every ghost element, the block's instances are counted at once.
-    Only when it fails does the block run its per-element loop, which records
-    the failures it finds; so counts, failures and their order are those of
-    checking every instance one by one.  The ``chi_*`` checks always run
-    element by element against the G-set oracle.
+    decides its identity on the routing tables.  A res or conj route is the
+    tuple of source coordinates it reads, and a tr or nm route gives each
+    target coordinate a multiset of source coordinates to add or multiply, so
+    two composites agree on every ghost element iff they read the same
+    coordinates, or the same sorted multisets.  When the identity holds, the
+    block's instances are counted at once.  Only when it fails does the block
+    run its per-element loop, which records the failures it finds; so counts,
+    failures and their order are those of checking every instance one by one.
+    The ``chi_*`` checks always run element by element against the G-set
+    oracle.
     """
     cfg = config or VerifyConfig()
     group = system.group
@@ -519,7 +436,7 @@ def verify_axioms(
     rec = _Recorder(report)
     enabled = set(cfg.axioms) if cfg.axioms is not None else set(ALL_AXIOMS)
     elements: dict[int, list[GhostElement]] = {}
-    forms = _Forms(system)
+    res_route, conj_route = system.res_route, system.conj_route
 
     def els(idx):
         return _test_elements(system, idx, cfg, elements)
@@ -537,7 +454,6 @@ def verify_axioms(
         ringK = system.level(K_idx)
         K_bits = system._bits(K_idx)
         level_pairs = [ringK.class_reps[c] for c in range(ringK.num_classes)]
-        images = _Images(system, K_idx, els)
 
         # Chains H <= L <= K for functoriality of res/tr/nm.
         for L_idx in level_pairs:
@@ -550,12 +466,13 @@ def verify_axioms(
                 }
                 if "res_functoriality" in enabled and not rec.proved(
                     "res_functoriality",
-                    tuple(forms.res(K_idx, L_idx)[j] for j in forms.res(L_idx, H_idx))
-                    == forms.res(K_idx, H_idx),
+                    tuple(res_route(K_idx, L_idx)[j] for j in res_route(L_idx, H_idx))
+                    == res_route(K_idx, H_idx),
                     len(els(K_idx)),
                 ):
-                    for b, rl, one in zip(els(K_idx), images.res(L_idx), images.res(H_idx)):
-                        two = system.ghost_res(L_idx, H_idx, rl)
+                    for b in els(K_idx):
+                        one = system.ghost_res(K_idx, H_idx, b)
+                        two = system.ghost_res(L_idx, H_idx, system.ghost_res(K_idx, L_idx, b))
                         rec.check("res_functoriality", two == one, inst, f"b={b.values}")
                 if "tr_functoriality" in enabled and not rec.proved(
                     "tr_functoriality",
@@ -563,7 +480,8 @@ def verify_axioms(
                     == _sorted(system.tr_route(K_idx, H_idx)),
                     len(els(H_idx)),
                 ):
-                    for a, one in zip(els(H_idx), images.tr(H_idx)):
+                    for a in els(H_idx):
+                        one = system.ghost_tr(K_idx, H_idx, a)
                         two = system.ghost_tr(K_idx, L_idx, system.ghost_tr(L_idx, H_idx, a))
                         rec.check("tr_functoriality", two == one, inst, f"a={a.values}")
                 if "nm_functoriality" in enabled and not rec.proved(
@@ -572,7 +490,8 @@ def verify_axioms(
                     == _sorted(system.nm_route(K_idx, H_idx)),
                     len(els(H_idx)),
                 ):
-                    for a, one in zip(els(H_idx), images.nm(H_idx)):
+                    for a in els(H_idx):
+                        one = system.ghost_nm(K_idx, H_idx, a)
                         two = system.ghost_nm(K_idx, L_idx, system.ghost_nm(L_idx, H_idx, a))
                         rec.check("nm_functoriality", two == one, inst, f"a={a.values}")
 
@@ -600,10 +519,10 @@ def verify_axioms(
                     # applied to res^{gH}_{L cap gH} c_gamma, as H-coordinates.
                     cols = [[] for _ in range(system.level(L_idx).num_classes)]
                     for gma, gH_idx, meet_idx in legs:
-                        target_idx, cidx = forms.conj(gma, H_idx)
+                        target_idx, cidx = conj_route(gma, H_idx)
                         if target_idx != gH_idx:
                             return None
-                        idx = [cidx[i] for i in forms.res(gH_idx, meet_idx)]
+                        idx = [cidx[i] for i in res_route(gH_idx, meet_idx)]
                         for col, terms in zip(cols, route(L_idx, meet_idx)):
                             col.extend([idx[t] for t in terms])
                     return [sorted(col) for col in cols]
@@ -618,11 +537,11 @@ def verify_axioms(
                 if "additive_double_coset" in enabled and not rec.proved(
                     "additive_double_coset",
                     legs_form(system.tr_route)
-                    == _picked(system.tr_route(K_idx, H_idx), forms.res(K_idx, L_idx)),
+                    == _picked(system.tr_route(K_idx, H_idx), res_route(K_idx, L_idx)),
                     len(els(H_idx)),
                 ):
-                    for a, ta in zip(els(H_idx), images.tr(H_idx)):
-                        lhs = system.ghost_res(K_idx, L_idx, ta)
+                    for a in els(H_idx):
+                        lhs = system.ghost_res(K_idx, L_idx, system.ghost_tr(K_idx, H_idx, a))
                         rhs = GhostElement(L_idx, (0,) * system.level(L_idx).num_classes)
                         for meet_idx, part in parts(a):
                             rhs = rhs + system.ghost_tr(L_idx, meet_idx, part)
@@ -630,11 +549,11 @@ def verify_axioms(
                 if "multiplicative_double_coset" in enabled and not rec.proved(
                     "multiplicative_double_coset",
                     legs_form(system.nm_route)
-                    == _picked(system.nm_route(K_idx, H_idx), forms.res(K_idx, L_idx)),
+                    == _picked(system.nm_route(K_idx, H_idx), res_route(K_idx, L_idx)),
                     len(els(H_idx)),
                 ):
-                    for a, na in zip(els(H_idx), images.nm(H_idx)):
-                        lhs = system.ghost_res(K_idx, L_idx, na)
+                    for a in els(H_idx):
+                        lhs = system.ghost_res(K_idx, L_idx, system.ghost_nm(K_idx, H_idx, a))
                         rhs = system.level(L_idx).all_ones()
                         for meet_idx, part in parts(a):
                             rhs = rhs * system.ghost_nm(L_idx, meet_idx, part)
@@ -651,14 +570,16 @@ def verify_axioms(
                 "frobenius",
                 # tr(a) b = tr(a res(b)) iff each term of tr at I restricts to I.
                 all(
-                    forms.res(K_idx, H_idx)[t] == i
+                    res_route(K_idx, H_idx)[t] == i
                     for i, terms in enumerate(system.tr_route(K_idx, H_idx))
                     for t in terms
                 ),
                 len(els(H_idx)) * len(els(K_idx)),
             ):
-                for a, ta in zip(els(H_idx), images.tr(H_idx)):
-                    for b, rb in zip(els(K_idx), images.res(H_idx)):
+                restricted = [system.ghost_res(K_idx, H_idx, b) for b in els(K_idx)]
+                for a in els(H_idx):
+                    ta = system.ghost_tr(K_idx, H_idx, a)
+                    for b, rb in zip(els(K_idx), restricted):
                         lhs = ta * b
                         rhs = system.ghost_tr(K_idx, H_idx, a * rb)
                         rec.check(
@@ -667,18 +588,18 @@ def verify_axioms(
 
             if {"conjugacy_res", "conjugacy_tr", "conjugacy_nm"} & enabled:
                 for g in conj_sample:
-                    gK_idx, cK = forms.conj(g, K_idx)
-                    gH_idx, cH = forms.conj(g, H_idx)
+                    gK_idx, cK = conj_route(g, K_idx)
+                    gH_idx, cH = conj_route(g, H_idx)
                     ginst = dict(inst, g=g)
                     if "conjugacy_res" in enabled and not rec.proved(
                         "conjugacy_res",
-                        tuple(forms.res(K_idx, H_idx)[i] for i in cH)
-                        == tuple(cK[i] for i in forms.res(gK_idx, gH_idx)),
+                        tuple(res_route(K_idx, H_idx)[i] for i in cH)
+                        == tuple(cK[i] for i in res_route(gK_idx, gH_idx)),
                         len(els(K_idx)),
                     ):
-                        for b, rb, cb in zip(els(K_idx), images.res(H_idx), images.conj(g)):
-                            lhs = system.ghost_conj(g, rb)
-                            rhs = system.ghost_res(gK_idx, gH_idx, cb)
+                        for b in els(K_idx):
+                            lhs = system.ghost_conj(g, system.ghost_res(K_idx, H_idx, b))
+                            rhs = system.ghost_res(gK_idx, gH_idx, system.ghost_conj(g, b))
                             rec.check("conjugacy_res", lhs == rhs, ginst, f"b={b.values}")
                     if "conjugacy_tr" in enabled and not rec.proved(
                         "conjugacy_tr",
@@ -686,8 +607,8 @@ def verify_axioms(
                         == _renamed(system.tr_route(gK_idx, gH_idx), cH),
                         len(els(H_idx)),
                     ):
-                        for a, ta in zip(els(H_idx), images.tr(H_idx)):
-                            lhs = system.ghost_conj(g, ta)
+                        for a in els(H_idx):
+                            lhs = system.ghost_conj(g, system.ghost_tr(K_idx, H_idx, a))
                             rhs = system.ghost_tr(gK_idx, gH_idx, system.ghost_conj(g, a))
                             rec.check("conjugacy_tr", lhs == rhs, ginst, f"a={a.values}")
                     if "conjugacy_nm" in enabled and not rec.proved(
@@ -696,8 +617,8 @@ def verify_axioms(
                         == _renamed(system.nm_route(gK_idx, gH_idx), cH),
                         len(els(H_idx)),
                     ):
-                        for a, na in zip(els(H_idx), images.nm(H_idx)):
-                            lhs = system.ghost_conj(g, na)
+                        for a in els(H_idx):
+                            lhs = system.ghost_conj(g, system.ghost_nm(K_idx, H_idx, a))
                             rhs = system.ghost_nm(gK_idx, gH_idx, system.ghost_conj(g, a))
                             rec.check("conjugacy_nm", lhs == rhs, ginst, f"a={a.values}")
 
@@ -744,7 +665,7 @@ def verify_axioms(
                 # Top coordinate of nm(a+b) - nm(a) - nm(b) must vanish: the
                 # cross terms are proper transfers, which die at the top level.
                 e_list = els(H_idx)
-                tops = [na.values[top_cls] for na in images.nm(H_idx)]
+                tops = [system.ghost_nm(K_idx, H_idx, a).values[top_cls] for a in e_list]
                 for i, a in enumerate(e_list):
                     for j in range(i, len(e_list)):
                         b = e_list[j]
@@ -801,7 +722,9 @@ def verify_axioms(
                     ),
                     len(probe),
                 ):
-                    for a, trv, nmv in zip(probe, images.tr(H_idx), images.nm(H_idx)):
+                    for a in probe:
+                        trv = system.ghost_tr(K_idx, H_idx, a)
+                        nmv = system.ghost_nm(K_idx, H_idx, a)
                         get = a.values.__getitem__
                         ok = all(
                             sum(map(get, tr_ids)) == trv.values[cls]
@@ -819,9 +742,9 @@ def verify_axioms(
         conjugators = sorted({h for _, h in pairs} | {mul[g][h] for g, h in pairs})
 
         def composes(H_idx, g, h):
-            hH_idx, ch = forms.conj(h, H_idx)
-            ghH_idx, cg = forms.conj(g, hH_idx)
-            return (ghH_idx, tuple(ch[i] for i in cg)) == forms.conj(mul[g][h], H_idx)
+            hH_idx, ch = conj_route(h, H_idx)
+            ghH_idx, cg = conj_route(g, hH_idx)
+            return (ghH_idx, tuple(ch[i] for i in cg)) == conj_route(mul[g][h], H_idx)
 
         for H_idx in class_rep_ids:
             block = els(H_idx)[: system.level(H_idx).num_classes + 3]

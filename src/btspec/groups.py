@@ -381,6 +381,7 @@ class FiniteGroup:
     inv: list[int]
     gen_indices: tuple[int, ...] = ()
     _orders: list[int] | None = field(default=None, repr=False)
+    _gensets: dict[int, tuple[int, ...]] = field(default_factory=dict, repr=False, compare=False)
 
     @property
     def order(self) -> int:

@@ -82,17 +82,22 @@ def closure(group: FiniteGroup, generators, base: int = 1) -> int:
     return bits
 
 
-def generating_set(group: FiniteGroup, bits: int) -> list[int]:
-    """A small generating set of the subgroup ``bits``: least elements first."""
-    gens: list[int] = []
-    span = 1  # the trivial subgroup
-    for x in bits_iter(bits):
-        if span == bits:
-            break
-        if not span >> x & 1:
-            gens.append(x)
-            span = closure(group, (x,), span)
-    return gens
+def generating_set(group: FiniteGroup, bits: int) -> tuple[int, ...]:
+    """A small generating set of the subgroup ``bits``: least elements first.
+
+    Computed once per subgroup and kept on the group."""
+    found = group._gensets.get(bits)
+    if found is None:
+        gens: list[int] = []
+        span = 1  # the trivial subgroup
+        for x in bits_iter(bits):
+            if span == bits:
+                break
+            if not span >> x & 1:
+                gens.append(x)
+                span = closure(group, (x,), span)
+        found = group._gensets[bits] = tuple(gens)
+    return found
 
 
 def conjugate_bits(group: FiniteGroup, g: int, bits: int) -> int:

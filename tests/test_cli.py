@@ -812,6 +812,8 @@ class TestReadme:
         for module, names in (
             (lattice, ("double_cosets", "double_coset_reps", "p_residual", "is_subconjugate")),
             (spectrum, ("make_family", "PrimeIdeal", "make_prime_ideal", "ideal_contains")),
+            # res/conj routes are their index tuples; no compiled callables or copies.
+            (ghost, ("_projection", "_Forms", "_Images", "itemgetter")),
         ):
             for name in names:
                 assert not hasattr(module, name) and name not in btspec.__all__, name
@@ -823,6 +825,7 @@ class TestReadme:
             (burnside.LevelRing, ("zero",)),
             (groups.Permutation, ("__call__",)),
             (ghost.GhostSystem, ("_tr_terms", "_nm_factors")),
+            (ghost._Recorder, ("add",)),
         ):
             for name in names:
                 assert name not in vars(cls), f"{cls.__name__}.{name}"

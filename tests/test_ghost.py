@@ -1,7 +1,5 @@
 """Ghost structure maps, mark-map naturality, and the axiom verifier."""
 
-from operator import itemgetter
-
 import pytest
 
 from btspec.burnside import BurnsideElement, GhostElement
@@ -133,6 +131,34 @@ class TestConj:
                 two = sys_a4.ghost_conj(g, sys_a4.ghost_conj(h, a))
                 one = sys_a4.ghost_conj(mul[g][h], a)
                 assert two == one
+
+
+class TestRoutes:
+    """res and conj routes are the tuples of source coordinates they read."""
+
+    def test_plain_int_tuples(self, sys_s3):
+        lat = sys_s3.lattice
+        for K_idx in lat.class_reps:
+            reps = sys_s3.level(K_idx).class_reps
+            for H_idx in reps:
+                route = sys_s3.res_route(K_idx, H_idx)
+                assert type(route) is tuple and len(route) == sys_s3.level(H_idx).num_classes
+                assert all(type(i) is int for i in route)
+            for g in range(sys_s3.group.order):
+                target_idx, route = sys_s3.conj_route(g, K_idx)
+                assert type(target_idx) is int and type(route) is tuple
+                assert all(type(i) is int for i in route)
+
+    def test_one_class_level(self, sys_s3):
+        # The trivial subgroup has one class, so its routes read one coordinate.
+        triv = sub_idx_of_order(sys_s3.lattice, 1)
+        top = sys_s3.top_index
+        assert sys_s3.res_route(top, triv) == (0,)
+        out = sys_s3.ghost_res(top, triv, GhostElement(top, (7, -2, 3, 1)))
+        assert out == GhostElement(triv, (7,))
+        for g in range(sys_s3.group.order):
+            assert sys_s3.conj_route(g, triv) == (triv, (0,))
+            assert sys_s3.ghost_conj(g, GhostElement(triv, (5,))) == GhostElement(triv, (5,))
 
 
 class TestGhostMap:
@@ -461,9 +487,9 @@ class DroppedLegSystem(GhostSystem):
         return route
 
 
-def _misread_last(project, n):
-    """``project`` on n source coordinates, reading source 0 at its last target."""
-    return itemgetter(*project(tuple(range(n)))[:-1], 0)
+def _misread_last(route):
+    """``route`` reading source coordinate 0 at its last target."""
+    return route[:-1] + (0,)
 
 
 class MisreadResSystem(GhostSystem):
@@ -473,7 +499,7 @@ class MisreadResSystem(GhostSystem):
     def res_route(self, K_idx, H_idx):
         route = super().res_route(K_idx, H_idx)
         if (K_idx, H_idx) == (self.top_index, sub_idx_of_order(self.lattice, 2)):
-            route = _misread_last(route, self.level(K_idx).num_classes)
+            route = _misread_last(route)
         return route
 
 
@@ -483,7 +509,7 @@ class MisreadConjSystem(GhostSystem):
     C2's own."""
 
     def conj_route(self, g, H_idx):
-        target_idx, project = super().conj_route(g, H_idx)
+        target_idx, route = super().conj_route(g, H_idx)
         C2 = sub_idx_of_order(self.lattice, 2)
         bits = self.lattice.subgroups[C2].members
         g0 = next(
@@ -491,8 +517,8 @@ class MisreadConjSystem(GhostSystem):
             if not bits >> x & 1 and conjugate_bits(self.group, x, bits) == bits
         )
         if (g, H_idx) == (g0, C2):
-            project = _misread_last(project, self.level(H_idx).num_classes)
-        return target_idx, project
+            route = _misread_last(route)
+        return target_idx, route
 
 
 def _loops_only(monkeypatch):

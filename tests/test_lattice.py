@@ -7,6 +7,7 @@ from btspec.lattice import (
     bits_iter,
     closure,
     conjugate_bits,
+    generating_set,
     is_subset,
     left_transversal,
     normalizer_bits,
@@ -278,3 +279,30 @@ class TestNormalizers:
             rep = lat.subgroups[rep_idx]
             weyl = normalizer_order(lat, rep_idx) // rep.order
             assert ring.marks_matrix[cls][cls] == weyl
+
+
+class TestGeneratingSet:
+    def test_generates_the_subgroup(self, sys_a4):
+        g, lat = sys_a4.group, sys_a4.lattice
+        for sub in lat.subgroups:
+            gens = generating_set(g, sub.members)
+            assert type(gens) is tuple
+            assert closure(g, gens) == sub.members
+
+    def test_computed_once_per_subgroup(self, monkeypatch):
+        import btspec.lattice as lattice_mod
+        from btspec.groups import group_from_text
+
+        g = group_from_text("S4")
+        top = (1 << g.order) - 1
+        first = generating_set(g, top)
+        calls = []
+        real = lattice_mod.closure
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(lattice_mod, "closure", counted)
+        assert generating_set(g, top) == first
+        assert calls == []
