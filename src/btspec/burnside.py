@@ -38,13 +38,6 @@ class BurnsideElement:
         self._check(other)
         return BurnsideElement(self.level, tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
 
-    def __sub__(self, other: "BurnsideElement") -> "BurnsideElement":
-        self._check(other)
-        return BurnsideElement(self.level, tuple(a - b for a, b in zip(self.coeffs, other.coeffs)))
-
-    def __neg__(self) -> "BurnsideElement":
-        return BurnsideElement(self.level, tuple(-a for a in self.coeffs))
-
     def _check(self, other):
         if self.level != other.level:
             raise ValueError("level mismatch")
@@ -61,16 +54,9 @@ class GhostElement:
         self._check(other)
         return GhostElement(self.level, tuple(a + b for a, b in zip(self.values, other.values)))
 
-    def __sub__(self, other: "GhostElement") -> "GhostElement":
-        self._check(other)
-        return GhostElement(self.level, tuple(a - b for a, b in zip(self.values, other.values)))
-
     def __mul__(self, other: "GhostElement") -> "GhostElement":
         self._check(other)
         return GhostElement(self.level, tuple(a * b for a, b in zip(self.values, other.values)))
-
-    def __neg__(self) -> "GhostElement":
-        return GhostElement(self.level, tuple(-a for a in self.values))
 
     def _check(self, other):
         if self.level != other.level:

@@ -31,15 +31,18 @@ forms, which proves it for every ghost element at once, and counts its
 instances; only a block whose identity fails runs its per-element loop over
 the test elements (mark rows, the unit, seeded random vectors) to record
 witnesses.  Counts, failures and their order are therefore those of the
-element-by-element sweep.  The ``chi_*`` checks compare the maps' outputs
-with mark vectors counted on concrete G-sets, so they also test how the
-routes are applied.
+element-by-element sweep.  One block checks each tr/nm twin (functoriality,
+double-coset formula, conjugacy), with products in place of sums for nm.  The
+``chi_*`` checks compare the maps' outputs with mark vectors counted on
+concrete G-sets, so they also test how the routes are applied.
 """
 
 from __future__ import annotations
 
+import operator
 import random
 from dataclasses import dataclass, field
+from functools import reduce
 from math import prod
 
 from .burnside import BurnsideElement, GhostElement, LevelRing
@@ -116,29 +119,21 @@ class GhostSystem:
             self._res_routes[key] = route
         return route
 
-    def tr_route(self, K_idx: int, H_idx: int) -> tuple[tuple[int, ...], ...]:
+    def _route(self, routes: dict, terms, K_idx: int, H_idx: int) -> tuple[tuple[int, ...], ...]:
+        """tr^K_H or nm^K_H: the H-classes ``terms`` gives at each K-class rep."""
         key = (K_idx, H_idx)
-        route = self._tr_routes.get(key)
+        route = routes.get(key)
         if route is None:
             self._require_le(H_idx, K_idx)
-            route = tuple(
-                self.tr_term_classes(K_idx, H_idx, self._bits(rep))
-                for rep in self.level(K_idx).class_reps
-            )
-            self._tr_routes[key] = route
+            route = tuple(terms(K_idx, H_idx, self._bits(r)) for r in self.level(K_idx).class_reps)
+            routes[key] = route
         return route
 
+    def tr_route(self, K_idx: int, H_idx: int) -> tuple[tuple[int, ...], ...]:
+        return self._route(self._tr_routes, self.tr_term_classes, K_idx, H_idx)
+
     def nm_route(self, K_idx: int, H_idx: int) -> tuple[tuple[int, ...], ...]:
-        key = (K_idx, H_idx)
-        route = self._nm_routes.get(key)
-        if route is None:
-            self._require_le(H_idx, K_idx)
-            route = tuple(
-                self.nm_factor_classes(K_idx, H_idx, self._bits(rep))
-                for rep in self.level(K_idx).class_reps
-            )
-            self._nm_routes[key] = route
-        return route
+        return self._route(self._nm_routes, self.nm_factor_classes, K_idx, H_idx)
 
     def conj_route(self, g: int, H_idx: int) -> tuple[int, tuple[int, ...]]:
         """``(index of ^g H, the H-coordinate each of its coordinates reads)``."""
@@ -426,8 +421,9 @@ def verify_axioms(
     block's instances are counted at once.  Only when it fails does the block
     run its per-element loop, which records the failures it finds; so counts,
     failures and their order are those of checking every instance one by one.
-    The ``chi_*`` checks always run element by element against the G-set
-    oracle.
+    tr and nm share the functoriality, double-coset and conjugacy blocks, each
+    run first for tr and then for nm.  The ``chi_*`` checks always run element
+    by element against the G-set oracle.
     """
     cfg = config or VerifyConfig()
     group = system.group
@@ -441,8 +437,15 @@ def verify_axioms(
     def els(idx):
         return _test_elements(system, idx, cfg, elements)
 
-    class_rep_ids = [lattice.class_reps[c] for c in range(lattice.num_classes)]
-    mul, inv = group.mul_table, group.inv
+    mul = group.mul_table
+    # The tr/nm twins: their (functoriality, double-coset, conjugacy) axiom
+    # names, route, map, and how double-coset legs combine, with its unit.
+    twins = (
+        (("tr_functoriality", "additive_double_coset", "conjugacy_tr"),
+         system.tr_route, system.ghost_tr, operator.add, 0),
+        (("nm_functoriality", "multiplicative_double_coset", "conjugacy_nm"),
+         system.nm_route, system.ghost_nm, operator.mul, 1),
+    )
 
     # Sampled conjugators: all of G when small, else generators plus a prefix.
     if group.order <= 64:
@@ -450,15 +453,13 @@ def verify_axioms(
     else:
         conj_sample = sorted(set(group.gen_indices) | set(range(min(group.order, 16))))
 
-    for K_idx in class_rep_ids:
+    for K_idx in lattice.class_reps:
         ringK = system.level(K_idx)
         K_bits = system._bits(K_idx)
-        level_pairs = [ringK.class_reps[c] for c in range(ringK.num_classes)]
 
         # Chains H <= L <= K for functoriality of res/tr/nm.
-        for L_idx in level_pairs:
-            ringL = system.level(L_idx)
-            for H_idx in [ringL.class_reps[c] for c in range(ringL.num_classes)]:
+        for L_idx in ringK.class_reps:
+            for H_idx in system.level(L_idx).class_reps:
                 inst = {
                     "K": _sub_label(system, K_idx),
                     "L": _sub_label(system, L_idx),
@@ -474,31 +475,22 @@ def verify_axioms(
                         one = system.ghost_res(K_idx, H_idx, b)
                         two = system.ghost_res(L_idx, H_idx, system.ghost_res(K_idx, L_idx, b))
                         rec.check("res_functoriality", two == one, inst, f"b={b.values}")
-                if "tr_functoriality" in enabled and not rec.proved(
-                    "tr_functoriality",
-                    _composed(system.tr_route(K_idx, L_idx), system.tr_route(L_idx, H_idx))
-                    == _sorted(system.tr_route(K_idx, H_idx)),
-                    len(els(H_idx)),
-                ):
-                    for a in els(H_idx):
-                        one = system.ghost_tr(K_idx, H_idx, a)
-                        two = system.ghost_tr(K_idx, L_idx, system.ghost_tr(L_idx, H_idx, a))
-                        rec.check("tr_functoriality", two == one, inst, f"a={a.values}")
-                if "nm_functoriality" in enabled and not rec.proved(
-                    "nm_functoriality",
-                    _composed(system.nm_route(K_idx, L_idx), system.nm_route(L_idx, H_idx))
-                    == _sorted(system.nm_route(K_idx, H_idx)),
-                    len(els(H_idx)),
-                ):
-                    for a in els(H_idx):
-                        one = system.ghost_nm(K_idx, H_idx, a)
-                        two = system.ghost_nm(K_idx, L_idx, system.ghost_nm(L_idx, H_idx, a))
-                        rec.check("nm_functoriality", two == one, inst, f"a={a.values}")
+                for (axiom, _, _), route, apply, _, _ in twins:
+                    if axiom in enabled and not rec.proved(
+                        axiom,
+                        _composed(route(K_idx, L_idx), route(L_idx, H_idx))
+                        == _sorted(route(K_idx, H_idx)),
+                        len(els(H_idx)),
+                    ):
+                        for a in els(H_idx):
+                            one = apply(K_idx, H_idx, a)
+                            two = apply(K_idx, L_idx, apply(L_idx, H_idx, a))
+                            rec.check(axiom, two == one, inst, f"a={a.values}")
 
-        # Double-coset formulas and Frobenius for H, L <= K.
-        for L_idx in level_pairs:
+        # Double-coset formulas for H, L <= K.
+        for L_idx in ringK.class_reps:
             L_bits = system._bits(L_idx)
-            for H_idx in level_pairs:
+            for H_idx in ringK.class_reps:
                 H_bits = system._bits(H_idx)
                 inst = {
                     "K": _sub_label(system, K_idx),
@@ -534,34 +526,21 @@ def verify_axioms(
                         for gma, gH_idx, meet_idx in legs
                     ]
 
-                if "additive_double_coset" in enabled and not rec.proved(
-                    "additive_double_coset",
-                    legs_form(system.tr_route)
-                    == _picked(system.tr_route(K_idx, H_idx), res_route(K_idx, L_idx)),
-                    len(els(H_idx)),
-                ):
-                    for a in els(H_idx):
-                        lhs = system.ghost_res(K_idx, L_idx, system.ghost_tr(K_idx, H_idx, a))
-                        rhs = GhostElement(L_idx, (0,) * system.level(L_idx).num_classes)
-                        for meet_idx, part in parts(a):
-                            rhs = rhs + system.ghost_tr(L_idx, meet_idx, part)
-                        rec.check("additive_double_coset", lhs == rhs, inst, f"a={a.values}")
-                if "multiplicative_double_coset" in enabled and not rec.proved(
-                    "multiplicative_double_coset",
-                    legs_form(system.nm_route)
-                    == _picked(system.nm_route(K_idx, H_idx), res_route(K_idx, L_idx)),
-                    len(els(H_idx)),
-                ):
-                    for a in els(H_idx):
-                        lhs = system.ghost_res(K_idx, L_idx, system.ghost_nm(K_idx, H_idx, a))
-                        rhs = system.level(L_idx).all_ones()
-                        for meet_idx, part in parts(a):
-                            rhs = rhs * system.ghost_nm(L_idx, meet_idx, part)
-                        rec.check("multiplicative_double_coset", lhs == rhs, inst, f"a={a.values}")
+                for (_, axiom, _), route, apply, op, unit in twins:
+                    if axiom in enabled and not rec.proved(
+                        axiom,
+                        legs_form(route) == _picked(route(K_idx, H_idx), res_route(K_idx, L_idx)),
+                        len(els(H_idx)),
+                    ):
+                        start = GhostElement(L_idx, (unit,) * system.level(L_idx).num_classes)
+                        for a in els(H_idx):
+                            lhs = system.ghost_res(K_idx, L_idx, apply(K_idx, H_idx, a))
+                            rhs = reduce(op, (apply(L_idx, m, p) for m, p in parts(a)), start)
+                            rec.check(axiom, lhs == rhs, inst, f"a={a.values}")
 
         # Pairs H <= K: Frobenius, conjugacy compatibility, chi naturality,
         # Tambara reciprocity, Weyl constancy.
-        for H_idx in level_pairs:
+        for H_idx in ringK.class_reps:
             H_bits = system._bits(H_idx)
             ringH = system.level(H_idx)
             inst = {"K": _sub_label(system, K_idx), "H": _sub_label(system, H_idx)}
@@ -601,26 +580,17 @@ def verify_axioms(
                             lhs = system.ghost_conj(g, system.ghost_res(K_idx, H_idx, b))
                             rhs = system.ghost_res(gK_idx, gH_idx, system.ghost_conj(g, b))
                             rec.check("conjugacy_res", lhs == rhs, ginst, f"b={b.values}")
-                    if "conjugacy_tr" in enabled and not rec.proved(
-                        "conjugacy_tr",
-                        _picked(system.tr_route(K_idx, H_idx), cK)
-                        == _renamed(system.tr_route(gK_idx, gH_idx), cH),
-                        len(els(H_idx)),
-                    ):
-                        for a in els(H_idx):
-                            lhs = system.ghost_conj(g, system.ghost_tr(K_idx, H_idx, a))
-                            rhs = system.ghost_tr(gK_idx, gH_idx, system.ghost_conj(g, a))
-                            rec.check("conjugacy_tr", lhs == rhs, ginst, f"a={a.values}")
-                    if "conjugacy_nm" in enabled and not rec.proved(
-                        "conjugacy_nm",
-                        _picked(system.nm_route(K_idx, H_idx), cK)
-                        == _renamed(system.nm_route(gK_idx, gH_idx), cH),
-                        len(els(H_idx)),
-                    ):
-                        for a in els(H_idx):
-                            lhs = system.ghost_conj(g, system.ghost_nm(K_idx, H_idx, a))
-                            rhs = system.ghost_nm(gK_idx, gH_idx, system.ghost_conj(g, a))
-                            rec.check("conjugacy_nm", lhs == rhs, ginst, f"a={a.values}")
+                    for (_, _, axiom), route, apply, _, _ in twins:
+                        if axiom in enabled and not rec.proved(
+                            axiom,
+                            _picked(route(K_idx, H_idx), cK)
+                            == _renamed(route(gK_idx, gH_idx), cH),
+                            len(els(H_idx)),
+                        ):
+                            for a in els(H_idx):
+                                lhs = system.ghost_conj(g, apply(K_idx, H_idx, a))
+                                rhs = apply(gK_idx, gH_idx, system.ghost_conj(g, a))
+                                rec.check(axiom, lhs == rhs, ginst, f"a={a.values}")
 
             if {"chi_res", "chi_tr", "chi_nm", "chi_conj"} & enabled:
                 for j_cls in range(ringH.num_classes):
@@ -746,7 +716,7 @@ def verify_axioms(
             ghH_idx, cg = conj_route(g, hH_idx)
             return (ghH_idx, tuple(ch[i] for i in cg)) == conj_route(mul[g][h], H_idx)
 
-        for H_idx in class_rep_ids:
+        for H_idx in lattice.class_reps:
             block = els(H_idx)[: system.level(H_idx).num_classes + 3]
             if rec.proved(
                 "conj_functoriality",

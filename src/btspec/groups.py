@@ -27,6 +27,10 @@ MAX_ORDER = 4096
 # largest dihedral group within the default max order, needs 1000 points.
 MAX_DEGREE = 4096
 
+# Most generators a perm: spec may list, checked before any permutation is
+# built; a group of order at most MAX_ORDER needs at most 12.
+MAX_GENERATORS = 64
+
 
 @dataclass(frozen=True)
 class Permutation:
@@ -177,8 +181,11 @@ def _parse_perm_generators(text: str, offset: int) -> tuple[Permutation, ...]:
     body = text[offset:]
     if not body:
         raise SpecParseError("perm spec has no generators", offset)
+    chunks = body.split(";")
+    if len(chunks) > MAX_GENERATORS:
+        raise SpecRangeError(f"perm spec has more than {MAX_GENERATORS} generators")
     gen_cycles: list[list[list[int]]] = []
-    for chunk in body.split(";"):
+    for chunk in chunks:
         pos = offset
         cycles: list[list[int]] = []
         i = 0

@@ -111,14 +111,6 @@ def residual_class(system: GhostSystem, cls: int, p: int) -> int:
 # -- subgroup families --------------------------------------------------------
 
 
-def family_closed(lattice, classes) -> bool:
-    """True iff the class set is nonempty and downward closed under subconjugacy."""
-    mask = 0
-    for c in classes:
-        mask |= 1 << c
-    return mask != 0 and all(not lattice.below[c] & ~mask for c in bits_iter(mask))
-
-
 def principal_family(lattice, cls: int) -> frozenset[int]:
     """F_H = all classes subconjugate to the given class."""
     return frozenset(bits_iter(lattice.below[cls]))

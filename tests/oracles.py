@@ -5,8 +5,8 @@ production route, by a different and more direct route: G-set products,
 disjoint unions and orbit decompositions for Burnside products, the
 double-coset formula for ``LevelRing.multiply``, double cosets covered
 element by element for ``GhostSystem.double_coset_reps``, the fixed-point
-counting identity, every subgroup family, and the Q-condition over every
-level.
+counting identity, downward closure and every subgroup family, and the
+Q-condition over every level.
 """
 
 from __future__ import annotations
@@ -25,7 +25,6 @@ from btspec.lattice import (
 )
 from btspec.spectrum import (
     _norm_route_values,
-    family_closed,
     ghost_ideal_membership,
     validate_prime_or_zero,
 )
@@ -179,6 +178,14 @@ def double_coset_product(ring, x: BurnsideElement, y: BurnsideElement) -> Burnsi
 
 
 # -- spectrum ------------------------------------------------------------------
+
+
+def family_closed(lattice, classes) -> bool:
+    """True iff the class set is nonempty and downward closed under subconjugacy."""
+    mask = 0
+    for c in classes:
+        mask |= 1 << c
+    return mask != 0 and all(not lattice.below[c] & ~mask for c in bits_iter(mask))
 
 
 def all_families(lattice) -> list[frozenset[int]]:

@@ -15,7 +15,8 @@ from btspec.cli import MAX_MESSAGE, build_parser, run
 from btspec.errors import SpecRangeError
 from btspec.ghost import ALL_AXIOMS
 from btspec.groups import (
-    DEFAULT_MAX_ORDER, MAX_DEGREE, MAX_ORDER, group_from_text, parse_group_spec,
+    DEFAULT_MAX_ORDER, MAX_DEGREE, MAX_GENERATORS, MAX_ORDER, Permutation, group_from_text,
+    parse_group_spec,
 )
 from btspec.lattice import MAX_SUBGROUPS, bit_count, normalizer_bits, subgroup_lattice
 from btspec.spectrum import MAX_EXTRA_PRIMES
@@ -139,6 +140,22 @@ class TestDegreeBound:
         parse_group_spec(f"C{2 ** 12}")
         with pytest.raises(SpecRangeError):
             parse_group_spec(f"A{MAX_DEGREE + 1}")
+
+
+class TestGeneratorBound:
+    # Each generator is a full permutation, so their count is checked first.
+    def test_rejected_before_allocation(self, invoke, monkeypatch):
+        built = []
+        monkeypatch.setattr(Permutation, "__post_init__", lambda p: built.append(p))
+        spec = "perm:" + ";".join([f"(0 {MAX_DEGREE - 1})"] * (MAX_GENERATORS + 1))
+        code, out, err = invoke("subgroups", spec)
+        assert code == 2 and out == "" and not built
+        assert err.startswith("usage error:") and str(MAX_GENERATORS) in err
+        assert err.count("\n") == 1
+
+    def test_bound_is_inclusive(self):
+        spec = parse_group_spec("perm:" + ";".join(["(0 1)"] * MAX_GENERATORS))
+        assert len(spec.generators) == MAX_GENERATORS
 
 
 class TestLatticeBound:
@@ -807,7 +824,8 @@ class TestReadme:
         for name in ("product", "disjoint_union", "orbit_decompose", "fixed_point_identity_check"):
             assert not hasattr(gsets, name), name
         assert not hasattr(gsets.GSet, "check")
-        assert not hasattr(spectrum, "all_families")
+        for name in ("all_families", "family_closed"):
+            assert not hasattr(spectrum, name), name
         # Wrappers only tests called; the tests call what they wrapped.
         for module, names in (
             (lattice, ("double_cosets", "double_coset_reps", "p_residual", "is_subconjugate")),
@@ -820,8 +838,8 @@ class TestReadme:
         for cls, names in (
             (lattice.Subgroup, ("element_indices",)),
             (lattice.SubgroupLattice, ("is_subconjugate",)),
-            (burnside.BurnsideElement, ("scale", "is_zero")),
-            (burnside.GhostElement, ("scale", "is_zero")),
+            (burnside.BurnsideElement, ("scale", "is_zero", "__sub__", "__neg__")),
+            (burnside.GhostElement, ("scale", "is_zero", "__sub__", "__neg__")),
             (burnside.LevelRing, ("zero",)),
             (groups.Permutation, ("__call__",)),
             (ghost.GhostSystem, ("_tr_terms", "_nm_factors")),

@@ -161,6 +161,25 @@ class TestRoutes:
             assert sys_s3.ghost_conj(g, GhostElement(triv, (5,))) == GhostElement(triv, (5,))
 
 
+class TestLevelCheck:
+    """res, tr and nm check the element's level before they compile a route,
+    so a wrong-level element is a ValueError even where H is not in K."""
+
+    @pytest.mark.parametrize("name", ["ghost_res", "ghost_tr", "ghost_nm"])
+    @pytest.mark.parametrize("K_order,H_order", [(6, 3), (3, 2)])  # C2 is not in C3
+    def test_wrong_level_is_refused_first(self, name, K_order, H_order):
+        from btspec.groups import group_from_text
+
+        s = GhostSystem(group_from_text("S3"))
+        K_idx, H_idx = (sub_idx_of_order(s.lattice, n) for n in (K_order, H_order))
+        # res reads an element at K, tr and nm one at H; pass the other level.
+        wrong, side = (H_idx, "K") if name == "ghost_res" else (K_idx, "H")
+        a = GhostElement(wrong, (1,) * s.level(wrong).num_classes)
+        with pytest.raises(ValueError, match=f"does not match {side}"):
+            getattr(s, name)(K_idx, H_idx, a)
+        assert not (s._res_routes or s._tr_routes or s._nm_routes)
+
+
 class TestGhostMap:
     def test_free_orbit(self, sys_a4):
         ring = sys_a4.level(sys_a4.top_index)

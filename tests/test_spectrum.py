@@ -10,7 +10,6 @@ from btspec.spectrum import (
     burnside_ideal_membership,
     burnside_ring_spectrum,
     enumerate_spectrum,
-    family_closed,
     ghost_ideal_membership,
     is_prime,
     non_prime_witness,
@@ -21,7 +20,7 @@ from btspec.spectrum import (
 )
 
 from conftest import C2_5, C840, CORPUS, labels_for, system_for
-from oracles import all_families, q_condition_all_levels
+from oracles import all_families, family_closed, q_condition_all_levels
 
 
 def cls_of(text, label):
