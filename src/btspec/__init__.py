@@ -21,7 +21,6 @@ from .ghost import GhostSystem, VerifyConfig, VerificationReport, verify_axioms
 from .groups import (
     FiniteGroup,
     GroupSpec,
-    Permutation,
     group_from_text,
     parse_group_spec,
     realize,
@@ -62,7 +61,6 @@ __all__ = [
     "verify_axioms",
     "FiniteGroup",
     "GroupSpec",
-    "Permutation",
     "group_from_text",
     "parse_group_spec",
     "realize",

@@ -57,7 +57,7 @@ def cache_store(path: Path, group: FiniteGroup, lattice: SubgroupLattice, key: s
         "spec": group.name,
         "order": group.order,
         "degree": group.degree,
-        "generators": [list(group.elements[i].images) for i in group.gen_indices],
+        "generators": [list(g) for g in group.generators],
         "subgroups": [f"{s.members:x}" for s in lattice.subgroups],
         "class_of": list(lattice.class_of),
         "below": [f"{row:x}" for row in lattice.below],
@@ -97,7 +97,7 @@ def cache_load(path: Path, group: FiniteGroup, key: str) -> SubgroupLattice | No
             return None
         if raw["order"] != group.order or raw["degree"] != group.degree:
             return None
-        gens = [list(group.elements[i].images) for i in group.gen_indices]
+        gens = [list(g) for g in group.generators]
         if raw["generators"] != gens:
             return None
         bits_list = [int(h, 16) for h in raw["subgroups"]]

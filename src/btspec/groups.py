@@ -2,10 +2,14 @@
 
 Groups are specified either by a named family (cyclic, dihedral, quaternion,
 symmetric, alternating, PSL2(7)/GL3(2)) or by explicit permutation generators,
-and realized by breadth-first closure.  Element indices are stable and
-deterministic for a given spec: index 0 is the identity and new elements are
-numbered in BFS discovery order over the sorted generator list, so two runs on
-the same spec produce identical tables.
+and realized by breadth-first closure.  A permutation of {0, ..., d-1} is the
+tuple of its images.  Only ``perm:`` input is checked to be one, by the
+parser's cycle checks; the named families' generators are trusted.  A
+realized group keeps its generators and its multiplication table, not the
+image tuples of its elements.  Element indices are stable and deterministic
+for a given spec: index 0 is the identity and new elements are numbered in
+BFS discovery order over the sorted generator list, so two runs on the same
+spec produce identical tables.
 """
 
 from __future__ import annotations
@@ -13,13 +17,15 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from functools import cached_property
+from operator import itemgetter
 
 from .errors import OrderExceededError, SpecParseError, SpecRangeError
 
 DEFAULT_MAX_ORDER = 2000
 
 # Largest max_order accepted: it bounds realize's n x n multiplication table.
-# At order 4096 (D2048, C4096) realize takes about 5 s and 240-270 MB (CPython 3.11).
+# At order 4096 (D2048, C4096) realize takes about 1.2-1.5 s and 145 MB peak RSS
+# (CPython 3.11); with one permutation object per element it took 3.8-5 s and 240-275 MB.
 MAX_ORDER = 4096
 
 # Largest permutation degree a spec may ask for.  Specs are checked against it
@@ -33,63 +39,12 @@ MAX_GENERATORS = 64
 
 
 @dataclass(frozen=True)
-class Permutation:
-    """Permutation of {0,...,degree-1} stored as its image tuple."""
-
-    images: tuple[int, ...]
-
-    def __post_init__(self):
-        n = len(self.images)
-        if sorted(self.images) != list(range(n)):
-            raise ValueError(f"not a permutation of 0..{n - 1}: {self.images}")
-
-    @property
-    def degree(self) -> int:
-        return len(self.images)
-
-    def __mul__(self, other: "Permutation") -> "Permutation":
-        # (p * q)(x) = p(q(x)): apply q first.
-        if len(self.images) != len(other.images):
-            raise ValueError("degree mismatch")
-        img = self.images
-        return Permutation(tuple(img[i] for i in other.images))
-
-    def inverse(self) -> "Permutation":
-        inv = [0] * len(self.images)
-        for i, j in enumerate(self.images):
-            inv[j] = i
-        return Permutation(tuple(inv))
-
-    def is_identity(self) -> bool:
-        return all(i == j for i, j in enumerate(self.images))
-
-    @staticmethod
-    def identity(degree: int) -> "Permutation":
-        return Permutation(tuple(range(degree)))
-
-    @staticmethod
-    def from_cycles(cycles: list[list[int]], degree: int | None = None) -> "Permutation":
-        top = max((p for cyc in cycles for p in cyc), default=-1)
-        if degree is None:
-            degree = top + 1
-        elif top >= degree:
-            raise ValueError(f"cycle point {top} exceeds degree {degree}")
-        img = list(range(max(degree, 1)))
-        for cyc in cycles:
-            for a, b in zip(cyc, cyc[1:] + cyc[:1]):
-                if img[a] != a:
-                    raise ValueError(f"point {a} repeated across cycles")
-                img[a] = b
-        return Permutation(tuple(img))
-
-
-@dataclass(frozen=True)
 class GroupSpec:
     """Parsed group description: a named family or explicit generators."""
 
     kind: str
     parameters: tuple[int, ...] = ()
-    generators: tuple[Permutation, ...] | None = None
+    generators: tuple[tuple[int, ...], ...] | None = None
 
     def canonical_text(self) -> str:
         k, p = self.kind, self.parameters
@@ -113,20 +68,20 @@ class GroupSpec:
         return "perm:" + ";".join(parts)
 
 
-def _cycle_form(p: Permutation) -> list[list[int]]:
-    seen = [False] * p.degree
+def _cycle_form(p: tuple[int, ...]) -> list[list[int]]:
+    seen = [False] * len(p)
     cycles = []
-    for start in range(p.degree):
-        if seen[start] or p.images[start] == start:
+    for start in range(len(p)):
+        if seen[start] or p[start] == start:
             seen[start] = True
             continue
         cyc = [start]
         seen[start] = True
-        nxt = p.images[start]
+        nxt = p[start]
         while nxt != start:
             cyc.append(nxt)
             seen[nxt] = True
-            nxt = p.images[nxt]
+            nxt = p[nxt]
         cycles.append(cyc)
     return cycles
 
@@ -152,7 +107,12 @@ def parse_group_spec(text: str) -> GroupSpec:
     m = _NAMED_RE.match(text)
     if m is None:
         raise SpecParseError(f"unrecognized group spec {text!r}", 0)
-    letter, n = m.group(1), int(m.group(2))
+    letter, digits = m.group(1), m.group(2)
+    # int() refuses long digit strings.  An n of more than MAX_DEGREE // 3 digits,
+    # leading zeros aside, exceeds 2**MAX_DEGREE, and even C<n> needs log2(n) points.
+    if any(map(int, digits[: -(MAX_DEGREE // 3)])):
+        _check_degree(text, MAX_DEGREE + 1)
+    n = int(digits[-(MAX_DEGREE // 3) :])
     # C<n> acts on the sum of n's prime-power parts; D/Q/S/A<n> on n points.
     degree = sum(_prime_power_parts(n)) if letter == "C" else n
     _check_degree(text, degree)
@@ -177,7 +137,7 @@ def parse_group_spec(text: str) -> GroupSpec:
     return GroupSpec("alternating", (n,))
 
 
-def _parse_perm_generators(text: str, offset: int) -> tuple[Permutation, ...]:
+def _parse_perm_generators(text: str, offset: int) -> tuple[tuple[int, ...], ...]:
     body = text[offset:]
     if not body:
         raise SpecParseError("perm spec has no generators", offset)
@@ -217,10 +177,13 @@ def _parse_perm_generators(text: str, offset: int) -> tuple[Permutation, ...]:
     _check_degree(text, degree)
     gens = []
     for cycles in gen_cycles:
-        try:
-            gens.append(Permutation.from_cycles(cycles, degree))
-        except ValueError as exc:
-            raise SpecParseError(str(exc), 5)
+        img = list(range(degree))
+        for cyc in cycles:
+            for a, b in zip(cyc, cyc[1:] + cyc[:1]):
+                if img[a] != a:
+                    raise SpecParseError(f"point {a} repeated across cycles", 5)
+                img[a] = b
+        gens.append(tuple(img))
     return tuple(gens)
 
 
@@ -252,30 +215,28 @@ def _prime_power_parts(n: int) -> list[int]:
     return parts
 
 
-def _cyclic_generator(n: int) -> list[Permutation]:
+def _cyclic_generator(n: int) -> list[tuple[int, ...]]:
     # Disjoint cycles of prime-power lengths: minimal faithful degree for C_n.
     if n == 1:
-        return [Permutation.identity(1)]
-    parts = _prime_power_parts(n)
-    degree = sum(parts)
-    cycles, start = [], 0
-    for q in parts:
-        cycles.append(list(range(start, start + q)))
+        return [(0,)]
+    img, start = [], 0
+    for q in _prime_power_parts(n):
+        img += [*range(start + 1, start + q), start]
         start += q
-    return [Permutation.from_cycles(cycles, degree)]
+    return [tuple(img)]
 
 
-def _dihedral_generators(m: int) -> list[Permutation]:
+def _dihedral_generators(m: int) -> list[tuple[int, ...]]:
     if m == 1:
-        return [Permutation.from_cycles([[0, 1]], 2)]
+        return [(1, 0)]
     if m == 2:
-        return [Permutation.from_cycles([[0, 1]], 4), Permutation.from_cycles([[2, 3]], 4)]
-    rot = Permutation.from_cycles([list(range(m))], m)
-    refl = Permutation(tuple((m - i) % m for i in range(m)))
+        return [(1, 0, 2, 3), (0, 1, 3, 2)]
+    rot = (*range(1, m), 0)
+    refl = tuple((m - i) % m for i in range(m))
     return [rot, refl]
 
 
-def _quaternion_generators(n: int) -> list[Permutation]:
+def _quaternion_generators(n: int) -> list[tuple[int, ...]]:
     # Dicyclic group of order n = 4k acting on itself: elements a^i b^j with
     # 0 <= i < m = n/2, j in {0,1}, b^2 = a^(m/2), b a b^-1 = a^-1.
     m = n // 2
@@ -295,44 +256,46 @@ def _quaternion_generators(n: int) -> list[Permutation]:
     elems = [(i, j) for j in (0, 1) for i in range(m)]
     gens = []
     for g in ((1, 0), (0, 1)):
-        gens.append(Permutation(tuple(idx(*mult(g, x)) for x in elems)))
+        gens.append(tuple(idx(*mult(g, x)) for x in elems))
     return gens
 
 
-def _symmetric_generators(n: int) -> list[Permutation]:
+def _symmetric_generators(n: int) -> list[tuple[int, ...]]:
+    # (0 1) and (0 1 ... n-1).
     if n == 1:
-        return [Permutation.identity(1)]
+        return [(0,)]
     if n == 2:
-        return [Permutation.from_cycles([[0, 1]], 2)]
-    return [Permutation.from_cycles([[0, 1]], n), Permutation.from_cycles([list(range(n))], n)]
+        return [(1, 0)]
+    return [(1, 0, *range(2, n)), (*range(1, n), 0)]
 
 
-def _alternating_generators(n: int) -> list[Permutation]:
+def _alternating_generators(n: int) -> list[tuple[int, ...]]:
+    # (0 1 2) and the longest cycle of odd length: (0 ... n-1) or (1 ... n-1).
     if n <= 2:
-        return [Permutation.identity(max(n, 1))]
+        return [tuple(range(max(n, 1)))]
     if n == 3:
-        return [Permutation.from_cycles([[0, 1, 2]], 3)]
-    three = Permutation.from_cycles([[0, 1, 2]], n)
+        return [(1, 2, 0)]
+    three = (1, 2, 0, *range(3, n))
     if n % 2 == 1:
-        big = Permutation.from_cycles([list(range(n))], n)
+        big = (*range(1, n), 0)
     else:
-        big = Permutation.from_cycles([list(range(1, n))], n)
+        big = (0, *range(2, n), 1)
     return [three, big]
 
 
-def _psl2_7_generators() -> list[Permutation]:
+def _psl2_7_generators() -> list[tuple[int, ...]]:
     # Projective line over F7: points 0..6 and infinity = 7.
     # z -> z + 1 and z -> -1/z.
-    shift = Permutation.from_cycles([[0, 1, 2, 3, 4, 5, 6]], 8)
+    shift = (*range(1, 7), 0, 7)
     img = [0] * 8
     img[7] = 0
     img[0] = 7
     for z in range(1, 7):
         img[z] = (-pow(z, 5, 7)) % 7  # z^-1 = z^5 mod 7
-    return [shift, Permutation(tuple(img))]
+    return [shift, tuple(img)]
 
 
-def _gl3_2_generators() -> list[Permutation]:
+def _gl3_2_generators() -> list[tuple[int, ...]]:
     # Nonzero vectors of F2^3 encoded as integers 1..7, acting points 0..6.
     def apply(matrix_rows, v):
         bits = [(v >> c) & 1 for c in range(3)]
@@ -348,11 +311,11 @@ def _gl3_2_generators() -> list[Permutation]:
     rotation = [[0, 0, 1], [1, 0, 0], [0, 1, 0]]
     gens = []
     for mat in (transvection, rotation):
-        gens.append(Permutation(tuple(apply(mat, v) - 1 for v in range(1, 8))))
+        gens.append(tuple(apply(mat, v) - 1 for v in range(1, 8)))
     return gens
 
 
-def _generators_for(spec: GroupSpec) -> list[Permutation]:
+def _generators_for(spec: GroupSpec) -> list[tuple[int, ...]]:
     if spec.kind == "cyclic":
         return _cyclic_generator(spec.parameters[0])
     if spec.kind == "dihedral":
@@ -376,14 +339,15 @@ def _generators_for(spec: GroupSpec) -> list[Permutation]:
 class FiniteGroup:
     """Fully enumerated permutation group.
 
-    ``mul_table[i][j]`` is the index of elements[i] * elements[j]; index 0 is
-    always the identity.  Instances are immutable by convention and safe to
-    share across threads.
+    ``mul_table[i][j]`` is the index of the product of elements i and j;
+    index 0 is always the identity.  ``generators`` are the image tuples of the
+    elements ``gen_indices``.  Instances are immutable by convention and safe
+    to share across threads.
     """
 
     spec: GroupSpec
     degree: int
-    elements: list[Permutation]
+    generators: tuple[tuple[int, ...], ...]
     mul_table: list[list[int]]
     inv: list[int]
     gen_indices: tuple[int, ...] = ()
@@ -392,7 +356,7 @@ class FiniteGroup:
 
     @property
     def order(self) -> int:
-        return len(self.elements)
+        return len(self.inv)
 
     @property
     def name(self) -> str:
@@ -424,44 +388,48 @@ def realize(spec: GroupSpec, max_order: int = DEFAULT_MAX_ORDER) -> FiniteGroup:
     if not 1 <= max_order <= MAX_ORDER:
         raise ValueError(f"max_order must be in 1..{MAX_ORDER}, got {max_order}")
     raw = _generators_for(spec)
-    degree = max((g.degree for g in raw), default=1)
-    gens = sorted({g for g in raw if not g.is_identity()}, key=lambda p: p.images)
-    ident = Permutation.identity(degree)
+    degree = max(map(len, raw), default=1)
+    ident = tuple(range(degree))
+    gens = sorted(set(raw) - {ident})
+    # Element i is element x * gens[j] (gens[j] applied first) for deriv[i] = (x, j),
+    # and step[x][j] is the index of that product.  A non-identity permutation
+    # moves at least two points, so each itemgetter returns a tuple.
+    right = [itemgetter(*g) for g in gens]
     elements = [ident]
-    index = {ident.images: 0}
+    index = {ident: 0}
     deriv: list[tuple[int, int]] = [(0, -1)]
-    step_rows: list[list[int]] = []
-    pos = 0
-    while pos < len(elements):
-        x = elements[pos]
+    step: list[list[int]] = []
+    for pos, x in enumerate(elements):
         row = []
-        for gi, g in enumerate(gens):
-            y = x * g
-            j = index.get(y.images)
-            if j is None:
+        for j, times_g in enumerate(right):
+            y = times_g(x)
+            i = index.get(y)
+            if i is None:
                 if len(elements) >= max_order:
                     raise OrderExceededError(
                         f"group closure for {spec.canonical_text()!r} exceeds max_order={max_order}"
                     )
-                j = len(elements)
-                index[y.images] = j
+                i = index[y] = len(elements)
                 elements.append(y)
-                deriv.append((pos, gi))
-            row.append(j)
-        step_rows.append(row)
-        pos += 1
+                deriv.append((pos, j))
+            row.append(i)
+        step.append(row)
+    gen_indices = tuple(index[g] for g in gens)
+    del elements, index
 
-    n = len(elements)
-    mul = [[0] * n for _ in range(n)]
-    for i in range(n):
-        row = mul[i]
-        row[0] = i
-        for j in range(1, n):
-            x, gi = deriv[j]
-            row[j] = step_rows[row[x]][gi]
-    inv = [mul[i].index(0) for i in range(n)]
-    gen_indices = tuple(index[g.images] for g in gens)
-    return FiniteGroup(spec, degree, elements, mul, inv, gen_indices)
+    # left[k] reads off the indices of gens[k] * element i: for element i = x * gens[j]
+    # that is (gens[k] * x) * gens[j], and row i of the table is row x read through left[j].
+    left = []
+    for k in gen_indices:
+        row = [k]
+        for x, j in deriv[1:]:
+            row.append(step[row[x]][j])
+        left.append(itemgetter(*row))
+    mul = [list(range(len(deriv)))]
+    for x, j in deriv[1:]:
+        mul.append(list(left[j](mul[x])))
+    inv = [row.index(0) for row in mul]
+    return FiniteGroup(spec, degree, tuple(gens), mul, inv, gen_indices)
 
 
 def group_from_text(text: str, max_order: int = DEFAULT_MAX_ORDER) -> FiniteGroup:

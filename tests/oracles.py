@@ -1,7 +1,8 @@
 """Independent oracles that only the tests call.
 
 Each function here recomputes a quantity that ``btspec`` computes by one
-production route, by a different and more direct route: G-set products,
+production route, by a different and more direct route: the multiplication
+table by composing the image tuples of every pair of elements, G-set products,
 disjoint unions and orbit decompositions for Burnside products, the
 double-coset formula for ``LevelRing.multiply``, double cosets covered
 element by element for ``GhostSystem.double_coset_reps``, the fixed-point
@@ -13,7 +14,7 @@ from __future__ import annotations
 
 from btspec.burnside import BurnsideElement
 from btspec.errors import ContainmentError
-from btspec.groups import FiniteGroup
+from btspec.groups import FiniteGroup, GroupSpec, _generators_for
 from btspec.gsets import GSet, coset_space, fixed_points
 from btspec.lattice import (
     Subgroup,
@@ -28,6 +29,41 @@ from btspec.spectrum import (
     ghost_ideal_membership,
     validate_prime_or_zero,
 )
+
+
+# -- groups --------------------------------------------------------------------
+
+
+def realize_by_pairs(spec: GroupSpec) -> dict:
+    """``realize``'s degree, order, table, inverses and generators, with
+    elements numbered the same way (identity first, then BFS discovery over
+    the sorted non-identity generators), but every product and inverse found
+    by composing image tuples and looking the result up."""
+    raw = _generators_for(spec)
+    degree = max(len(g) for g in raw)
+    ident = tuple(range(degree))
+    gens = sorted(set(raw) - {ident})
+    elements, index = [ident], {ident: 0}
+    for x in elements:
+        for g in gens:
+            y = tuple(x[p] for p in g)  # x after g
+            if y not in index:
+                index[y] = len(elements)
+                elements.append(y)
+    inverse = {}
+    for a in elements:
+        img = [0] * degree
+        for p, q in enumerate(a):
+            img[q] = p
+        inverse[a] = tuple(img)
+    return {
+        "degree": degree,
+        "order": len(elements),
+        "mul_table": [[index[tuple(a[p] for p in b)] for b in elements] for a in elements],
+        "inv": [index[inverse[a]] for a in elements],
+        "gen_indices": tuple(index[g] for g in gens),
+        "generators": tuple(gens),
+    }
 
 
 # -- G-sets --------------------------------------------------------------------

@@ -15,8 +15,7 @@ from btspec.cli import MAX_MESSAGE, build_parser, run
 from btspec.errors import SpecRangeError
 from btspec.ghost import ALL_AXIOMS
 from btspec.groups import (
-    DEFAULT_MAX_ORDER, MAX_DEGREE, MAX_GENERATORS, MAX_ORDER, Permutation, group_from_text,
-    parse_group_spec,
+    DEFAULT_MAX_ORDER, MAX_DEGREE, MAX_GENERATORS, MAX_ORDER, group_from_text, parse_group_spec,
 )
 from btspec.lattice import MAX_SUBGROUPS, bit_count, normalizer_bits, subgroup_lattice
 from btspec.spectrum import MAX_EXTRA_PRIMES
@@ -134,6 +133,21 @@ class TestDegreeBound:
         assert err.startswith("usage error:") and str(MAX_DEGREE) in err
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize("letter", "CDQSA")
+    def test_long_parameter_is_a_usage_error(self, invoke, letter):
+        # int() refuses more than 4300 digits; such an n needs far more points.
+        spec = letter + "1" * 4301
+        with pytest.raises(SpecRangeError, match=f"needs more than {MAX_DEGREE} permutation points"):
+            parse_group_spec(spec)
+        code, out, err = invoke("subgroups", spec)
+        assert code == 2 and out == ""
+        assert err.startswith(f"usage error: '{letter}111") and err.endswith("...\n")
+        assert err.count("\n") == 1
+
+    def test_leading_zeros_are_not_digits(self, invoke):
+        code, out, err = invoke("spec", "C" + "0" * 5000 + "6")
+        assert (code, err) == (0, "") and out == invoke("spec", "C6")[1]
+
     def test_bound_is_inclusive(self):
         for letter in "DQS":
             parse_group_spec(f"{letter}{MAX_DEGREE}")
@@ -143,13 +157,16 @@ class TestDegreeBound:
 
 
 class TestGeneratorBound:
-    # Each generator is a full permutation, so their count is checked first.
+    # Each generator is a full image tuple, so their count is checked first.
     def test_rejected_before_allocation(self, invoke, monkeypatch):
-        built = []
-        monkeypatch.setattr(Permutation, "__post_init__", lambda p: built.append(p))
+        from btspec import groups
+
+        # The degree check runs once all cycles are read, just before the tuples are built.
+        reached = []
+        monkeypatch.setattr(groups, "_check_degree", lambda text, degree: reached.append(degree))
         spec = "perm:" + ";".join([f"(0 {MAX_DEGREE - 1})"] * (MAX_GENERATORS + 1))
         code, out, err = invoke("subgroups", spec)
-        assert code == 2 and out == "" and not built
+        assert code == 2 and out == "" and not reached
         assert err.startswith("usage error:") and str(MAX_GENERATORS) in err
         assert err.count("\n") == 1
 
@@ -633,7 +650,36 @@ def _edit_row(raw, cls, update):
     raw["below"][cls] = f"{update(int(raw['below'][cls], 16)):x}"
 
 
+# Cache files written when groups kept one permutation object per element:
+# sha256 of the A4 and GL3_2 entries, and the A4 entry itself.
+PINNED_ENTRY_SHA256 = {
+    "A4": "21c9f173ba3a1adeef19c2c1eb3f30058851deafdbd9d5f2f4662ee0ecf26b08",
+    "GL3_2": "e05653af0ec51c71880c4f0b1102aa6bc679a06794db63605a24dd8ad0d2fbfa",
+}
+A4_ENTRY = (
+    '{"below": ["1", "3", "5", "b", "1f"], "class_of": [0, 1, 1, 1, 2, 2, 2, 2, 3, 4], "degree": 4, "format_version": 2, "generators": [[0, 2, 3, 1], [1, 2, 0, 3]], '
+    '"order": 12, "spec": "A4", "spec_hash": "bceb29f1be2be4db25bb125e83f34f216e58ca952f561bdf7c821188f932f4da", "subgroups": ["1", "11", "21", "801", "b", "45", "301", "481", "831", "fff"]}'
+)
+
+
 class TestCache:
+    @pytest.mark.parametrize("text", sorted(PINNED_ENTRY_SHA256))
+    def test_entry_bytes_pinned(self, invoke, tmp_path, text):
+        assert invoke("subgroups", text, cache=True)[0] == 0
+        [path] = (tmp_path / "cache").iterdir()
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == PINNED_ENTRY_SHA256[text]
+
+    def test_pinned_entry_loads_with_a_hit(self, invoke, tmp_path, monkeypatch):
+        import btspec.cli as cli_mod
+
+        assert hashlib.sha256(A4_ENTRY.encode()).hexdigest() == PINNED_ENTRY_SHA256["A4"]
+        path = cache_path(tmp_path / "cache", spec_cache_key("A4", DEFAULT_MAX_ORDER))
+        path.parent.mkdir()
+        path.write_text(A4_ENTRY)
+        expected = invoke("spec", "A4")
+        monkeypatch.setattr(cli_mod, "subgroup_lattice", lambda group: pytest.fail("cache miss"))
+        assert invoke("spec", "A4", cache=True) == expected
+
     def test_roundtrip(self, tmp_path):
         group = group_from_text("GL3_2")
         lattice = subgroup_lattice(group)
@@ -832,6 +878,8 @@ class TestReadme:
             (spectrum, ("make_family", "PrimeIdeal", "make_prime_ideal", "ideal_contains")),
             # res/conj routes are their index tuples; no compiled callables or copies.
             (ghost, ("_projection", "_Forms", "_Images", "itemgetter")),
+            # Groups keep their generators' image tuples, not one object per element.
+            (groups, ("Permutation",)),
         ):
             for name in names:
                 assert not hasattr(module, name) and name not in btspec.__all__, name
@@ -841,12 +889,12 @@ class TestReadme:
             (burnside.BurnsideElement, ("scale", "is_zero", "__sub__", "__neg__")),
             (burnside.GhostElement, ("scale", "is_zero", "__sub__", "__neg__")),
             (burnside.LevelRing, ("zero",)),
-            (groups.Permutation, ("__call__",)),
             (ghost.GhostSystem, ("_tr_terms", "_nm_factors")),
             (ghost._Recorder, ("add",)),
         ):
             for name in names:
                 assert name not in vars(cls), f"{cls.__name__}.{name}"
+        assert "elements" not in groups.FiniteGroup.__dataclass_fields__
 
     def test_every_export_is_used_outside_tests(self):
         import btspec

@@ -1,8 +1,10 @@
 """Property test: any spec text and flags end in exit 0, 1 or 2, never an exception.
 
-Drives ``cli.run`` in-process over named specs with small parameters,
-``perm:`` strings (elementary abelian C2^k up to k = 7, where C2^7 has more
-subgroups than ``lattice.MAX_SUBGROUPS``, and random cycles), and malformed
+Drives ``cli.run`` in-process over named specs whose parameter is small or
+one digit repeated 4000-5000 times (all zeros among them), on both sides of
+the 4300 digits ``int()`` converts, ``perm:`` strings (elementary
+abelian C2^k up to k = 7, where C2^7 has more subgroups than
+``lattice.MAX_SUBGROUPS``, and random cycles), and malformed
 text, under subgroups, spec, marks, residual, ring-spec, fibers and member
 with good and bad ``--prime`` values (a prime above 10^18 and 2^64 among
 them), good and bad ``marks --level`` and ``member --ideal``/``--level``/
@@ -20,7 +22,11 @@ from btspec.cli import run
 
 from conftest import C2_7
 
-NAMED = st.builds("{}{}".format, st.sampled_from("CDQSA"), st.integers(-1, 9))
+# str(int) refuses more than 4300 digits, so long parameters are built as strings.
+LONG = st.builds(lambda d, k: d * k, st.sampled_from("0123456789"), st.integers(4000, 5000))
+NAMED = st.builds(
+    "{}{}".format, st.sampled_from("CDQSA"), st.one_of(st.integers(-1, 9).map(str), LONG)
+)
 ELEMENTARY = st.integers(1, 7).map(
     lambda k: "perm:" + ";".join(f"({2 * i} {2 * i + 1})" for i in range(k))
 )
@@ -66,6 +72,7 @@ MAX_ORDERS = st.sampled_from(["0", "24", "60", "128", "200", "4097", "1000000"])
 @given(spec=SPECS, command=COMMANDS, max_order=MAX_ORDERS)
 @example(spec=C2_7, command=["spec"], max_order="128")
 @example(spec="S8", command=["subgroups"], max_order="50000")
+@example(spec="C" + "9" * 4400, command=["subgroups"], max_order="24")
 @example(spec="A4", command=["residual", "--prime", str(10**18 + 3)], max_order="24")
 @example(spec="A4", command=["marks", "--level", "K4"], max_order="24")
 @example(

@@ -1,48 +1,29 @@
 """Group parsing, realization, and determinism."""
 
+import hashlib
+
 import pytest
-from hypothesis import given, strategies as st
 
 from btspec.errors import OrderExceededError, SpecParseError, SpecRangeError
-from btspec.groups import Permutation, group_from_text, parse_group_spec, realize
+from btspec.groups import group_from_text, parse_group_spec, realize
 
-
-def random_permutation(draw, n):
-    images = draw(st.permutations(range(n)))
-    return Permutation(tuple(images))
-
-
-perms = st.integers(min_value=1, max_value=8).flatmap(
-    lambda n: st.permutations(range(n)).map(lambda p: Permutation(tuple(p)))
-)
+from conftest import C2_S6, C840, CORPUS
+from oracles import realize_by_pairs
 
 
 class TestPermutation:
-    def test_identity(self):
-        p = Permutation.identity(4)
-        assert p.is_identity() and p.degree == 4
+    """``perm:`` input is the one place permutations are validated."""
 
     def test_rejects_non_bijection(self):
-        with pytest.raises(ValueError):
-            Permutation((0, 0, 1))
-
-    @given(perms)
-    def test_inverse(self, p):
-        assert (p * p.inverse()).is_identity()
-        assert (p.inverse() * p).is_identity()
-
-    @given(st.integers(min_value=1, max_value=6).flatmap(
-        lambda n: st.tuples(*(st.permutations(range(n)).map(lambda x: Permutation(tuple(x))) for _ in range(3)))
-    ))
-    def test_associative(self, triple):
-        p, q, r = triple
-        assert (p * q) * r == p * (q * r)
+        for text in ("perm:(0 0 1)", "perm:(0 1)(1 2)", "perm:(0 1);(2 3)(3 0)"):
+            with pytest.raises(SpecParseError):
+                parse_group_spec(text)
 
     def test_from_cycles(self):
-        p = Permutation.from_cycles([[0, 1, 2]], 4)
-        assert p.images == (1, 2, 0, 3)
-        with pytest.raises(ValueError):
-            Permutation.from_cycles([[0, 1], [1, 2]], 3)
+        assert parse_group_spec("perm:(0 1 2)(3)").generators == ((1, 2, 0, 3),)
+        assert parse_group_spec("perm:(2 0);(1 3)").generators == ((2, 1, 0, 3), (0, 3, 2, 1))
+        with pytest.raises(SpecParseError, match="point 1 repeated across cycles"):
+            parse_group_spec("perm:(0 1)(1 2)")
 
 
 class TestParse:
@@ -121,23 +102,31 @@ class TestRealize:
 
     def test_identity_is_index_zero(self):
         g = group_from_text("S4")
-        assert g.elements[0].is_identity()
-        assert all(g.mul_table[0][x] == x for x in range(g.order))
+        assert tuple(range(g.degree)) not in g.generators and g.inv[0] == 0
+        assert all(g.mul_table[0][x] == x == g.mul_table[x][0] for x in range(g.order))
 
     def test_tables_consistent(self):
-        g = group_from_text("D4")
-        for a in range(g.order):
-            assert g.mul_table[a][g.inv[a]] == 0
-            assert g.mul_table[g.inv[a]][a] == 0
-            for b in range(g.order):
-                expected = g.elements[a] * g.elements[b]
-                assert g.elements[g.mul_table[a][b]] == expected
+        # The corpus groups all have an automorphism inverting every generator, so
+        # their tables cannot tell x * g from g * x; the Frobenius group of order 21,
+        # z -> z + 1 and z -> 2z mod 7, has none.
+        for text in CORPUS + [C840, "perm:(0 1 2 3 4 5 6);(1 2 4)(3 6 5)"]:
+            g = group_from_text(text)
+            want = realize_by_pairs(g.spec)
+            got = {key: getattr(g, key) for key in want}
+            assert got == want, text
 
     def test_deterministic(self):
-        g1 = group_from_text("S4")
-        g2 = group_from_text("S4")
-        assert [p.images for p in g1.elements] == [p.images for p in g2.elements]
-        assert g1.mul_table == g2.mul_table
+        # sha256 of repr(mul_table) and repr(inv), recorded with the realize that
+        # kept one validated permutation object per element.
+        for text, mul, inv in (
+            ("D1000", "b11ab3cc260e25b864161f0492cbcc48f4672fb451ed313469126b90b4d9e276",
+             "928472d779ffa0b791be3c16de9ca2017c33962ea2798a3dfff84d659722ded6"),
+            (C2_S6, "fafc4f115ec428ab8b292f3325438a384037904688a647da4ee21bed9253d2fe",
+             "c2d626166f317014ec4a3d63683bc915544fea5f3555cb10345a8f6e80c7534c"),
+        ):
+            g = group_from_text(text)
+            assert hashlib.sha256(repr(g.mul_table).encode()).hexdigest() == mul, text
+            assert hashlib.sha256(repr(g.inv).encode()).hexdigest() == inv, text
 
     def test_max_order_exceeded(self):
         with pytest.raises(OrderExceededError):
