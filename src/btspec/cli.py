@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from . import cache as cache_mod
-from .errors import BtspecError, PrimeCountError, SpecParseError, SpecRangeError
+from .errors import BtspecError, UsageError
 from .ghost import DEFAULT_SEED, GhostSystem, VerifyConfig, verify_axioms, ALL_AXIOMS
 from .groups import DEFAULT_MAX_ORDER, MAX_ORDER, FiniteGroup, parse_group_spec, realize
 from .lattice import subgroup_lattice
@@ -45,14 +45,10 @@ GENERIC_NOTE = (
 MAX_MESSAGE = 400
 
 
-class _UsageError(Exception):
-    pass
-
-
 class _Parser(argparse.ArgumentParser):
     # argparse would print its usage block and exit; report one line instead.
     def error(self, message):
-        raise _UsageError(message)
+        raise UsageError(message)
 
 
 def integer(text: str) -> int:
@@ -148,7 +144,7 @@ class Session:
 def _below_limit(p: int, what: str = "--prime") -> int:
     # ``is_prime`` is exact well past 2^64; prime flags stay below it.
     if p >= 1 << 64:
-        raise _UsageError(f"{what} must be below 2^64, got {p}")
+        raise UsageError(f"{what} must be below 2^64, got {p}")
     return p
 
 
@@ -164,26 +160,26 @@ def check_args(args) -> None:
     """
     cmd = args.command
     if cmd == "residual" and not is_prime(_below_limit(args.prime)):
-        raise _UsageError(f"--prime must be a prime number, got {args.prime}")
+        raise UsageError(f"--prime must be a prime number, got {args.prime}")
     elif cmd in ("spec", "ring-spec"):
         check_extra_primes(args.prime)
         for q in args.prime:
             if not is_prime(_below_limit(q)):
-                raise _UsageError(f"--prime must be prime, got {q}")
+                raise UsageError(f"--prime must be prime, got {q}")
     elif cmd == "fibers" and args.prime != GENERIC:
         try:
             p = int(args.prime)
         except ValueError:
-            raise _UsageError(f"--prime must be 0, a prime, or GENERIC, got {args.prime!r}")
+            raise UsageError(f"--prime must be 0, a prime, or GENERIC, got {args.prime!r}")
         if p != 0 and not is_prime(_below_limit(p)):
-            raise _UsageError(f"--prime must be 0, a prime, or GENERIC, got {p}")
+            raise UsageError(f"--prime must be 0, a prime, or GENERIC, got {p}")
         args.prime = p
     elif cmd == "verify":
         if args.axioms:
             args.axioms = tuple(a.strip() for a in args.axioms.split(",") if a.strip())
             unknown = set(args.axioms) - set(ALL_AXIOMS)
             if unknown:
-                raise _UsageError(
+                raise UsageError(
                     f"unknown axioms: {', '.join(sorted(unknown))}; "
                     f"choose from {', '.join(ALL_AXIOMS)}"
                 )
@@ -194,18 +190,18 @@ def check_args(args) -> None:
         try:
             p = int(p_text)
         except ValueError:  # no comma, or no integer after it
-            raise _UsageError("--ideal must look like H,p (class label, prime or 0)")
+            raise UsageError("--ideal must look like H,p (class label, prime or 0)")
         try:
             p = validate_prime_or_zero(_below_limit(p, "the prime of --ideal"))
         except ValueError as exc:
-            raise _UsageError(str(exc))
+            raise UsageError(str(exc))
         args.ideal = (h_label.strip(), p)
         try:
             args.element = [int(tok) for tok in args.element.split(",")]
         except ValueError:
-            raise _UsageError("--element must be comma-separated integers")
+            raise UsageError("--element must be comma-separated integers")
     if args.fmt == "dot" and cmd not in ("spec", "ring-spec", "fibers"):
-        raise _UsageError("dot format applies to spec, ring-spec, and fibers")
+        raise UsageError("dot format applies to spec, ring-spec, and fibers")
 
 
 def open_session(group: FiniteGroup, args) -> Session:
@@ -507,7 +503,7 @@ def cmd_member(session: Session, args) -> int:
     try:
         x = ring.element(args.element)
     except ValueError as exc:
-        raise _UsageError(str(exc))
+        raise UsageError(str(exc))
     inside = burnside_ideal_membership(session.system, k_cls, p, x)
     if args.fmt == "json":
         _emit_json(
@@ -549,16 +545,16 @@ def run(argv) -> int:
     try:
         args = build_parser().parse_args(argv)
         if args.max_order < 1:
-            raise _UsageError(f"--max-order must be >= 1, got {args.max_order}")
+            raise UsageError(f"--max-order must be >= 1, got {args.max_order}")
         if args.max_order > MAX_ORDER:
-            raise _UsageError(f"--max-order must be <= {MAX_ORDER}, got {args.max_order}")
+            raise UsageError(f"--max-order must be <= {MAX_ORDER}, got {args.max_order}")
         group = realize(parse_group_spec(args.spec), args.max_order)
         check_args(args)
         session = open_session(group, args)
         return _COMMANDS[args.command](session, args)
     except SystemExit as exc:  # --help
         return int(exc.code or 0)
-    except (SpecParseError, SpecRangeError, PrimeCountError, _UsageError) as exc:
+    except UsageError as exc:
         print(f"usage error: {_clip(exc)}", file=sys.stderr)
         return 2
     except BtspecError as exc:

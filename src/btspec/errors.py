@@ -7,7 +7,11 @@ class BtspecError(Exception):
     """Base class for all package errors."""
 
 
-class SpecParseError(BtspecError):
+class UsageError(BtspecError):
+    """Bad input from the caller: the CLI reports it as a usage error (exit 2)."""
+
+
+class SpecParseError(UsageError):
     """Malformed group-spec text; carries the offending position."""
 
     def __init__(self, message: str, position: int = 0):
@@ -15,7 +19,7 @@ class SpecParseError(BtspecError):
         self.position = position
 
 
-class SpecRangeError(BtspecError):
+class SpecRangeError(UsageError):
     """Structurally valid spec with out-of-range parameters (e.g. Q6)."""
 
 
@@ -27,7 +31,7 @@ class LatticeSizeError(BtspecError):
     """The group has more subgroups than lattice.MAX_SUBGROUPS."""
 
 
-class PrimeCountError(BtspecError):
+class PrimeCountError(UsageError):
     """More distinct extra primes than spectrum.MAX_EXTRA_PRIMES."""
 
 

@@ -12,9 +12,9 @@ with ^g S = g S g^-1 and S^g = g^-1 S g; the two conventions are NOT
 interchangeable here, and the verifier's double-coset checks fail if they are
 swapped.  Maps are compiled once per level pair into routing tables, so
 repeated applications are cheap: a res or conj route is the tuple of source
-coordinates its target coordinates read.  Left cosets K/H are enumerated once
-per (K, H) and serve both the transfer terms and the double cosets of the norm
-factors.
+coordinates its target coordinates read.  ``lattice.left_cosets`` numbers the
+left cosets K/H once per (K, H): the terms of tr at I are the cosets I fixes,
+and the factors of nm at I are the I-orbits on the coset numbers.
 
 ``verify_axioms`` machine-checks, exhaustively over subgroup-chain classes:
 functoriality of all four maps, both double-coset formulas, Frobenius
@@ -61,7 +61,7 @@ from .lattice import (
     bits_iter,
     conjugate_bits,
     is_subset,
-    left_transversal,
+    left_cosets,
     subgroup_lattice,
 )
 
@@ -69,6 +69,7 @@ DEFAULT_SEED = 0x5EED
 COORD_BOUND = 9
 CONJ_PAIR_CAP = 4096  # all (g, h) pairs for conj_functoriality while |G|^2 fits
 MAX_RECORDED_FAILURES = 25  # later failures are only counted
+RANDOM_ELEMENTS = 32  # seeded random test vectors per level
 
 
 class GhostSystem:
@@ -194,31 +195,26 @@ class GhostSystem:
     # -- cosets -----------------------------------------------------------------
 
     def left_cosets(self, K_idx: int, H_idx: int) -> tuple[list[int], dict[int, int]]:
-        """``left_transversal(K, H)`` and the representative of each element's
-        coset, computed once per (K, H)."""
-        key = (K_idx, H_idx)
-        found = self._cosets.get(key)
+        """``lattice.left_cosets`` of K/H, computed once per (K, H)."""
+        found = self._cosets.get((K_idx, H_idx))
         if found is None:
-            reps = left_transversal(self.group, self._bits(K_idx), self._bits(H_idx))
-            mul = self.group.mul_table
-            H_list = list(bits_iter(self._bits(H_idx)))
-            found = (reps, {mul[k][h]: k for k in reps for h in H_list})
-            self._cosets[key] = found
+            found = left_cosets(self.group, self._bits(K_idx), self._bits(H_idx))
+            self._cosets[K_idx, H_idx] = found
         return found
 
     def double_coset_reps(self, L_bits: int, K_idx: int, H_idx: int) -> list[int]:
         """Least-index representatives of the double cosets L\\K/H (L <= K),
         read off the left cosets: a double coset's least element is the least
         representative of its left cosets lkH, so it is the first one of each
-        L-orbit on the representatives in increasing order."""
-        reps, rep_of = self.left_cosets(K_idx, H_idx)
+        L-orbit on the coset numbers in increasing order."""
+        reps, coset_of = self.left_cosets(K_idx, H_idx)
         mul = self.group.mul_table
         rows = [mul[x] for x in bits_iter(L_bits)]
         out, seen = [], set()
-        for k in reps:
-            if k not in seen:
+        for i, k in enumerate(reps):
+            if i not in seen:
                 out.append(k)
-                seen.update([rep_of[row[k]] for row in rows])
+                seen.update([coset_of[row[k]] for row in rows])
         return out
 
     # -- per-subgroup coordinates (routes and Weyl-invariance checks) ----------
@@ -228,13 +224,13 @@ class GhostSystem:
         reps): k runs over left-coset reps of K/H, kept when I^k <= H."""
         group = self.group
         ringH = self.level(H_idx)
-        reps, rep_of = self.left_cosets(K_idx, H_idx)
+        reps, coset_of = self.left_cosets(K_idx, H_idx)
         # I^k <= H iff I fixes the coset kH.
         rows = [group.mul_table[x] for x in bits_iter(I_bits)]
         return tuple(
             ringH.class_of_bits(conjugate_bits(group, group.inv[k], I_bits))
-            for k in reps
-            if all(rep_of[row[k]] == k for row in rows)
+            for i, k in enumerate(reps)
+            if all(coset_of[row[k]] == i for row in rows)
         )
 
     def nm_factor_classes(self, K_idx: int, H_idx: int, I_bits: int) -> tuple[int, ...]:
@@ -284,10 +280,9 @@ ALL_AXIOMS = (
 
 @dataclass
 class VerifyConfig:
-    """Budget and determinism knobs for the axiom sweep."""
+    """The axiom sweep's random seed and the axioms it checks (None: all)."""
 
     seed: int = DEFAULT_SEED
-    random_elements: int = 32
     axioms: tuple[str, ...] | None = None
 
 
@@ -364,7 +359,7 @@ def _test_elements(system: GhostSystem, level_idx: int, cfg: VerifyConfig, cache
         els = [GhostElement(level_idx, tuple(row)) for row in ring.marks_matrix]
         els.append(ring.all_ones())
         rng = random.Random((cfg.seed << 16) ^ (level_idx * 0x9E3779B1))
-        for _ in range(cfg.random_elements):
+        for _ in range(RANDOM_ELEMENTS):
             els.append(
                 GhostElement(
                     level_idx,

@@ -15,6 +15,7 @@ spec produce identical tables.
 from __future__ import annotations
 
 import re
+import sys
 from dataclasses import dataclass, field
 from functools import cached_property
 from operator import itemgetter
@@ -161,7 +162,7 @@ def _parse_perm_generators(text: str, offset: int) -> tuple[tuple[int, ...], ...
                 raise SpecParseError("unclosed cycle", pos + i)
             inner = chunk[i + 1 : close].replace(",", " ").split()
             try:
-                points = [int(tok) for tok in inner]
+                points = _cycle_points(inner)
             except ValueError:
                 raise SpecParseError(f"non-integer point in cycle {chunk[i:close + 1]!r}", pos + i)
             if any(p < 0 for p in points):
@@ -185,6 +186,34 @@ def _parse_perm_generators(text: str, offset: int) -> tuple[tuple[int, ...], ...
                 img[a] = b
         gens.append(tuple(img))
     return tuple(gens)
+
+
+_INTEGER_RE = re.compile(r"[+-]?\d+(?:_\d+)*")  # what int() reads in base 10
+
+
+def _cycle_points(tokens: list[str]) -> list[int]:
+    """The points int() reads from a cycle's tokens.  int() refuses more than
+    sys.get_int_max_str_digits() digits; a point that long, leading zeros aside,
+    is past MAX_DEGREE.  It stands in, with its sign, as 10^limit (which no int()
+    result reaches) plus its rank among the cycle's long points, so the checks
+    after it run as for any large point."""
+    ranks: dict[str, int] = {}
+    points = []
+    for tok in tokens:
+        try:
+            points.append(int(tok))
+            continue
+        except ValueError:
+            if not _INTEGER_RE.fullmatch(tok):
+                raise
+        digits = "".join(str(int(c)) for c in tok.lstrip("+-") if c != "_").lstrip("0")
+        limit = sys.get_int_max_str_digits()
+        if len(digits) <= limit:
+            value = int(digits or 0)
+        else:
+            value = 10**limit + ranks.setdefault(digits, len(ranks))
+        points.append(-value if tok[0] == "-" else value)
+    return points
 
 
 def _check_degree(text: str, degree: int) -> None:

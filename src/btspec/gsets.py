@@ -9,6 +9,8 @@ lattice in ``burnside``.  Products, disjoint unions, orbit decomposition and
 the fixed-point counting identity, which only the tests use, live in
 ``tests/oracles.py``.  Nothing here consults the lattice formula or the
 ghost-side maps, so agreement between the two routes is meaningful evidence.
+Both sides number cosets with ``lattice.left_cosets``/``right_cosets``, which
+the tests check against cosets built as sets.
 
 Action rows are filled lazily, one per acting element asked for.  Fixed
 points are tested on a generating set of the subgroup only (a point is fixed
@@ -20,14 +22,7 @@ from __future__ import annotations
 
 from .errors import CapExceededError, ContainmentError
 from .groups import FiniteGroup
-from .lattice import (
-    bits_iter,
-    conjugate_bits,
-    generating_set,
-    is_subset,
-    left_transversal,
-    right_transversal,
-)
+from .lattice import conjugate_bits, generating_set, is_subset, left_cosets, right_cosets
 
 # Most points a coinduced set may have; larger sets are skipped by the verifier.
 COINDUCE_CAP = 100_000
@@ -62,12 +57,7 @@ def coset_space(group: FiniteGroup, H_bits: int, K_bits: int) -> GSet:
     if not is_subset(K_bits, H_bits):
         raise ContainmentError("K must be contained in H")
     mul = group.mul_table
-    reps = left_transversal(group, H_bits, K_bits)
-    coset_of = {}
-    for i, r in enumerate(reps):
-        row = mul[r]
-        for k in bits_iter(K_bits):
-            coset_of[row[k]] = i
+    reps, coset_of = left_cosets(group, H_bits, K_bits)
 
     def row_fn(g):
         row = mul[g]
@@ -103,12 +93,7 @@ def induce(K_bits: int, X: GSet) -> GSet:
     if not is_subset(H_bits, K_bits):
         raise ContainmentError("induction requires H <= K")
     mul, inv = group.mul_table, group.inv
-    reps = left_transversal(group, K_bits, H_bits)
-    coset_of = {}
-    for i, r in enumerate(reps):
-        row = mul[r]
-        for h in bits_iter(H_bits):
-            coset_of[row[h]] = i
+    reps, coset_of = left_cosets(group, K_bits, H_bits)
     sx = X.size
 
     def row_fn(k):
@@ -143,17 +128,13 @@ def coinduce(K_bits: int, X: GSet) -> GSet:
     if not is_subset(H_bits, K_bits):
         raise ContainmentError("coinduction requires H <= K")
     mul, inv = group.mul_table, group.inv
-    reps = right_transversal(group, K_bits, H_bits)
+    reps, coset_of = right_cosets(group, K_bits, H_bits)
     m = len(reps)
     size = X.size**m
     if size > COINDUCE_CAP:
         raise CapExceededError(
             f"coinduction would have {X.size}^{m} = {size} points, above cap {COINDUCE_CAP}"
         )
-    coset_of = {}
-    for j, r in enumerate(reps):
-        for h in bits_iter(H_bits):
-            coset_of[mul[h][r]] = j
     powers = [X.size**i for i in range(m)]
 
     def row_fn(k):

@@ -111,35 +111,30 @@ def conjugate_bits(group: FiniteGroup, g: int, bits: int) -> int:
     return out
 
 
-def left_transversal(group: FiniteGroup, K_bits: int, H_bits: int) -> list[int]:
-    """Least-index representatives of the left cosets kH inside K (H <= K)."""
+def _cosets(K_bits: int, H_bits: int, coset) -> tuple[list[int], dict[int, int]]:
+    """Number the cosets ``coset(k)`` of H inside K by their least elements."""
     if not is_subset(H_bits, K_bits):
         raise ContainmentError("H must be contained in K")
-    mul = group.mul_table
-    reps, covered = [], 0
+    reps: list[int] = []
+    coset_of: dict[int, int] = {}
     for k in bits_iter(K_bits):
-        if covered >> k & 1:
-            continue
-        reps.append(k)
-        row = mul[k]
-        for h in bits_iter(H_bits):
-            covered |= 1 << row[h]
-    return reps
+        if k not in coset_of:
+            coset_of.update(dict.fromkeys(coset(k), len(reps)))
+            reps.append(k)
+    return reps, coset_of
 
 
-def right_transversal(group: FiniteGroup, K_bits: int, H_bits: int) -> list[int]:
-    """Least-index representatives of the right cosets Hk inside K (H <= K)."""
-    if not is_subset(H_bits, K_bits):
-        raise ContainmentError("H must be contained in K")
-    mul = group.mul_table
-    reps, covered = [], 0
-    for k in bits_iter(K_bits):
-        if covered >> k & 1:
-            continue
-        reps.append(k)
-        for h in bits_iter(H_bits):
-            covered |= 1 << mul[h][k]
-    return reps
+def left_cosets(group: FiniteGroup, K_bits: int, H_bits: int) -> tuple[list[int], dict[int, int]]:
+    """The left cosets kH inside K (H <= K): their least-index representatives
+    in increasing order, and the number of the coset each element of K lies in."""
+    mul, H_list = group.mul_table, list(bits_iter(H_bits))
+    return _cosets(K_bits, H_bits, lambda k: map(mul[k].__getitem__, H_list))
+
+
+def right_cosets(group: FiniteGroup, K_bits: int, H_bits: int) -> tuple[list[int], dict[int, int]]:
+    """``left_cosets`` for the right cosets Hk inside K (H <= K)."""
+    H_rows = [group.mul_table[h] for h in bits_iter(H_bits)]
+    return _cosets(K_bits, H_bits, lambda k: [row[k] for row in H_rows])
 
 
 @dataclass

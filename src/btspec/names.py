@@ -79,7 +79,6 @@ def class_labels(group: FiniteGroup, lattice: SubgroupLattice) -> list[str]:
     n = lattice.num_classes
     per_order_counter: dict[int, int] = {}
     base: list[str] = []
-    tags: list[str | None] = []
     for cls in range(n):
         rep = lattice.subgroups[lattice.class_reps[cls]]
         k = per_order_counter.get(rep.order, 0) + 1
@@ -88,7 +87,6 @@ def class_labels(group: FiniteGroup, lattice: SubgroupLattice) -> list[str]:
         tag = structure_tag(group, rep.members, rep.order)
         if tag is None and cls == lattice.class_of[lattice.top_index]:
             tag = group.name
-        tags.append(tag)
         base.append(tag if tag is not None else fallback)
 
     duplicated: dict[str, list[int]] = {}

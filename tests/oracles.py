@@ -4,8 +4,9 @@ Each function here recomputes a quantity that ``btspec`` computes by one
 production route, by a different and more direct route: the multiplication
 table by composing the image tuples of every pair of elements, G-set products,
 disjoint unions and orbit decompositions for Burnside products, the
-double-coset formula for ``LevelRing.multiply``, double cosets covered
-element by element for ``GhostSystem.double_coset_reps``, the fixed-point
+double-coset formula for ``LevelRing.multiply``, cosets built as sets for
+``lattice.left_cosets``/``right_cosets``, double cosets covered element by
+element for ``GhostSystem.double_coset_reps``, the fixed-point
 counting identity, downward closure and every subgroup family, and the
 Q-condition over every level.
 """
@@ -22,7 +23,6 @@ from btspec.lattice import (
     bits_iter,
     conjugate_bits,
     is_subset,
-    left_transversal,
 )
 from btspec.spectrum import (
     _norm_route_values,
@@ -164,7 +164,7 @@ def fixed_point_identity_check(
     lhs = fixed_points(coset_space(group, full, H_bits), J_bits)
     inner = coset_space(group, K_bits, H_bits)
     rhs = 0
-    for x in left_transversal(group, full, K_bits):
+    for x in map(min, cosets(group, full, K_bits, "left")):
         jx = conjugate_bits(group, group.inv[x], J_bits)
         if is_subset(jx, K_bits):
             rhs += fixed_points(inner, jx)
@@ -172,6 +172,21 @@ def fixed_point_identity_check(
 
 
 # -- cosets --------------------------------------------------------------------
+
+
+def cosets(group: FiniteGroup, K_bits: int, H_bits: int, side: str) -> list[frozenset[int]]:
+    """The left cosets kH (``side`` "left") or right cosets Hk ("right") inside
+    K, one set per element k of K, distinct sets ordered by least element."""
+    if not is_subset(H_bits, K_bits):
+        raise ContainmentError("H must be contained in K")
+    mul = group.mul_table
+    H = [h for h in range(group.order) if H_bits >> h & 1]
+    found = {
+        frozenset(mul[k][h] if side == "left" else mul[h][k] for h in H)
+        for k in range(group.order)
+        if K_bits >> k & 1
+    }
+    return sorted(found, key=min)
 
 
 def double_coset_reps(group: FiniteGroup, L_bits: int, K_bits: int, H_bits: int) -> list[int]:

@@ -12,7 +12,7 @@ import pytest
 
 from btspec.cache import cache_load, cache_path, cache_store, spec_cache_key
 from btspec.cli import MAX_MESSAGE, build_parser, run
-from btspec.errors import SpecRangeError
+from btspec.errors import SpecParseError, SpecRangeError
 from btspec.ghost import ALL_AXIOMS
 from btspec.groups import (
     DEFAULT_MAX_ORDER, MAX_DEGREE, MAX_GENERATORS, MAX_ORDER, group_from_text, parse_group_spec,
@@ -76,6 +76,14 @@ class TestExitCodes:
         code, out, err = invoke("--max-order", value, "subgroups", "C2")
         assert code == 2 and out == ""
         assert err == f"usage error: --max-order must be <= {MAX_ORDER}, got {value}\n"
+
+    def test_one_usage_error_type(self):
+        from btspec import cli, errors
+
+        for exc in (SpecParseError, SpecRangeError, errors.PrimeCountError):
+            assert issubclass(exc, errors.UsageError)
+        assert issubclass(errors.UsageError, errors.BtspecError)
+        assert not hasattr(cli, "_UsageError")
 
     def test_max_order_bound_is_inclusive(self, invoke):
         assert invoke("--max-order", str(MAX_ORDER), "subgroups", "C2")[0] == 0
@@ -147,6 +155,33 @@ class TestDegreeBound:
     def test_leading_zeros_are_not_digits(self, invoke):
         code, out, err = invoke("spec", "C" + "0" * 5000 + "6")
         assert (code, err) == (0, "") and out == invoke("spec", "C6")[1]
+
+    @pytest.mark.parametrize("digits", [40, 4301, 20000])
+    def test_long_perm_point_reads_as_a_large_one(self, invoke, digits):
+        # int() refuses more than 4300 digits; past that a point is reported
+        # as a 40-digit one is, with the checks in the same order.
+        big, other = "1" * digits, "2" + "1" * (digits - 1)
+        degree = (SpecRangeError, f"needs more than {MAX_DEGREE} permutation points")
+        for body, (error, message) in [
+            (f"(0 {big})", degree),
+            (f"(0 {big})(0 {other})", degree),
+            (f"(0 {big} {other})", degree),
+            (f"(0 {big}_1)", degree),
+            (f"(0 {big} 5 {big})", (SpecParseError, "repeated point in cycle")),
+            (f"(0 {big}_1 {big}1)", (SpecParseError, "repeated point in cycle")),
+            (f"(0 -{big})", (SpecParseError, "negative point in cycle")),
+            (f"(0 {big})(x 1)", (SpecParseError, "non-integer point in cycle '(x 1)'")),
+            (f"(0 {big}x)", (SpecParseError, "non-integer point in cycle")),
+        ]:
+            with pytest.raises(error, match=re.escape(message)):
+                parse_group_spec("perm:" + body)
+        text = f"'perm:(0 {big})' needs more than {MAX_DEGREE} permutation points"
+        clipped = text if len(text) <= MAX_MESSAGE else text[: MAX_MESSAGE - 3] + "..."
+        assert invoke("subgroups", f"perm:(0 {big})") == (2, "", f"usage error: {clipped}\n")
+
+    def test_long_perm_point_with_leading_zeros(self):
+        spec = parse_group_spec("perm:(0 " + "0" * 5000 + "5)")
+        assert spec == parse_group_spec("perm:(0 5)")
 
     def test_bound_is_inclusive(self):
         for letter in "DQS":
@@ -875,6 +910,8 @@ class TestReadme:
         # Wrappers only tests called; the tests call what they wrapped.
         for module, names in (
             (lattice, ("double_cosets", "double_coset_reps", "p_residual", "is_subconjugate")),
+            # Cosets are numbered by left_cosets/right_cosets, not bare transversals.
+            (lattice, ("left_transversal", "right_transversal")),
             (spectrum, ("make_family", "PrimeIdeal", "make_prime_ideal", "ideal_contains")),
             # res/conj routes are their index tuples; no compiled callables or copies.
             (ghost, ("_projection", "_Forms", "_Images", "itemgetter")),

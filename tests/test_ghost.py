@@ -2,14 +2,21 @@
 
 import pytest
 
+import btspec.ghost as ghost_mod
 from btspec.burnside import BurnsideElement, GhostElement
 from btspec.errors import ContainmentError
 from btspec.ghost import GhostSystem, VerifyConfig, verify_axioms
 from btspec.gsets import coinduce, coset_space, induce
-from btspec.lattice import conjugate_bits, is_subset, left_transversal
+from btspec.lattice import conjugate_bits, is_subset, left_cosets, right_cosets
 
 from conftest import system_for
-from oracles import double_coset_reps
+from oracles import cosets, double_coset_reps
+
+
+@pytest.fixture()
+def four_random(monkeypatch):
+    """Four seeded random test vectors per level, as the pinned data were recorded."""
+    monkeypatch.setattr(ghost_mod, "RANDOM_ELEMENTS", 4)
 
 
 def sub_idx_of_order(lattice, order, nth=0):
@@ -280,7 +287,7 @@ class FlippedTrSystem(GhostSystem):
         group, H_bits = self.group, self._bits(H_idx)
         terms = (
             conjugate_bits(group, k, I_bits)  # wrong conjugation side
-            for k in left_transversal(group, self._bits(K_idx), H_bits)
+            for k in left_cosets(group, self._bits(K_idx), H_bits)[0]
         )
         return tuple(self.level(H_idx).class_of_bits(ik) for ik in terms if is_subset(ik, H_bits))
 
@@ -298,8 +305,7 @@ class FlippedNmSystem(GhostSystem):
 
 # Recorded from the sweep before its loop invariants were hoisted: the first
 # MAX_RECORDED_FAILURES failures (axiom, instance, detail) in check order, and
-# the number suppressed after them, for each mutant under
-# VerifyConfig(random_elements=4).
+# the number suppressed after them, for each mutant with RANDOM_ELEMENTS = 4.
 PINNED_FAILURES = {
     ("FlippedTrSystem", "A4"): (
         13,
@@ -405,29 +411,27 @@ class TestMutation:
                 assert bad.tr_route(K_idx, H_idx) == sys_s3.tr_route(K_idx, H_idx)
 
     @pytest.mark.parametrize("text", ["A4", "S4"])
-    def test_flipped_transfer_caught(self, text):
+    def test_flipped_transfer_caught(self, text, four_random):
         from btspec.groups import group_from_text
 
         bad = FlippedTrSystem(group_from_text(text))
-        report = verify_axioms(bad, VerifyConfig(random_elements=4))
+        report = verify_axioms(bad)
         assert not report.ok
         assert any(f.axiom == "conjugacy_tr" for f in report.failures)
 
-    def test_flipped_norm_caught_on_s3(self):
+    def test_flipped_norm_caught_on_s3(self, four_random):
         from btspec.groups import group_from_text
 
         bad = FlippedNmSystem(group_from_text("S3"))
-        report = verify_axioms(bad, VerifyConfig(random_elements=4))
+        report = verify_axioms(bad)
         assert not report.ok
         assert any(f.axiom == "conjugacy_nm" for f in report.failures)
 
-    def test_unflipped_passes_same_checks(self, sys_s3):
+    def test_unflipped_passes_same_checks(self, sys_s3, monkeypatch):
+        monkeypatch.setattr(ghost_mod, "RANDOM_ELEMENTS", 8)
         report = verify_axioms(
             sys_s3,
-            VerifyConfig(
-                axioms=("additive_double_coset", "conjugacy_tr", "conjugacy_nm"),
-                random_elements=8,
-            ),
+            VerifyConfig(axioms=("additive_double_coset", "conjugacy_tr", "conjugacy_nm")),
         )
         assert report.ok
 
@@ -442,21 +446,19 @@ class TestPinnedFailures:
         from btspec.groups import group_from_text
 
         system = TestPinnedFailures.SYSTEMS[name](group_from_text(text))
-        return verify_axioms(system, VerifyConfig(random_elements=4))
+        return verify_axioms(system)
 
     @pytest.mark.parametrize("name,text", list(PINNED_FAILURES))
-    def test_recorded_failures(self, name, text):
+    def test_recorded_failures(self, name, text, four_random):
         suppressed, failures = PINNED_FAILURES[name, text]
         report = self._report(name, text)
         assert [(f.axiom, f.instance, f.detail) for f in report.failures] == failures
         assert report.suppressed_failures == suppressed
 
     @pytest.mark.parametrize("name,text", list(PINNED_ALL_FAILURES))
-    def test_all_failures(self, name, text, monkeypatch):
+    def test_all_failures(self, name, text, monkeypatch, four_random):
         import hashlib
         import json
-
-        import btspec.ghost as ghost_mod
 
         monkeypatch.setattr(ghost_mod, "MAX_RECORDED_FAILURES", 10**9)
         report = self._report(name, text)
@@ -472,8 +474,8 @@ class TestVerify:
         assert report.ok, report.failures[:3]
         assert report.total_instances > 0
 
-    def test_report_serializes(self, sys_s3):
-        report = verify_axioms(sys_s3, VerifyConfig(random_elements=4))
+    def test_report_serializes(self, sys_s3, four_random):
+        report = verify_axioms(sys_s3)
         data = report.to_json_dict()
         assert data["ok"] is True
         assert data["group"] == "S3"
@@ -542,8 +544,6 @@ class MisreadConjSystem(GhostSystem):
 
 def _loops_only(monkeypatch):
     """Make every identity decision fail, so each block runs its loop."""
-    import btspec.ghost as ghost_mod
-
     monkeypatch.setattr(ghost_mod._Recorder, "proved", lambda self, axiom, holds, n: False)
 
 
@@ -578,14 +578,10 @@ class TestIdentityProofs:
         return proved, looped
 
     @pytest.mark.parametrize("text", ["S3", "A4", "Q8", "D6", "S4"])
-    def test_corpus_agrees_with_loops(self, text, monkeypatch):
+    def test_corpus_agrees_with_loops(self, text, monkeypatch, four_random):
         from btspec.groups import group_from_text
 
-        proved, looped = self._both(
-            lambda: GhostSystem(group_from_text(text)),
-            VerifyConfig(random_elements=4),
-            monkeypatch,
-        )
+        proved, looped = self._both(lambda: GhostSystem(group_from_text(text)), None, monkeypatch)
         assert proved == looped
         assert not proved[1]
 
@@ -610,23 +606,18 @@ class TestIdentityProofs:
             ("MisreadConjSystem", "A4"),
         ],
     )
-    def test_mutants_agree_with_loops(self, name, text, cap, monkeypatch):
-        import btspec.ghost as ghost_mod
+    def test_mutants_agree_with_loops(self, name, text, cap, monkeypatch, four_random):
         from btspec.groups import group_from_text
 
         monkeypatch.setattr(ghost_mod, "MAX_RECORDED_FAILURES", cap)
         proved, looped = self._both(
-            lambda: self.MUTANTS[name](group_from_text(text)),
-            VerifyConfig(random_elements=4),
-            monkeypatch,
+            lambda: self.MUTANTS[name](group_from_text(text)), None, monkeypatch
         )
         assert proved == looped
         assert proved[1]
 
     @pytest.mark.parametrize("text", ["S3", "A4"])
-    def test_dropped_leg_reaches_the_fallback(self, text, monkeypatch):
-        import btspec.ghost as ghost_mod
-
+    def test_dropped_leg_reaches_the_fallback(self, text, monkeypatch, four_random):
         fallback_checks = []
         check = ghost_mod._Recorder.check
 
@@ -640,19 +631,21 @@ class TestIdentityProofs:
 
         report = verify_axioms(
             DroppedLegSystem(group_from_text(text)),
-            VerifyConfig(axioms=("multiplicative_double_coset",), random_elements=4),
+            VerifyConfig(axioms=("multiplicative_double_coset",)),
         )
         assert fallback_checks and not all(fallback_checks)
         assert {f.axiom for f in report.failures} == {"multiplicative_double_coset"}
         assert report.counts == verify_axioms(
             system_for(text),
-            VerifyConfig(axioms=("multiplicative_double_coset",), random_elements=4),
+            VerifyConfig(axioms=("multiplicative_double_coset",)),
         ).counts
 
 
 class TestCosets:
-    """``GhostSystem`` reads transversals and double cosets off one coset map
-    per (K, H); they must match the lattice's direct enumeration."""
+    """``lattice.left_cosets``/``right_cosets`` number the cosets kH and Hk of
+    H inside K; ``GhostSystem`` memoizes the left ones and reads its double
+    cosets off them.  Each must match the oracles: cosets built as sets, and
+    double cosets covered element by element."""
 
     @pytest.mark.parametrize("text", ["S3", "A4", "Q8", "D6", "S4"])
     def test_match_lattice(self, text):
@@ -663,12 +656,26 @@ class TestCosets:
             reps = s.level(K_idx).class_reps
             for H_idx in reps:
                 H_bits = lat.subgroups[H_idx].members
-                assert s.left_cosets(K_idx, H_idx)[0] == left_transversal(g, K_bits, H_bits)
+                for side, numbered in (("left", left_cosets), ("right", right_cosets)):
+                    sets = cosets(g, K_bits, H_bits, side)
+                    assert numbered(g, K_bits, H_bits) == (
+                        [min(c) for c in sets],
+                        {x: i for i, c in enumerate(sets) for x in c},
+                    )
+                assert s.left_cosets(K_idx, H_idx) == left_cosets(g, K_bits, H_bits)
                 for L_idx in reps:
                     L_bits = lat.subgroups[L_idx].members
                     assert s.double_coset_reps(L_bits, K_idx, H_idx) == double_coset_reps(
                         g, L_bits, K_bits, H_bits
                     )
+
+    def test_containment_is_checked(self, sys_s3):
+        g = sys_s3.group
+        c2 = sys_s3.lattice.subgroups[sub_idx_of_order(sys_s3.lattice, 2)].members
+        c3 = sys_s3.lattice.subgroups[sub_idx_of_order(sys_s3.lattice, 3)].members
+        for numbered in (left_cosets, right_cosets):
+            with pytest.raises(ContainmentError):
+                numbered(g, c3, c2)
 
 
 class TestAxiomSweepScript:

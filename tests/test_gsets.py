@@ -12,11 +12,12 @@ from btspec.gsets import (
     induce,
     restrict_gset,
 )
-from btspec.lattice import bits_iter, right_transversal
+from btspec.lattice import bits_iter
 
 from conftest import system_for
 from oracles import (
     check_action,
+    cosets,
     disjoint_union,
     fixed_point_identity_check,
     orbit_decompose,
@@ -271,13 +272,11 @@ def coinduce_row_by_digits(K_bits, X, k):
     group = X.group
     H_bits = X.acting_bits
     mul, inv = group.mul_table, group.inv
-    reps = right_transversal(group, K_bits, H_bits)
+    sets = cosets(group, K_bits, H_bits, "right")
+    reps = [min(c) for c in sets]
     m = len(reps)
     size = X.size**m
-    coset_of = {}
-    for j, r in enumerate(reps):
-        for h in bits_iter(H_bits):
-            coset_of[mul[h][r]] = j
+    coset_of = {x: j for j, c in enumerate(sets) for x in c}
     base = X.size
     powers = [base**i for i in range(m)]
     # (k.f)(t_i) = f(t_i k) = h_i . f(t_{j_i}) where t_i k = h_i t_{j_i}.

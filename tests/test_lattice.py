@@ -9,7 +9,7 @@ from btspec.lattice import (
     conjugate_bits,
     generating_set,
     is_subset,
-    left_transversal,
+    left_cosets,
     normalizer_bits,
     p_residual_bits,
 )
@@ -190,12 +190,15 @@ class TestTransversals:
                 assert total == g.order
                 assert covered == (1 << g.order) - 1
 
-    def test_left_transversal_least_reps(self, sys_s3):
+    def test_left_cosets_least_reps(self, sys_s3):
         g, lat = sys_s3.group, sys_s3.lattice
         c3 = next(s for s in lat.subgroups if s.order == 3)
-        reps = left_transversal(g, (1 << 6) - 1, c3.members)
+        reps, coset_of = left_cosets(g, (1 << 6) - 1, c3.members)
         assert len(reps) == 2
         assert reps[0] == 0
+        assert sorted(coset_of) == list(range(6))
+        assert all(coset_of[g.mul_table[r][h]] == i for i, r in enumerate(reps)
+                   for h in bits_iter(c3.members))
 
 
 class TestPResidual:
