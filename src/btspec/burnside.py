@@ -3,12 +3,13 @@
 For a level subgroup H, elements of A(H) are integer vectors over the
 H-conjugacy classes of subgroups of H in the orbit basis [H/K]; ghost
 elements are integer mark vectors over the same classes (one coordinate per
-class, i.e. tuples constant on conjugacy classes).  The mark homomorphism is
-the table of marks: a lower-triangular integer matrix with positive diagonal
-when classes are sorted by (order, bitset), which is a linear extension of
-subconjugacy.  Its triangularity makes the inverse an exact integer
-back-substitution; everything runs on arbitrary-precision ints because norms
-exponentiate.
+class, i.e. tuples constant on conjugacy classes).  Both are immutable
+(level, tuple) pairs, and an element of A(H) never equals a ghost vector.
+The mark homomorphism is the table of marks: a lower-triangular integer
+matrix with positive diagonal when classes are sorted by (order, bitset), a
+linear extension of subconjugacy.  Its triangularity makes the inverse an
+exact integer back-substitution; everything runs on arbitrary-precision ints
+because norms exponentiate.
 
 The table is read off the lattice bitsets with the table-of-marks identity
 |(H/K)^I| = |N_H(K) : K| * #{H-conjugates of K containing I}; no coset space
@@ -18,7 +19,7 @@ oracle that the verifier's naturality checks and the tests compare against.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .errors import NotInImageError
 # Read only by bench/tracer.py, which wraps these names here to count calls.
@@ -27,28 +28,37 @@ from .groups import FiniteGroup
 from .lattice import SubgroupLattice, conjugate_bits, generating_set, is_subset
 
 
-@dataclass(frozen=True)
-class BurnsideElement:
-    """Element of A(H) in the orbit basis; ``level`` is the subgroup index of H."""
+class _LevelVector(tuple):
+    """An immutable (level, coordinates) pair, equal only to one of its own type."""
 
-    level: int
-    coeffs: tuple[int, ...]
+    __slots__ = ()
+    __hash__ = tuple.__hash__
 
-    def __add__(self, other: "BurnsideElement") -> "BurnsideElement":
-        self._check(other)
-        return BurnsideElement(self.level, tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
+    def __eq__(self, other):
+        return type(other) is type(self) and tuple.__eq__(self, other)
+
+    def __ne__(self, other):
+        return not self == other
 
     def _check(self, other):
         if self.level != other.level:
             raise ValueError("level mismatch")
 
 
-@dataclass(frozen=True)
-class GhostElement:
+class BurnsideElement(_LevelVector, namedtuple("BurnsideElement", "level coeffs")):
+    """Element of A(H) in the orbit basis; ``level`` is the subgroup index of H."""
+
+    __slots__ = ()
+
+    def __add__(self, other: "BurnsideElement") -> "BurnsideElement":
+        self._check(other)
+        return BurnsideElement(self.level, tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
+
+
+class GhostElement(_LevelVector, namedtuple("GhostElement", "level values")):
     """Mark-coordinate vector over the H-classes of subgroups of H."""
 
-    level: int
-    values: tuple[int, ...]
+    __slots__ = ()
 
     def __add__(self, other: "GhostElement") -> "GhostElement":
         self._check(other)
@@ -57,10 +67,6 @@ class GhostElement:
     def __mul__(self, other: "GhostElement") -> "GhostElement":
         self._check(other)
         return GhostElement(self.level, tuple(a * b for a, b in zip(self.values, other.values)))
-
-    def _check(self, other):
-        if self.level != other.level:
-            raise ValueError("level mismatch")
 
 
 class LevelRing:

@@ -13,7 +13,6 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 from . import cache as cache_mod
@@ -119,10 +118,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-@dataclass
 class Session:
-    system: GhostSystem
-    labels: list[str]
+    """A group's ghost system and its class labels, as the commands read them."""
+
+    def __init__(self, system: GhostSystem, labels: list[str]):
+        self.system, self.labels = system, labels
 
     @property
     def group(self):
@@ -153,7 +153,7 @@ def check_args(args) -> None:
     ``realize``, so spec-parse and realize errors keep precedence.
 
     Normalizes in place what the commands read: ``fibers --prime`` becomes an
-    int or GENERIC, ``verify --axioms`` a tuple or None (all axioms),
+    int or GENERIC, ``verify --axioms`` a non-empty tuple or None (all axioms),
     ``member --ideal`` a (label, prime) pair and ``member --element`` a list
     of ints.  Every prime flag must be below 2^64, and ``spec``/``ring-spec``
     take at most ``MAX_EXTRA_PRIMES`` distinct ``--prime`` values.
@@ -175,16 +175,14 @@ def check_args(args) -> None:
             raise UsageError(f"--prime must be 0, a prime, or GENERIC, got {p}")
         args.prime = p
     elif cmd == "verify":
-        if args.axioms:
+        if args.axioms is not None:
             args.axioms = tuple(a.strip() for a in args.axioms.split(",") if a.strip())
+            choices = f"choose from {', '.join(ALL_AXIOMS)}"
+            if not args.axioms:
+                raise UsageError(f"--axioms names no axiom; {choices}")
             unknown = set(args.axioms) - set(ALL_AXIOMS)
             if unknown:
-                raise UsageError(
-                    f"unknown axioms: {', '.join(sorted(unknown))}; "
-                    f"choose from {', '.join(ALL_AXIOMS)}"
-                )
-        else:
-            args.axioms = None
+                raise UsageError(f"unknown axioms: {', '.join(sorted(unknown))}; {choices}")
     elif cmd == "member":
         h_label, _, p_text = args.ideal.partition(",")
         try:
@@ -371,6 +369,11 @@ def _ranks_within(ids: list[int], inner: list[tuple[int, int]]) -> dict[int, int
     return rank
 
 
+def _edges_text(session: Session, poset: SpectrumPoset, edges) -> str:
+    label = lambda i: _node_label(session, poset, i)
+    return ", ".join(f"{label(a)} < {label(b)}" for a, b in edges)
+
+
 def _print_fiber_text(session: Session, poset: SpectrumPoset, key: str) -> None:
     ids = list(poset.fibers[key])
     idset = set(ids)
@@ -384,13 +387,7 @@ def _print_fiber_text(session: Session, poset: SpectrumPoset, key: str) -> None:
         labels = "  ".join(_node_label(session, poset, i) for i in sorted(by_rank[r]))
         print("  " * (r + 1) + labels)
     if inner:
-        print(
-            "  edges: "
-            + ", ".join(
-                f"{_node_label(session, poset, a)} < {_node_label(session, poset, b)}"
-                for a, b in inner
-            )
-        )
+        print("  edges: " + _edges_text(session, poset, inner))
 
 
 def _print_poset_text(session: Session, poset: SpectrumPoset) -> None:
@@ -400,19 +397,9 @@ def _print_poset_text(session: Session, poset: SpectrumPoset) -> None:
     print(f"note: {GENERIC_NOTE}")
     for key in poset.fibers:
         _print_fiber_text(session, poset, key)
-    cross = [
-        (a, b)
-        for a, b in poset.edges
-        if poset.nodes[a].fiber != poset.nodes[b].fiber
-    ]
+    cross = [(a, b) for a, b in poset.edges if poset.nodes[a].fiber != poset.nodes[b].fiber]
     if cross:
-        print(
-            "cross edges: "
-            + ", ".join(
-                f"{_node_label(session, poset, a)} < {_node_label(session, poset, b)}"
-                for a, b in cross
-            )
-        )
+        print("cross edges: " + _edges_text(session, poset, cross))
 
 
 def _dot_graph(session: Session, poset: SpectrumPoset, name: str, ids: list[int]) -> list[str]:

@@ -41,7 +41,6 @@ from __future__ import annotations
 
 import operator
 import random
-from dataclasses import dataclass, field
 from functools import reduce
 from math import prod
 
@@ -278,27 +277,25 @@ ALL_AXIOMS = (
 )
 
 
-@dataclass
 class VerifyConfig:
     """The axiom sweep's random seed and the axioms it checks (None: all)."""
 
-    seed: int = DEFAULT_SEED
-    axioms: tuple[str, ...] | None = None
+    def __init__(self, seed: int = DEFAULT_SEED, axioms: tuple[str, ...] | None = None):
+        self.seed, self.axioms = seed, axioms
 
 
-@dataclass
 class AxiomFailure:
-    axiom: str
-    instance: dict
-    detail: str
+    def __init__(self, axiom: str, instance: dict, detail: str):
+        self.axiom, self.instance, self.detail = axiom, instance, detail
 
 
-@dataclass
 class VerificationReport:
-    group: str
-    counts: dict[str, int] = field(default_factory=dict)
-    failures: list[AxiomFailure] = field(default_factory=list)
-    suppressed_failures: int = 0
+    def __init__(self, group: str, counts: dict[str, int] | None = None,
+                 failures: list[AxiomFailure] | None = None, suppressed_failures: int = 0):
+        self.group = group
+        self.counts = {} if counts is None else counts
+        self.failures = [] if failures is None else failures
+        self.suppressed_failures = suppressed_failures
 
     @property
     def ok(self) -> bool:

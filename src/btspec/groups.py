@@ -16,8 +16,9 @@ from __future__ import annotations
 
 import re
 import sys
-from dataclasses import dataclass, field
+from collections import namedtuple
 from functools import cached_property
+from math import gcd
 from operator import itemgetter
 
 from .errors import OrderExceededError, SpecParseError, SpecRangeError
@@ -39,13 +40,11 @@ MAX_DEGREE = 4096
 MAX_GENERATORS = 64
 
 
-@dataclass(frozen=True)
-class GroupSpec:
-    """Parsed group description: a named family or explicit generators."""
+class GroupSpec(namedtuple("GroupSpec", "kind parameters generators", defaults=((), None))):
+    """Parsed group description: a named family (``kind`` and its integer
+    ``parameters``) or explicit ``generators`` as image tuples."""
 
-    kind: str
-    parameters: tuple[int, ...] = ()
-    generators: tuple[tuple[int, ...], ...] | None = None
+    __slots__ = ()
 
     def canonical_text(self) -> str:
         k, p = self.kind, self.parameters
@@ -364,24 +363,26 @@ def _generators_for(spec: GroupSpec) -> list[tuple[int, ...]]:
     raise ValueError(f"unknown spec kind {spec.kind!r}")
 
 
-@dataclass
 class FiniteGroup:
     """Fully enumerated permutation group.
 
     ``mul_table[i][j]`` is the index of the product of elements i and j;
     index 0 is always the identity.  ``generators`` are the image tuples of the
     elements ``gen_indices``.  Instances are immutable by convention and safe
-    to share across threads.
+    to share across threads; element orders and subgroup generating sets are
+    memoized on them as they are asked for.
     """
 
-    spec: GroupSpec
-    degree: int
-    generators: tuple[tuple[int, ...], ...]
-    mul_table: list[list[int]]
-    inv: list[int]
-    gen_indices: tuple[int, ...] = ()
-    _orders: list[int] | None = field(default=None, repr=False)
-    _gensets: dict[int, tuple[int, ...]] = field(default_factory=dict, repr=False, compare=False)
+    def __init__(self, spec: GroupSpec, degree: int, generators: tuple[tuple[int, ...], ...],
+                 mul_table: list[list[int]], inv: list[int], gen_indices: tuple[int, ...] = ()):
+        self.spec = spec
+        self.degree = degree
+        self.generators = generators
+        self.mul_table = mul_table
+        self.inv = inv
+        self.gen_indices = gen_indices
+        self._orders = [0] * len(inv)
+        self._gensets: dict[int, tuple[int, ...]] = {}
 
     @property
     def order(self) -> int:
@@ -392,15 +393,16 @@ class FiniteGroup:
         return self.spec.canonical_text()
 
     def element_order(self, x: int) -> int:
-        if self._orders is None:
-            self._orders = [0] * self.order
-        if self._orders[x] == 0:
-            power, k = x, 1
-            while power != 0:
-                power = self.mul_table[power][x]
-                k += 1
-            self._orders[x] = k
-        return self._orders[x]
+        """The order of x.  The walk over the powers of x that finds it m also
+        fills in the order m / gcd(k, m) of each power x^k."""
+        orders = self._orders
+        if not orders[x]:
+            powers = [x]
+            while powers[-1]:
+                powers.append(self.mul_table[powers[-1]][x])
+            for k, power in enumerate(powers, 1):
+                orders[power] = len(powers) // gcd(k, len(powers))
+        return orders[x]
 
     @cached_property
     def is_abelian(self) -> bool:

@@ -17,7 +17,7 @@ in T but not in M, and M is conjugate to an extended representative.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import Counter, namedtuple
 from math import gcd
 
 from .errors import ContainmentError, LatticeSizeError
@@ -46,12 +46,10 @@ def is_subset(a: int, b: int) -> bool:
     return a & ~b == 0
 
 
-@dataclass(frozen=True)
-class Subgroup:
+class Subgroup(namedtuple("Subgroup", "members order")):
     """Subgroup as a bitset over element indices plus its cardinality."""
 
-    members: int
-    order: int
+    __slots__ = ()
 
 
 def closure(group: FiniteGroup, generators, base: int = 1) -> int:
@@ -137,7 +135,6 @@ def right_cosets(group: FiniteGroup, K_bits: int, H_bits: int) -> tuple[list[int
     return _cosets(K_bits, H_bits, lambda k: [row[k] for row in H_rows])
 
 
-@dataclass
 class SubgroupLattice:
     """All subgroups of a group, their conjugacy classes, and subconjugacy.
 
@@ -147,14 +144,16 @@ class SubgroupLattice:
     is the class of O^p(H) for H in class cls, computed once per (cls, p).
     """
 
-    group: FiniteGroup
-    subgroups: list[Subgroup]
-    index_of: dict[int, int]
-    class_of: list[int]
-    class_reps: list[int]
-    below: list[int]
-    _class_sizes: list[int] | None = field(default=None, repr=False)
-    _residuals: dict[tuple[int, int], int] = field(default_factory=dict, repr=False)
+    def __init__(self, group: FiniteGroup, subgroups: list[Subgroup], index_of: dict[int, int],
+                 class_of: list[int], class_reps: list[int], below: list[int]):
+        self.group = group
+        self.subgroups = subgroups
+        self.index_of = index_of
+        self.class_of = class_of
+        self.class_reps = class_reps
+        self.below = below
+        self._class_sizes: Counter | None = None
+        self._residuals: dict[tuple[int, int], int] = {}
 
     @property
     def num_classes(self) -> int:
@@ -172,10 +171,7 @@ class SubgroupLattice:
 
     def class_size(self, cls: int) -> int:
         if self._class_sizes is None:
-            sizes = [0] * self.num_classes
-            for c in self.class_of:
-                sizes[c] += 1
-            self._class_sizes = sizes
+            self._class_sizes = Counter(self.class_of)
         return self._class_sizes[cls]
 
     def subgroups_within(self, sub_idx: int) -> tuple[int, ...]:
@@ -215,19 +211,24 @@ def normalizer_bits(group: FiniteGroup, bits: int) -> int:
     return out
 
 
-def _cyclic_generators(group: FiniteGroup, x: int) -> list[int]:
-    """The powers x^k with gcd(k, ord x) = 1, i.e. the generators of <x>."""
-    order = group.element_order(x)
-    mul = group.mul_table
-    out, power = [], x
-    for k in range(1, order + 1):
-        if gcd(k, order) == 1:
-            out.append(power)
-        power = mul[power][x]
+def _cyclic_generators(group: FiniteGroup, x: int, blocks: list) -> list[int]:
+    """The powers x^k with gcd(k, ord x) = 1, i.e. the generators of <x>, built
+    once per cyclic subgroup: ``blocks[y]`` keeps the list for each y in it."""
+    out = blocks[x]
+    if out is None:
+        order = group.element_order(x)
+        mul = group.mul_table
+        out, power = [], x
+        for k in range(1, order + 1):
+            if gcd(k, order) == 1:
+                out.append(power)
+            power = mul[power][x]
+        for y in out:
+            blocks[y] = out
     return out
 
 
-def _mark_join_orbit(group: FiniteGroup, c: int, right, conj, done: bytearray) -> None:
+def _mark_join_orbit(group: FiniteGroup, c: int, right, conj, done: bytearray, blocks) -> None:
     """Mark in ``done`` the orbit of c under x -> x^k (gcd(k, ord x) = 1),
     x -> x s (s in ``right``) and x -> n x n^-1 (n in ``conj``).
 
@@ -240,7 +241,7 @@ def _mark_join_orbit(group: FiniteGroup, c: int, right, conj, done: bytearray) -
         y = stack.pop()
         if done[y]:
             continue
-        block = _cyclic_generators(group, y)
+        block = _cyclic_generators(group, y, blocks)
         for x in block:
             done[x] = 1
         for x in block:
@@ -281,6 +282,7 @@ def subgroup_lattice(group: FiniteGroup) -> SubgroupLattice:
             frontier = new
 
     add_class(1, ())
+    blocks: list[list[int] | None] = [None] * group.order  # see _cyclic_generators
     for s_bits, s_gens in reps:  # add_class appends while this loop walks reps
         conj = () if group.is_abelian else generating_set(group, normalizer_bits(group, s_bits))
         done = bytearray(group.order)
@@ -292,7 +294,7 @@ def subgroup_lattice(group: FiniteGroup) -> SubgroupLattice:
             joined = closure(group, (c,), s_bits)
             if joined not in found:
                 add_class(joined, s_gens + (c,))
-            _mark_join_orbit(group, c, s_gens, conj, done)
+            _mark_join_orbit(group, c, s_gens, conj, done, blocks)
 
     ordered = sorted(found, key=lambda b: (bit_count(b), b))
     subgroups = [Subgroup(b, bit_count(b)) for b in ordered]

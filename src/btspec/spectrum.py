@@ -35,7 +35,7 @@ non-principal family of subgroups.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .burnside import BurnsideElement, GhostElement
 from .errors import PrimeCountError
@@ -160,23 +160,28 @@ def burnside_ideal_membership(
 GENERIC = "GENERIC"
 
 
-@dataclass(frozen=True)
-class SpectrumNode:
-    node_id: int
-    fiber: str                      # "0", "2", ..., or "GENERIC"
-    residual_class: int             # canonical class index
-    member_classes: tuple[int, ...]  # classes whose ideal collapses onto this node
+class SpectrumNode(namedtuple("SpectrumNode", "node_id fiber residual_class member_classes")):
+    """A prime ideal: its fiber ("0", "2", ..., or "GENERIC"), canonical class
+    index, and the classes whose ideal collapses onto it."""
+
+    __slots__ = ()
 
 
-@dataclass
 class SpectrumPoset:
-    group: str
-    kind: str                        # "tambara" or "ring"
-    nodes: list[SpectrumNode]
-    edges: list[tuple[int, int]]     # Hasse edges (a, b) meaning ideal a < ideal b
-    fibers: dict[str, list[int]]
-    krull_dimension: int
-    succ: list[int]                  # per node, the bitset of node ids strictly above it
+    """The prime ideals of one group's spectrum (``kind`` "tambara" or
+    "ring"): Hasse ``edges`` (a, b) mean ideal a < ideal b, and ``succ[a]`` is
+    the bitset of the node ids strictly above a."""
+
+    def __init__(self, group: str, kind: str, nodes: list[SpectrumNode],
+                 edges: list[tuple[int, int]], fibers: dict[str, list[int]],
+                 krull_dimension: int, succ: list[int]):
+        self.group = group
+        self.kind = kind
+        self.nodes = nodes
+        self.edges = edges
+        self.fibers = fibers
+        self.krull_dimension = krull_dimension
+        self.succ = succ
 
     def contains(self, a: int, b: int) -> bool:
         """True iff ideal a is contained in ideal b."""

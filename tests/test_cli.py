@@ -221,6 +221,7 @@ class TestLatticeBound:
 
 DOT_REFUSED = "usage error: dot format applies to spec, ring-spec, and fibers\n"
 MEMBER_FLAGS = ("--level", "e", "--element", "1")
+NO_AXIOM = "usage error: --axioms names no axiom; choose from " + ", ".join(ALL_AXIOMS) + "\n"
 
 
 def prime_flags(n):
@@ -317,6 +318,15 @@ class TestArgsBeforeLattice:
                 ("verify", C2_5, "--axioms", "bogus"), 2,
                 "usage error: unknown axioms: bogus; choose from " + ", ".join(ALL_AXIOMS) + "\n",
                 id="verify-unknown-axiom",
+            ),
+            # A value that names no axiom is refused, not read as "none" or "all".
+            *(
+                pytest.param(
+                    ("verify", C2_5, "--axioms", value), 2, NO_AXIOM, id=f"verify-axioms-{name}"
+                )
+                for name, value in (
+                    ("empty", ""), ("comma", ","), ("blank", " "), ("commas", " , ,")
+                )
             ),
             pytest.param(
                 ("member", C2_5, "--ideal", "K4", *MEMBER_FLAGS), 2,
@@ -865,6 +875,20 @@ class TestCache:
         assert "member --element" in out and "e,C2,C3,K4,A4" in out
 
 
+class TestStartup:
+    def test_cli_import_skips_heavy_modules(self):
+        """Every CLI call imports btspec.cli in a fresh interpreter; it must
+        not pay for dataclasses, which pulls in inspect, ast, dis and tokenize,
+        nor for typing.  ``-S`` keeps site hooks from importing them first."""
+        heavy = ("dataclasses", "inspect", "ast", "dis", "tokenize", "typing")
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+        code = f"import sys, btspec.cli; print([m for m in {heavy!r} if m in sys.modules])"
+        proc = subprocess.run(
+            [sys.executable, "-S", "-c", code], capture_output=True, env=env, timeout=60
+        )
+        assert (proc.returncode, proc.stderr, proc.stdout) == (0, b"", b"[]\n")
+
+
 class TestReadme:
     def test_global_options_paragraph_names_every_global_flag(self):
         readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
@@ -931,7 +955,7 @@ class TestReadme:
         ):
             for name in names:
                 assert name not in vars(cls), f"{cls.__name__}.{name}"
-        assert "elements" not in groups.FiniteGroup.__dataclass_fields__
+        assert not hasattr(groups.group_from_text("S3"), "elements")
 
     def test_every_export_is_used_outside_tests(self):
         import btspec

@@ -100,6 +100,20 @@ class TestRealize:
         orders = sorted(g.element_order(x) for x in range(g.order))
         assert orders.count(2) == 9 and orders.count(9) == 6 and orders.count(3) == 2
 
+    @pytest.mark.parametrize("text", ["S4", "D60", "Q16", C840])
+    def test_element_orders_match_power_counts(self, text):
+        # element_order fills in the orders of all powers of x as it walks them;
+        # ask in a scrambled order so most answers come from such fills.
+        g = group_from_text(text)
+        want = []
+        for x in range(g.order):
+            power, k = x, 1
+            while power:
+                power, k = g.mul_table[power][x], k + 1
+            want.append(k)
+        asked = sorted(range(g.order), key=lambda x: (x * 7919) % g.order)
+        assert {x: g.element_order(x) for x in asked} == dict(enumerate(want))
+
     def test_identity_is_index_zero(self):
         g = group_from_text("S4")
         assert tuple(range(g.degree)) not in g.generators and g.inv[0] == 0
