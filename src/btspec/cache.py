@@ -9,25 +9,27 @@ realized group (spec hash, order, degree, generators) and for shape (format
 version, bitsets within the group, the whole group last, (order, bitset)
 order, one row per class); an entry that fails is ignored and recomputed, so
 entries of an older format are silently replaced.  Each stored bitset must be
-a subgroup (identity bit set, order dividing |G|, and the closure of its
-elements equal to itself), and each row of ``below`` must hold its own class
-and only classes whose order divides its class's order; an entry that fails
-these is ignored with a one-line stderr note.  That the classes are conjugacy
-classes and the rows are exactly subconjugacy is trusted, not re-derived.
-Writes are atomic (temp file + rename).
+a subgroup (identity bit set, order dividing |G|, and the span that
+``lattice.generating_set`` grows from its elements equal to itself, so each
+accepted subgroup's generating set is kept on the group as a by-product), and
+each row of ``below`` must hold its own class and only classes whose order
+divides its class's order; an entry that fails these is ignored with a
+one-line stderr note.  That the classes are conjugacy classes and the rows are
+exactly subconjugacy is trusted, not re-derived.  Writes are atomic (temp file
++ rename).  ``hashlib`` and ``tempfile`` are imported by the functions that
+use them, so a ``--no-cache`` run loads neither.
 """
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
 import sys
-import tempfile
 from pathlib import Path
 
+from .errors import ContainmentError
 from .groups import FiniteGroup
-from .lattice import Subgroup, SubgroupLattice, closure, generating_set
+from .lattice import Subgroup, SubgroupLattice, generating_set
 
 CACHE_FORMAT_VERSION = 2
 CACHE_ENV_VAR = "BTSPEC_CACHE"
@@ -43,6 +45,8 @@ def default_cache_dir() -> Path:
 
 
 def spec_cache_key(spec_text: str, max_order: int) -> str:
+    import hashlib  # loads OpenSSL's _hashlib: only when the cache is used
+
     return hashlib.sha256(f"{spec_text}\n{max_order}".encode()).hexdigest()
 
 
@@ -51,6 +55,8 @@ def cache_path(cache_dir: Path, key: str) -> Path:
 
 
 def cache_store(path: Path, group: FiniteGroup, lattice: SubgroupLattice, key: str) -> None:
+    import tempfile  # imports shutil and random: only when an entry is written
+
     payload = {
         "format_version": CACHE_FORMAT_VERSION,
         "spec_hash": key,
@@ -76,10 +82,14 @@ def cache_store(path: Path, group: FiniteGroup, lattice: SubgroupLattice, key: s
 
 def _is_subgroup(group: FiniteGroup, s: Subgroup) -> bool:
     """True iff the bitset holds the identity, its order divides |G|, and the
-    closure of its elements is itself."""
+    span that ``generating_set`` grows from its elements is itself."""
     if group.order % s.order or not s.members & 1:
         return False
-    return closure(group, generating_set(group, s.members)) == s.members
+    try:
+        generating_set(group, s.members)
+    except ContainmentError:
+        return False
+    return True
 
 
 def cache_load(path: Path, group: FiniteGroup, key: str) -> SubgroupLattice | None:

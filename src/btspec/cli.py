@@ -205,9 +205,9 @@ def check_args(args) -> None:
 def open_session(group: FiniteGroup, args) -> Session:
     """Build or load the lattice of a realized group."""
     lattice = None
-    key = cache_mod.spec_cache_key(group.name, args.max_order)
-    path = cache_mod.cache_path(args.cache_dir or cache_mod.default_cache_dir(), key)
     if not args.no_cache:
+        key = cache_mod.spec_cache_key(group.name, args.max_order)
+        path = cache_mod.cache_path(args.cache_dir or cache_mod.default_cache_dir(), key)
         lattice = cache_mod.cache_load(path, group, key)
     if lattice is None:
         lattice = subgroup_lattice(group)

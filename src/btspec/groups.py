@@ -370,7 +370,7 @@ class FiniteGroup:
     index 0 is always the identity.  ``generators`` are the image tuples of the
     elements ``gen_indices``.  Instances are immutable by convention and safe
     to share across threads; element orders and subgroup generating sets are
-    memoized on them as they are asked for.
+    memoized on them as they are asked for, and ``order_masks`` once.
     """
 
     def __init__(self, spec: GroupSpec, degree: int, generators: tuple[tuple[int, ...], ...],
@@ -403,6 +403,16 @@ class FiniteGroup:
             for k, power in enumerate(powers, 1):
                 orders[power] = len(powers) // gcd(k, len(powers))
         return orders[x]
+
+    @cached_property
+    def order_masks(self) -> dict[int, int]:
+        """Element order -> bitset of the elements of that order, so a
+        subgroup's counts of each order are bit counts of its bitset."""
+        masks: dict[int, int] = {}
+        for x in range(self.order):
+            order = self.element_order(x)
+            masks[order] = masks.get(order, 0) | 1 << x
+        return masks
 
     @cached_property
     def is_abelian(self) -> bool:
@@ -446,6 +456,7 @@ def realize(spec: GroupSpec, max_order: int = DEFAULT_MAX_ORDER) -> FiniteGroup:
             row.append(i)
         step.append(row)
     gen_indices = tuple(index[g] for g in gens)
+    gen_inverses = [index[tuple(sorted(range(len(g)), key=g.__getitem__))] for g in gens]
     del elements, index
 
     # left[k] reads off the indices of gens[k] * element i: for element i = x * gens[j]
@@ -459,7 +470,10 @@ def realize(spec: GroupSpec, max_order: int = DEFAULT_MAX_ORDER) -> FiniteGroup:
     mul = [list(range(len(deriv)))]
     for x, j in deriv[1:]:
         mul.append(list(left[j](mul[x])))
-    inv = [row.index(0) for row in mul]
+    # (x * gens[j])^-1 = gens[j]^-1 * x^-1, and x precedes x * gens[j] in BFS order.
+    inv = [0]
+    for x, j in deriv[1:]:
+        inv.append(mul[gen_inverses[j]][inv[x]])
     return FiniteGroup(spec, degree, tuple(gens), mul, inv, gen_indices)
 
 

@@ -39,7 +39,7 @@ def bits_iter(bits: int):
 
 
 def bit_count(bits: int) -> int:
-    return bin(bits).count("1")
+    return bits.bit_count()
 
 
 def is_subset(a: int, b: int) -> bool:
@@ -80,20 +80,28 @@ def closure(group: FiniteGroup, generators, base: int = 1) -> int:
     return bits
 
 
+def _span(group: FiniteGroup, candidates: int) -> tuple[list[int], int]:
+    """Grow a span from the trivial subgroup by the least candidate outside it
+    until it holds every candidate: the elements taken, and the span."""
+    gens: list[int] = []
+    span = 1  # the trivial subgroup
+    while rest := candidates & ~span:
+        x = (rest & -rest).bit_length() - 1
+        gens.append(x)
+        span = closure(group, (x,), span)
+    return gens, span
+
+
 def generating_set(group: FiniteGroup, bits: int) -> tuple[int, ...]:
     """A small generating set of the subgroup ``bits``: least elements first.
 
-    Computed once per subgroup and kept on the group."""
+    Computed once per subgroup and kept on the group.  Raises ContainmentError,
+    and keeps nothing, when ``bits`` is not a subgroup: its span is not itself."""
     found = group._gensets.get(bits)
     if found is None:
-        gens: list[int] = []
-        span = 1  # the trivial subgroup
-        for x in bits_iter(bits):
-            if span == bits:
-                break
-            if not span >> x & 1:
-                gens.append(x)
-                span = closure(group, (x,), span)
+        gens, span = _span(group, bits)
+        if span != bits:
+            raise ContainmentError(f"bitset {bits:#x} is not a subgroup")
         found = group._gensets[bits] = tuple(gens)
     return found
 
@@ -321,10 +329,11 @@ def subgroup_lattice(group: FiniteGroup) -> SubgroupLattice:
 
 
 def p_residual_bits(group: FiniteGroup, H_bits: int, p: int) -> int:
-    """Bitset of O^p(H), the subgroup generated by all p'-elements of H: the
-    span grows only by p'-elements not already in it, as in generating_set."""
-    span = 1  # the trivial subgroup
-    for x in bits_iter(H_bits):
-        if not span >> x & 1 and group.element_order(x) % p:
-            span = closure(group, (x,), span)
-    return span
+    """Bitset of O^p(H), the subgroup generated by all p'-elements of H.  The
+    p'-elements of H are H masked by the ``order_masks`` of orders prime to p.
+    In an abelian group they form a subgroup; otherwise the span grows by the
+    least of them outside it, as in generating_set."""
+    if bit_count(H_bits) % p:  # a p'-group is its own residual
+        return H_bits
+    coprime = H_bits & sum(mask for order, mask in group.order_masks.items() if order % p)
+    return coprime if group.is_abelian else _span(group, coprime)[1]

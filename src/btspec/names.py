@@ -20,12 +20,13 @@ assignment is canonical but arbitrary.
 from __future__ import annotations
 
 from collections import Counter
+from functools import lru_cache
 from math import gcd
 
 from .groups import FiniteGroup
 # Read only by bench/tracer.py, which wraps this name here to count calls.
 from .groups import realize
-from .lattice import SubgroupLattice, bits_iter, generating_set
+from .lattice import SubgroupLattice, generating_set
 from .spectrum import prime_factors
 
 # Named groups fixed by one literal element-order histogram: (name, abelian, histogram).
@@ -47,8 +48,10 @@ def _cyclic_histogram(n: int) -> Counter:
     return Counter(n // gcd(k, n) for k in range(n))
 
 
+@lru_cache(maxsize=None)
 def _named_fingerprints(order: int) -> dict[tuple, str]:
-    """Fingerprint -> structure name of each named group of the given order."""
+    """Fingerprint -> structure name of each named group of the given order,
+    built once per order."""
     named = {_fingerprint(True, _cyclic_histogram(order)): "e" if order == 1 else f"C{order}"}
     for name, abelian, histogram in _SMALL_GROUPS:
         if sum(histogram.values()) == order:
@@ -66,11 +69,15 @@ def _named_fingerprints(order: int) -> dict[tuple, str]:
 
 
 def structure_tag(group: FiniteGroup, bits: int, order: int) -> str | None:
-    """Structure name of the subgroup ``bits`` of the given order, or None."""
+    """Structure name of the subgroup ``bits`` of the given order, or None.
+
+    Its element-order histogram is read off ``group.order_masks``: the count of
+    order d is the bit count of ``bits`` masked by the elements of order d."""
     mul = group.mul_table
     gens = generating_set(group, bits)
     abelian = all(mul[a][b] == mul[b][a] for a in gens for b in gens)
-    histogram = Counter(group.element_order(x) for x in bits_iter(bits))
+    counts = ((d, (bits & mask).bit_count()) for d, mask in group.order_masks.items())
+    histogram = {d: count for d, count in counts if count}
     return _named_fingerprints(order).get(_fingerprint(abelian, histogram))
 
 

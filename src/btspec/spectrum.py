@@ -207,31 +207,41 @@ def _collect_nodes(system, fiber_keys):
     return nodes, fibers
 
 
+def _placer(nodes, ids, num_classes):
+    """The map from a bitset of classes to the bitset of the fiber's nodes
+    (``ids``) that those classes index."""
+    if len(ids) == num_classes:  # one node per class, numbered in class order
+        return lambda classes: classes << ids[0]
+    at = {nodes[i].residual_class: i for i in ids}
+    mask = sum(1 << k for k in at)
+    return lambda classes: sum(1 << at[k] for k in bits_iter(classes & mask))
+
+
 def _successor_rows(system, nodes, fibers, ring: bool) -> list[int]:
     """Each node's strict successors as one bitset, filled from class data.
 
     Tambara: node (F, r) lies below the nodes of F, and when F is "0" of
     every fiber, whose class is subconjugate to r.  Ring: a 0-node c lies
     below the node of O^p(c) in each p-fiber and of c in GENERIC, and nothing
-    else does.
+    else does.  A fiber with one node per class ("0", GENERIC, a prime not
+    dividing |G|) numbers them in class order, so its part of a row is the
+    class bitset shifted to its first node; another fiber reads only the
+    classes its nodes index.
     """
     lattice = system.lattice
-    node_of = {  # per fiber, class -> the node that class indexes
-        fiber: {nodes[i].residual_class: i for i in ids} for fiber, ids in fibers.items()
-    }
+    place = {fiber: _placer(nodes, ids, lattice.num_classes) for fiber, ids in fibers.items()}
     succ = []
     for node in nodes:
         c, row = node.residual_class, 0
         if not ring:
             for fiber in fibers if node.fiber == "0" else (node.fiber,):
-                at = node_of[fiber]
-                row |= sum(1 << at[k] for k in bits_iter(lattice.below[c]) if k in at)
+                row |= place[fiber](lattice.below[c])
         elif node.fiber == "0":
-            for fiber, at in node_of.items():
+            for fiber in fibers:
                 if fiber == GENERIC:
-                    row |= 1 << at[c]
+                    row |= place[fiber](1 << c)
                 elif fiber != "0":
-                    row |= 1 << at[residual_class(system, c, int(fiber))]
+                    row |= place[fiber](1 << residual_class(system, c, int(fiber)))
         succ.append(row & ~(1 << node.node_id))
     return succ
 

@@ -879,8 +879,12 @@ class TestStartup:
     def test_cli_import_skips_heavy_modules(self):
         """Every CLI call imports btspec.cli in a fresh interpreter; it must
         not pay for dataclasses, which pulls in inspect, ast, dis and tokenize,
-        nor for typing.  ``-S`` keeps site hooks from importing them first."""
-        heavy = ("dataclasses", "inspect", "ast", "dis", "tokenize", "typing")
+        nor for typing, nor for the cache's OpenSSL hashing (``_hashlib``) and
+        ``tempfile``, which only a cache read or write needs.  ``-S`` keeps
+        site hooks from importing them first."""
+        heavy = (
+            "dataclasses", "inspect", "ast", "dis", "tokenize", "typing", "_hashlib", "tempfile"
+        )
         env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
         code = f"import sys, btspec.cli; print([m for m in {heavy!r} if m in sys.modules])"
         proc = subprocess.run(

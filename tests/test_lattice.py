@@ -309,3 +309,14 @@ class TestGeneratingSet:
         monkeypatch.setattr(lattice_mod, "closure", counted)
         assert generating_set(g, top) == first
         assert calls == []
+
+    # In S3, element 1 has order 2 and element 2 order 3.
+    @pytest.mark.parametrize("bits", [0b110, 0b101, 0b111], ids=["no-identity", "not-closed", "order"])
+    def test_non_subgroup_raises_and_keeps_nothing(self, bits):
+        from btspec.errors import ContainmentError
+        from btspec.groups import group_from_text
+
+        g = group_from_text("S3")
+        with pytest.raises(ContainmentError):
+            generating_set(g, bits)
+        assert bits not in g._gensets

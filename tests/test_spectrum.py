@@ -3,7 +3,12 @@
 import pytest
 
 from btspec.burnside import GhostElement
+from btspec.cache import cache_load, cache_path, cache_store, spec_cache_key
 from btspec.errors import PrimeCountError
+from btspec.ghost import GhostSystem
+from btspec.groups import DEFAULT_MAX_ORDER, FiniteGroup, group_from_text
+from btspec.lattice import subgroup_lattice
+from btspec.names import class_labels
 from btspec.spectrum import (
     GENERIC,
     MAX_EXTRA_PRIMES,
@@ -88,8 +93,9 @@ def pairwise_contains(sysg, n1, n2, ring):
 class TestContainsOracle:
     @pytest.mark.parametrize(
         "text,extra",
-        [(t, ()) for t in ("A4", "Q8", "D9", "S4", "GL3_2", "A6", C2_5, C840)] + [("A4", (5,))],
-        ids=["A4", "Q8", "D9", "S4", "GL3_2", "A6", "C2_5", "C840", "A4+5"],
+        [(t, ()) for t in ("A4", "Q8", "D9", "S4", "GL3_2", "A6", C2_5, C840)]
+        + [("A4", (5,)), (C840, (11,))],
+        ids=["A4", "Q8", "D9", "S4", "GL3_2", "A6", "C2_5", "C840", "A4+5", "C840+11"],
     )
     def test_rows_match_pairwise_rule(self, text, extra):
         sysg = system_for(text)
@@ -110,6 +116,30 @@ class TestContainsOracle:
                 for b, nb in enumerate(nodes):
                     want = pairwise_contains(sysg, na, nb, ring)
                     assert poset.contains(a, b) == want, (text, poset.kind, na, nb)
+
+
+class TestWorkGuards:
+    def test_warm_path_reads_each_element_order_once(self, tmp_path, monkeypatch):
+        """A lattice loaded from the cache, its class names and its spectrum
+        ask for at most one element order per element: the per-subgroup
+        facts are read off ``order_masks``, not element by element."""
+        group = group_from_text(C840)
+        key = spec_cache_key(group.name, DEFAULT_MAX_ORDER)
+        path = cache_path(tmp_path, key)
+        cache_store(path, group, subgroup_lattice(group), key)
+        group = group_from_text(C840)  # fresh, with no order memoized
+        calls = []
+        real = FiniteGroup.element_order
+
+        def counted(self, x):
+            calls.append(x)
+            return real(self, x)
+
+        monkeypatch.setattr(FiniteGroup, "element_order", counted)
+        lattice = cache_load(path, group, key)
+        class_labels(group, lattice)
+        enumerate_spectrum(GhostSystem(group, lattice))
+        assert 0 < len(calls) <= group.order
 
 
 def chain_length_by_pairs(lattice):
