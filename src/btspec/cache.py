@@ -4,15 +4,17 @@ Lattice enumeration is the only expensive step, so the CLI persists it as a
 JSON file keyed by a hash of the canonical spec text and max_order.  Format 2
 stores every bitset as a hex string: ``subgroups`` (one per subgroup, in
 lattice order), ``class_of``, and ``below`` (one subconjugacy row per class,
-as ``SubgroupLattice.below``).  An entry is checked against the freshly
-realized group (spec hash, order, degree, generators) and for shape (format
-version, bitsets within the group, the whole group last, (order, bitset)
-order, one row per class); an entry that fails is ignored and recomputed, so
-entries of an older format are silently replaced.  Each stored bitset must be
-a subgroup (identity bit set, order dividing |G|, and the span that
-``lattice.generating_set`` grows from its elements equal to itself, so each
-accepted subgroup's generating set is kept on the group as a by-product), and
-each row of ``below`` must hold its own class and only classes whose order
+as ``SubgroupLattice.below``).  Bytes that are not UTF-8 JSON, or nest too
+deep to parse, are ignored with a one-line stderr note.  An entry is checked
+against the freshly realized group (spec hash, order, degree, generators) and
+for shape (format version, bitsets within the group, the whole group last,
+strictly increasing (order, bitset) order, classes numbered 0, 1, ... in order
+of first appearance, one row per class); an entry that fails is ignored and
+recomputed, so entries of an older format are silently replaced.  Each stored
+bitset must be a subgroup (identity bit set, order dividing |G|, and the span
+that ``lattice.generating_set`` grows from its elements equal to itself, so
+each accepted subgroup's generating set is kept on the group as a by-product),
+and each row of ``below`` must hold its own class and only classes whose order
 divides its class's order; an entry that fails these is ignored with a
 one-line stderr note.  That the classes are conjugacy classes and the rows are
 exactly subconjugacy is trusted, not re-derived.  Writes are atomic (temp file
@@ -99,7 +101,7 @@ def cache_load(path: Path, group: FiniteGroup, key: str) -> SubgroupLattice | No
         raw = json.loads(Path(path).read_text(encoding="utf-8"))
     except (FileNotFoundError, NotADirectoryError):  # no entry: a plain miss
         return None
-    except (OSError, json.JSONDecodeError):
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError, RecursionError):
         print(f"btspec: ignoring unreadable cache entry {path}", file=sys.stderr)
         return None
     try:
@@ -119,16 +121,17 @@ def cache_load(path: Path, group: FiniteGroup, key: str) -> SubgroupLattice | No
         if bits_list[-1] != full or any(b & ~full for b in bits_list):
             return None
         subgroups = [Subgroup(b, bin(b).count("1")) for b in bits_list]
-        if subgroups != sorted(subgroups, key=lambda s: (s.order, s.members)):
+        keys = [(s.order, s.members) for s in subgroups]
+        if any(a >= b for a, b in zip(keys, keys[1:])):  # strictly increasing: no duplicates
             return None
-        nclasses = max(class_of) + 1
-        if len(below) != nclasses or any(r >> nclasses for r in below):
-            return None
-        class_reps = [-1] * nclasses
+        class_reps: list[int] = []  # classes numbered 0, 1, ... by first appearance
         for i, c in enumerate(class_of):
-            if class_reps[c] == -1:
-                class_reps[c] = i
-        if any(r < 0 for r in class_reps):
+            if c == len(class_reps):
+                class_reps.append(i)
+            elif not 0 <= c < len(class_reps):
+                return None
+        nclasses = len(class_reps)
+        if len(below) != nclasses or any(r >> nclasses for r in below):
             return None
         if not all(_is_subgroup(group, s) for s in subgroups):
             raise ValueError("a stored bitset is not a subgroup")

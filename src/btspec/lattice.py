@@ -8,11 +8,11 @@ fixed group realization.
 Enumeration extends one representative S per conjugacy class, in the line of
 Neubueser's cyclic extension (Numer. Math. 2, 1960): for each element c
 outside S it forms the join <S, c>, grown from S a left coset at a time, and
-every new join enters with its whole conjugacy class.  Elements c' with
-<S, c'> a conjugate of <S, c> under N_G(S) (coprime powers of c, products
-c s with s in S, and N_G(S)-conjugates) are skipped.  The result is
-complete: a subgroup T != 1 is <M, c> for any maximal subgroup M of T and c
-in T but not in M, and M is conjugate to an extended representative.
+every new join enters with its whole conjugacy class.  Once c is joined,
+each c' reached from c by coprime powers (<c'> = <c>) and products c s with
+s in S (c' S = c S) is skipped, as <S, c'> is then <S, c> itself.  The result
+is complete: a subgroup T != 1 is <M, c> for any maximal subgroup M of T and
+c in T but not in M, and M is conjugate to an extended representative.
 """
 
 from __future__ import annotations
@@ -198,27 +198,6 @@ class SubgroupLattice:
         return cached
 
 
-def normalizer_bits(group: FiniteGroup, bits: int) -> int:
-    """Bitset of N_G(S); one conjugation test per left coset gS, since all of
-    gS normalizes S or none of it does."""
-    if group.is_abelian:
-        return (1 << group.order) - 1
-    mul = group.mul_table
-    members = list(bits_iter(bits))
-    seen = bytearray(group.order)
-    out = 0
-    for g in range(group.order):
-        if seen[g]:
-            continue
-        coset = [mul[g][s] for s in members]
-        for x in coset:
-            seen[x] = 1
-        if conjugate_bits(group, g, bits) == bits:
-            for x in coset:
-                out |= 1 << x
-    return out
-
-
 def _cyclic_generators(group: FiniteGroup, x: int, blocks: list) -> list[int]:
     """The powers x^k with gcd(k, ord x) = 1, i.e. the generators of <x>, built
     once per cyclic subgroup: ``blocks[y]`` keeps the list for each y in it."""
@@ -236,14 +215,15 @@ def _cyclic_generators(group: FiniteGroup, x: int, blocks: list) -> list[int]:
     return out
 
 
-def _mark_join_orbit(group: FiniteGroup, c: int, right, conj, done: bytearray, blocks) -> None:
-    """Mark in ``done`` the orbit of c under x -> x^k (gcd(k, ord x) = 1),
-    x -> x s (s in ``right``) and x -> n x n^-1 (n in ``conj``).
+def _mark_join_orbit(group: FiniteGroup, c: int, right, done: bytearray, blocks) -> None:
+    """Mark in ``done`` the orbit of c under x -> x^k (gcd(k, ord x) = 1) and
+    x -> x s (s in ``right``).
 
-    With ``right`` generating S and ``conj`` inside N_G(S), every marked d has
-    <S, d> equal to an N_G(S)-conjugate of <S, c>.
+    With ``right`` generating S, every marked d has <S, d> = <S, c>: a coprime
+    power generates the same cyclic subgroup, and d S = c S puts d in <S, c>
+    and c in <S, d>.
     """
-    mul, inv = group.mul_table, group.inv
+    mul = group.mul_table
     stack = [c]
     while stack:
         y = stack.pop()
@@ -257,10 +237,6 @@ def _mark_join_orbit(group: FiniteGroup, c: int, right, conj, done: bytearray, b
             for s in right:
                 if not done[row[s]]:
                     stack.append(row[s])
-            for n in conj:
-                z = mul[mul[n][x]][inv[n]]
-                if not done[z]:
-                    stack.append(z)
 
 
 def subgroup_lattice(group: FiniteGroup) -> SubgroupLattice:
@@ -292,7 +268,6 @@ def subgroup_lattice(group: FiniteGroup) -> SubgroupLattice:
     add_class(1, ())
     blocks: list[list[int] | None] = [None] * group.order  # see _cyclic_generators
     for s_bits, s_gens in reps:  # add_class appends while this loop walks reps
-        conj = () if group.is_abelian else generating_set(group, normalizer_bits(group, s_bits))
         done = bytearray(group.order)
         for x in bits_iter(s_bits):
             done[x] = 1
@@ -302,7 +277,7 @@ def subgroup_lattice(group: FiniteGroup) -> SubgroupLattice:
             joined = closure(group, (c,), s_bits)
             if joined not in found:
                 add_class(joined, s_gens + (c,))
-            _mark_join_orbit(group, c, s_gens, conj, done, blocks)
+            _mark_join_orbit(group, c, s_gens, done, blocks)
 
     ordered = sorted(found, key=lambda b: (bit_count(b), b))
     subgroups = [Subgroup(b, bit_count(b)) for b in ordered]

@@ -6,7 +6,8 @@ table by composing the image tuples of every pair of elements, G-set products,
 disjoint unions and orbit decompositions for Burnside products, the
 double-coset formula for ``LevelRing.multiply``, cosets built as sets for
 ``lattice.left_cosets``/``right_cosets``, double cosets covered element by
-element for ``GhostSystem.double_coset_reps``, the fixed-point
+element for ``GhostSystem.double_coset_reps``, normalizers by conjugating a
+subgroup by every element for the printed normalizer orders, the fixed-point
 counting identity, downward closure and every subgroup family, and the
 Q-condition over every level.
 """
@@ -205,6 +206,22 @@ def double_coset_reps(group: FiniteGroup, L_bits: int, K_bits: int, H_bits: int)
             for h in h_list:
                 covered |= 1 << row[h]
     return reps
+
+
+# -- subgroups -----------------------------------------------------------------
+
+
+def normalizer_bits(group: FiniteGroup, bits: int) -> int:
+    """Bitset of N_G(S): every g with g S g^-1 = S, that is g S g^-1 <= S as
+    both have |S| elements, tested for each element g of G."""
+    mul, inv = group.mul_table, group.inv
+    members = list(bits_iter(bits))
+    out = 0
+    for g, row in enumerate(mul):
+        g_inv = inv[g]
+        if all(bits >> mul[row[s]][g_inv] & 1 for s in members):
+            out |= 1 << g
+    return out
 
 
 # -- Burnside rings ------------------------------------------------------------

@@ -17,10 +17,11 @@ from btspec.ghost import ALL_AXIOMS
 from btspec.groups import (
     DEFAULT_MAX_ORDER, MAX_DEGREE, MAX_GENERATORS, MAX_ORDER, group_from_text, parse_group_spec,
 )
-from btspec.lattice import MAX_SUBGROUPS, bit_count, normalizer_bits, subgroup_lattice
+from btspec.lattice import MAX_SUBGROUPS, bit_count, subgroup_lattice
 from btspec.spectrum import MAX_EXTRA_PRIMES
 
 from conftest import C2_5, C2_7, C2_S6, C840, CORPUS, system_for
+from oracles import normalizer_bits
 
 
 @pytest.fixture()
@@ -809,6 +810,49 @@ class TestCache:
         assert cache_load(path, group, key) is None
         assert capsys.readouterr().err == f"btspec: ignoring corrupt cache entry {path}\n"
 
+    @pytest.mark.parametrize(
+        "content", [b"\xff\xfe{", b"[" * 100_000], ids=["not-utf8", "deep-nesting"]
+    )
+    def test_unreadable_bytes_recompute_with_note(self, tmp_path, capsys, content):
+        path = cache_path(tmp_path, spec_cache_key("S3", DEFAULT_MAX_ORDER))
+        path.write_bytes(content)
+        code = run(["--cache-dir", str(tmp_path), "subgroups", "S3"])
+        captured = capsys.readouterr()
+        assert code == 0
+        assert captured.err == f"btspec: ignoring unreadable cache entry {path}\n"
+        assert run(["--no-cache", "subgroups", "S3"]) == 0
+        assert captured.out == capsys.readouterr().out
+
+    # S3 is stored as subgroups ["1", "3", "9", "11", "25", "3f"], class_of
+    # [0, 1, 1, 1, 2, 3] and below ["1", "3", "5", "f"].
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda raw: raw.update(subgroups=["1", "3", "3", "11", "25", "3f"]),
+            lambda raw: raw.update(class_of=[0, 1, 1, -1, 2, 3], below=["1", "3", "5", "b"]),
+            lambda raw: raw.update(class_of=[0, 2, 2, 2, 1, 3]),
+        ],
+        ids=["duplicate-subgroup", "negative-class", "classes-out-of-order"],
+    )
+    @pytest.mark.parametrize(
+        "command",
+        [["subgroups"], ["spec"], ["marks"], ["verify"], ["residual", "--prime", "2"]],
+        ids=lambda argv: argv[0],
+    )
+    def test_misnumbered_entry_matches_no_cache(self, tmp_path, capsys, edit, command):
+        group = group_from_text("S3")
+        key = spec_cache_key(group.name, DEFAULT_MAX_ORDER)
+        path = cache_path(tmp_path, key)
+        cache_store(path, group, subgroup_lattice(group), key)
+        raw = json.loads(path.read_text())
+        edit(raw)
+        path.write_text(json.dumps(raw))
+        code = run(["--cache-dir", str(tmp_path), command[0], "S3", *command[1:]])
+        captured = capsys.readouterr()
+        assert code == 0 and captured.err.count("\n") <= 1
+        assert run(["--no-cache", command[0], "S3", *command[1:]]) == 0
+        assert captured.out == capsys.readouterr().out
+
     def test_format_1_entry_replaced_silently(self, tmp_path, capsys):
         group = group_from_text("S3")
         key = spec_cache_key(group.name, DEFAULT_MAX_ORDER)
@@ -940,6 +984,8 @@ class TestReadme:
             (lattice, ("double_cosets", "double_coset_reps", "p_residual", "is_subconjugate")),
             # Cosets are numbered by left_cosets/right_cosets, not bare transversals.
             (lattice, ("left_transversal", "right_transversal")),
+            # Enumeration skips joins without normalizers; the oracle computes them.
+            (lattice, ("normalizer_bits",)),
             (spectrum, ("make_family", "PrimeIdeal", "make_prime_ideal", "ideal_contains")),
             # res/conj routes are their index tuples; no compiled callables or copies.
             (ghost, ("_projection", "_Forms", "_Images", "itemgetter")),

@@ -10,13 +10,12 @@ from btspec.lattice import (
     generating_set,
     is_subset,
     left_cosets,
-    normalizer_bits,
     p_residual_bits,
 )
 from btspec.spectrum import prime_factors
 
 from conftest import C840, CORPUS, labels_for, system_for
-from oracles import double_coset_reps
+from oracles import double_coset_reps, normalizer_bits
 
 
 def p_residual_normal_oracle(lattice, H, p):
