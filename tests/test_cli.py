@@ -538,6 +538,14 @@ GOLDEN_STDOUT = [
     ("A4", "verify", "json", "a14005f28665c23c92891dac4e0c97ea85c6d2387bbf5cbf8f34758136fb710d"),
     ("D6", "verify", "text", "eda874e044a23c9acf23a6b34060c85d9be7a929945af49a6b072e2792e2e4d5"),
     ("D6", "verify", "json", "2eab95927bc22404662e2cd6e42fc3134e39f2d0d9d079515f5a580fe4544fc3"),
+    ("S4", "verify", "text", "4572662549d94eed079a3df256995f295fcc9f872f006809d71aad05c1712601"),
+    ("S4", "verify", "json", "61c815f81b60f54c71008b90e5b466ed63e6732c63163775754f18ec6104fc86"),
+    ("Q8", "verify", "text", "d5989e36ae76371997b7e26ce309dc606109f02d22a8fcb243ee0afa8beee295"),
+    ("Q8", "verify", "json", "6b8dea222104c70e19054fd7435ec750c52aad40e0570816824b633d047eb4f8"),
+    ("D9", "verify", "text", "0561018725d6177fd6db3d5c0131a0ee1500b7d26f332013b78e1604bc03c672"),
+    ("D9", "verify", "json", "078b15008251a9910760d1cf10f2ed5783992adc9a14cb299f1650de54b5c6e7"),
+    ("GL3_2", "verify", "text", "ccfe9070d497852820aadd242774676c0d1bb3c37920985d283ade390728d205"),
+    ("GL3_2", "verify", "json", "2c05fdc820933e5e76d8780c41af78b8f099be1b8e760142c20ff27ae25a5083"),
 ]
 
 

@@ -390,6 +390,24 @@ PINNED_ALL_FAILURES = {
 }
 
 
+class InverseConjSystem(GhostSystem):
+    """Deliberate fault injection: c_g reads the route of c_{g^-1} wherever
+    both land on the same level, so only the coordinates are misread."""
+
+    def conj_route(self, g, H_idx):
+        route = super().conj_route(g, H_idx)
+        swapped = super().conj_route(self.group.inv[g], H_idx)
+        return swapped if swapped[0] == route[0] else route
+
+
+# As PINNED_ALL_FAILURES, for InverseConjSystem.  Its chi_conj failures recur
+# for every K above the misread level, and must be recorded for each.
+PINNED_CONJ_FAILURES = {
+    "A4": (440, "bb2fe2eb1fc402c42364275bd666cf9f480185d42ab3e34f18f0cc3e5ac24d74"),
+    "S4": (3031, "717e669d07276a49a6b74c1b40af407b9d42b3901a5e981751b121e673d47cce"),
+}
+
+
 class TestMutation:
     """The two conjugation conventions must not be interchangeable.
 
@@ -465,6 +483,21 @@ class TestPinnedFailures:
         rows = [[f.axiom, f.instance, f.detail] for f in report.failures]
         digest = hashlib.sha256(json.dumps(rows).encode()).hexdigest()
         assert (len(rows), digest) == PINNED_ALL_FAILURES[name, text]
+
+
+    @pytest.mark.parametrize("text", sorted(PINNED_CONJ_FAILURES))
+    def test_inverse_conj_failures(self, text, monkeypatch, four_random):
+        import hashlib
+        import json
+
+        from btspec.groups import group_from_text
+
+        monkeypatch.setattr(ghost_mod, "MAX_RECORDED_FAILURES", 10**9)
+        report = verify_axioms(InverseConjSystem(group_from_text(text)))
+        rows = [[f.axiom, f.instance, f.detail] for f in report.failures]
+        assert any(row[0] == "chi_conj" for row in rows)
+        digest = hashlib.sha256(json.dumps(rows).encode()).hexdigest()
+        assert (len(rows), digest) == PINNED_CONJ_FAILURES[text]
 
 
 class TestVerify:
