@@ -9,8 +9,9 @@ deep to parse, are ignored with a one-line stderr note.  An entry is checked
 against the freshly realized group (spec hash, order, degree, generators) and
 for shape (format version, bitsets within the group, the whole group last,
 strictly increasing (order, bitset) order, classes numbered 0, 1, ... in order
-of first appearance, one row per class); an entry that fails is ignored and
-recomputed, so entries of an older format are silently replaced.  Each stored
+of first appearance, one subgroup order per class, one row per class); an
+entry that fails is ignored and recomputed, so entries of an older format are
+silently replaced.  Each stored
 bitset must be a subgroup (identity bit set, order dividing |G|, and the span
 that ``lattice.generating_set`` grows from its elements equal to itself, so
 each accepted subgroup's generating set is kept on the group as a by-product),
@@ -133,6 +134,8 @@ def cache_load(path: Path, group: FiniteGroup, key: str) -> SubgroupLattice | No
         nclasses = len(class_reps)
         if len(below) != nclasses or any(r >> nclasses for r in below):
             return None
+        if any(s.order != subgroups[class_reps[c]].order for s, c in zip(subgroups, class_of)):
+            return None  # conjugate subgroups have one order
         if not all(_is_subgroup(group, s) for s in subgroups):
             raise ValueError("a stored bitset is not a subgroup")
         of_order: dict[int, int] = {}  # order -> bitset of the classes of that order

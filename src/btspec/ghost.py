@@ -13,8 +13,11 @@ interchangeable here, and the verifier's double-coset checks fail if they are
 swapped.  Maps are compiled once per level pair into routing tables, so
 repeated applications are cheap: a res or conj route is the tuple of source
 coordinates its target coordinates read.  ``lattice.left_cosets`` numbers the
-left cosets K/H once per (K, H): the terms of tr at I are the cosets I fixes,
-and the factors of nm at I are the I-orbits on the coset numbers.
+left cosets K/H once per (K, H), with each element's row on the coset numbers
+and bitset of fixed cosets: the terms of tr at I are the cosets I fixes (an
+AND over I's generators), and the factors of nm at I are the I-orbits on the
+coset numbers (traced along its generators' rows).  Conjugates are read off
+``SubgroupLattice.conjugation``, a permutation of subgroup indices.
 
 ``verify_axioms`` machine-checks, exhaustively over subgroup-chain classes:
 functoriality of all four maps, both double-coset formulas, Frobenius
@@ -58,9 +61,9 @@ from .gsets import (
 from .lattice import (
     SubgroupLattice,
     bits_iter,
-    conjugate_bits,
+    coset_action,
+    generating_set,
     is_subset,
-    left_cosets,
     subgroup_lattice,
 )
 
@@ -86,7 +89,7 @@ class GhostSystem:
         self._tr_routes: dict[tuple[int, int], tuple[tuple[int, ...], ...]] = {}
         self._nm_routes: dict[tuple[int, int], tuple[tuple[int, ...], ...]] = {}
         self._conj_routes: dict[tuple[int, int], tuple[int, tuple[int, ...]]] = {}
-        self._cosets: dict[tuple[int, int], tuple[list[int], dict[int, int]]] = {}
+        self._cosets: dict[tuple[int, int], tuple] = {}
 
     @property
     def top_index(self) -> int:
@@ -140,18 +143,10 @@ class GhostSystem:
         key = (g, H_idx)
         route = self._conj_routes.get(key)
         if route is None:
-            group = self.group
-            target_bits = conjugate_bits(group, g, self._bits(H_idx))
-            target_idx = self.lattice.subgroup_index(target_bits)
-            ringH, ringT = self.level(H_idx), self.level(target_idx)
-            gi = group.inv[g]
-            route = (
-                target_idx,
-                tuple(
-                    ringH.class_of_bits(conjugate_bits(group, gi, self._bits(rep)))
-                    for rep in ringT.class_reps
-                ),
-            )
+            conj, local_class_of = self.lattice.conjugation, self.level(H_idx).local_class_of
+            target_idx, back = conj(g)[H_idx], conj(self.group.inv[g])
+            reps = self.level(target_idx).class_reps
+            route = (target_idx, tuple(local_class_of[back[r]] for r in reps))
             self._conj_routes[key] = route
         return route
 
@@ -195,9 +190,13 @@ class GhostSystem:
 
     def left_cosets(self, K_idx: int, H_idx: int) -> tuple[list[int], dict[int, int]]:
         """``lattice.left_cosets`` of K/H, computed once per (K, H)."""
+        return self._coset_action(K_idx, H_idx)[:2]
+
+    def _coset_action(self, K_idx: int, H_idx: int) -> tuple:
+        """``lattice.coset_action`` of K on K/H, built once per (K, H)."""
         found = self._cosets.get((K_idx, H_idx))
         if found is None:
-            found = left_cosets(self.group, self._bits(K_idx), self._bits(H_idx))
+            found = coset_action(self.group, self._bits(K_idx), self._bits(H_idx))
             self._cosets[K_idx, H_idx] = found
         return found
 
@@ -205,40 +204,43 @@ class GhostSystem:
         """Least-index representatives of the double cosets L\\K/H (L <= K),
         read off the left cosets: a double coset's least element is the least
         representative of its left cosets lkH, so it is the first one of each
-        L-orbit on the coset numbers in increasing order."""
-        reps, coset_of = self.left_cosets(K_idx, H_idx)
-        mul = self.group.mul_table
-        rows = [mul[x] for x in bits_iter(L_bits)]
-        out, seen = [], set()
+        L-orbit on the coset numbers in increasing order.  The orbits are
+        traced along the rows of L's generators."""
+        reps, _, row, _ = self._coset_action(K_idx, H_idx)
+        rows = [row(x) for x in generating_set(self.group, L_bits)]
+        out, seen = [], bytearray(len(reps))
         for i, k in enumerate(reps):
-            if i not in seen:
+            if not seen[i]:
                 out.append(k)
-                seen.update([coset_of[row[k]] for row in rows])
+                seen[i], orbit = 1, [i]
+                for j in orbit:  # grows while it is walked
+                    for row in rows:
+                        if not seen[row[j]]:
+                            seen[row[j]] = 1
+                            orbit.append(row[j])
         return out
 
     # -- per-subgroup coordinates (routes and Weyl-invariance checks) ----------
 
     def tr_term_classes(self, K_idx: int, H_idx: int, I_bits: int) -> tuple[int, ...]:
         """H-classes of the terms I^k of tr^K_H at the subgroup I (not only class
-        reps): k runs over left-coset reps of K/H, kept when I^k <= H."""
-        group = self.group
-        ringH = self.level(H_idx)
-        reps, coset_of = self.left_cosets(K_idx, H_idx)
-        # I^k <= H iff I fixes the coset kH.
-        rows = [group.mul_table[x] for x in bits_iter(I_bits)]
-        return tuple(
-            ringH.class_of_bits(conjugate_bits(group, group.inv[k], I_bits))
-            for i, k in enumerate(reps)
-            if all(coset_of[row[k]] == i for row in rows)
-        )
+        reps): k runs over left-coset reps of K/H, kept when I^k <= H, that is
+        when I fixes the coset kH."""
+        reps, _, _, fixed = self._coset_action(K_idx, H_idx)
+        kept = (1 << len(reps)) - 1
+        for x in generating_set(self.group, I_bits):
+            kept &= fixed(x)
+        I_idx, conj, inv = self.lattice.index_of[I_bits], self.lattice.conjugation, self.group.inv
+        local_class_of = self.level(H_idx).local_class_of
+        return tuple(local_class_of[conj(inv[reps[i]])[I_idx]] for i in bits_iter(kept))
 
     def nm_factor_classes(self, K_idx: int, H_idx: int, I_bits: int) -> tuple[int, ...]:
         """H-classes of the factors I^g cap H of nm^K_H at the subgroup I, g over
         double-coset reps of I\\K/H."""
-        group, H_bits = self.group, self._bits(H_idx)
-        ringH = self.level(H_idx)
+        lattice, inv, H_bits = self.lattice, self.group.inv, self._bits(H_idx)
+        I_idx, ringH, subgroups = lattice.index_of[I_bits], self.level(H_idx), lattice.subgroups
         return tuple(
-            ringH.class_of_bits(conjugate_bits(group, group.inv[g], I_bits) & H_bits)
+            ringH.class_of_bits(subgroups[lattice.conjugation(inv[g])[I_idx]].members & H_bits)
             for g in self.double_coset_reps(I_bits, K_idx, H_idx)
         )
 
@@ -439,6 +441,14 @@ def verify_axioms(
          system.nm_route, system.ghost_nm, operator.mul, 1),
     )
 
+    def orbit(idx, j_cls):
+        # The orbit S/J for J the class rep j of S, and its mark vector.
+        ring = system.level(idx)
+        X = coset_space(group, system._bits(idx), ring.class_rep_subgroup(j_cls).members)
+        return X, GhostElement(idx, tuple(ring.marks_matrix[j_cls]))
+
+    conj_oks: dict[tuple[int, int], list[bool]] = {}  # chi_conj at (H, J), for the sweep
+
     # Sampled conjugators: all of G when small, else generators plus a prefix.
     if group.order <= 64:
         conj_sample = list(range(group.order))
@@ -448,6 +458,9 @@ def verify_axioms(
     for K_idx in lattice.class_reps:
         ringK = system.level(K_idx)
         K_bits = system._bits(K_idx)
+        system._cosets.clear()  # coset actions are kept for one K's pairs
+        chi_res = "chi_res" in enabled
+        k_orbits = [orbit(K_idx, j) for j in range(ringK.num_classes)] if chi_res else []
 
         # Chains H <= L <= K for functoriality of res/tr/nm.
         for L_idx in ringK.class_reps:
@@ -483,19 +496,15 @@ def verify_axioms(
         for L_idx in ringK.class_reps:
             L_bits = system._bits(L_idx)
             for H_idx in ringK.class_reps:
-                H_bits = system._bits(H_idx)
                 inst = {
                     "K": _sub_label(system, K_idx),
                     "L": _sub_label(system, L_idx),
                     "H": _sub_label(system, H_idx),
                 }
-                gammas = system.double_coset_reps(L_bits, K_idx, H_idx)
                 legs = []
-                for gma in gammas:
-                    gH_bits = conjugate_bits(group, gma, H_bits)
-                    meet_bits = L_bits & gH_bits
-                    gH_idx = lattice.subgroup_index(gH_bits)
-                    meet_idx = lattice.subgroup_index(meet_bits)
+                for gma in system.double_coset_reps(L_bits, K_idx, H_idx):
+                    gH_idx = lattice.conjugation(gma)[H_idx]
+                    meet_idx = lattice.index_of[L_bits & lattice.subgroups[gH_idx].members]
                     legs.append((gma, gH_idx, meet_idx))
 
                 def legs_form(route):
@@ -586,10 +595,8 @@ def verify_axioms(
 
             if {"chi_res", "chi_tr", "chi_nm", "chi_conj"} & enabled:
                 for j_cls in range(ringH.num_classes):
-                    J_bits = ringH.class_rep_subgroup(j_cls).members
-                    X = coset_space(group, H_bits, J_bits)
-                    chi_x = GhostElement(H_idx, tuple(ringH.marks_matrix[j_cls]))
-                    xinst = dict(inst, X=f"orbit H/{_sub_label(system, lattice.subgroup_index(J_bits))}")
+                    X, chi_x = orbit(H_idx, j_cls)
+                    xinst = dict(inst, X=f"orbit H/{_sub_label(system, ringH.class_reps[j_cls])}")
                     if "chi_tr" in enabled:
                         lhs = system.ghost_tr(K_idx, H_idx, chi_x)
                         rhs = system.oracle_marks(induce(K_bits, X), K_idx)
@@ -604,15 +611,18 @@ def verify_axioms(
                             rhs = system.oracle_marks(co, K_idx)
                             rec.check("chi_nm", lhs == rhs, xinst, f"chi(X)={chi_x.values}")
                     if "chi_conj" in enabled:
-                        for g in conj_sample:
-                            lhs = system.ghost_conj(g, chi_x)
-                            rhs = system.oracle_marks(conjugate_gset(g, X), lhs.level)
-                            rec.check("chi_conj", lhs == rhs, dict(xinst, g=g))
-                if "chi_res" in enabled:
-                    for j_cls in range(ringK.num_classes):
-                        JK_bits = ringK.class_rep_subgroup(j_cls).members
-                        Y = coset_space(group, K_bits, JK_bits)
-                        chi_y = GhostElement(K_idx, tuple(ringK.marks_matrix[j_cls]))
+                        # Nothing here depends on K: check once, count for every K.
+                        oks = conj_oks.get((H_idx, j_cls))
+                        if oks is None:
+                            oks = conj_oks[H_idx, j_cls] = [
+                                (lhs := system.ghost_conj(g, chi_x))
+                                == system.oracle_marks(conjugate_gset(g, X), lhs.level)
+                                for g in conj_sample
+                            ]
+                        for g, ok in zip(conj_sample, oks):
+                            rec.check("chi_conj", ok, dict(xinst, g=g))
+                if chi_res:
+                    for Y, chi_y in k_orbits:
                         lhs = system.ghost_res(K_idx, H_idx, chi_y)
                         rhs = system.oracle_marks(restrict_gset(Y, H_bits), H_idx)
                         rec.check("chi_res", lhs == rhs, inst, f"chi(Y)={chi_y.values}")
@@ -706,7 +716,7 @@ def verify_axioms(
         def composes(H_idx, g, h):
             hH_idx, ch = conj_route(h, H_idx)
             ghH_idx, cg = conj_route(g, hH_idx)
-            return (ghH_idx, tuple(ch[i] for i in cg)) == conj_route(mul[g][h], H_idx)
+            return (ghH_idx, tuple(map(ch.__getitem__, cg))) == conj_route(mul[g][h], H_idx)
 
         for H_idx in lattice.class_reps:
             block = els(H_idx)[: system.level(H_idx).num_classes + 3]

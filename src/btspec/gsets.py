@@ -12,17 +12,19 @@ ghost-side maps, so agreement between the two routes is meaningful evidence.
 Both sides number cosets with ``lattice.left_cosets``/``right_cosets``, which
 the tests check against cosets built as sets.
 
-Action rows are filled lazily, one per acting element asked for.  Fixed
-points are tested on a generating set of the subgroup only (a point is fixed
-by I iff it is fixed by I's generators), so a fixed-point count builds a row
-for each generator, not for every element of I.
+Action rows are filled lazily, one per acting element asked for, and so are
+the bitsets of the points each element fixes, read point by point off its
+row (which is then not kept) or off the set a restricted or conjugated set
+came from.  A point is fixed by I iff it is fixed by I's generators, so |X^I|
+is the popcount of the AND of their bitsets.
 """
 
 from __future__ import annotations
 
 from .errors import CapExceededError, ContainmentError
 from .groups import FiniteGroup
-from .lattice import conjugate_bits, generating_set, is_subset, left_cosets, right_cosets
+from .lattice import (conjugate_bits, fixed_bits, generating_set, is_subset, left_cosets,
+                      right_cosets)
 
 # Most points a coinduced set may have; larger sets are skipped by the verifier.
 COINDUCE_CAP = 100_000
@@ -32,24 +34,37 @@ class GSet:
     """Finite set with an action of a subgroup of the ambient group.
 
     Rows of the action table are computed on demand through ``row_fn`` and
-    cached.
+    cached; so are the bitsets of fixed points, through ``fixed_fn`` when
+    given (the bitset of another set's element), else off an uncached row.
     """
 
-    def __init__(self, group: FiniteGroup, acting_bits: int, size: int, row_fn):
+    def __init__(self, group: FiniteGroup, acting_bits: int, size: int, row_fn, fixed_fn=None):
         self.group = group
         self.acting_bits = acting_bits
         self.size = size
         self._row_fn = row_fn
+        self._fixed_fn = fixed_fn
         self._rows: dict[int, tuple[int, ...]] = {}
+        self._fixed: dict[int, int] = {}
+
+    def _checked(self, g: int) -> int:
+        if not self.acting_bits >> g & 1:
+            raise ContainmentError(f"element {g} is not in the acting subgroup")
+        return g
 
     def action_row(self, g: int) -> tuple[int, ...]:
         row = self._rows.get(g)
         if row is None:
-            if not self.acting_bits >> g & 1:
-                raise ContainmentError(f"element {g} is not in the acting subgroup")
-            row = tuple(self._row_fn(g))
-            self._rows[g] = row
+            row = self._rows[g] = tuple(self._row_fn(self._checked(g)))
         return row
+
+    def fixed_bits(self, g: int) -> int:
+        """Bitset of the points g fixes."""
+        bits = self._fixed.get(g)
+        if bits is None:
+            fill = self._fixed_fn or (lambda g: fixed_bits(self._rows.get(g) or self._row_fn(g)))
+            bits = self._fixed[g] = fill(self._checked(g))
+        return bits
 
 
 def coset_space(group: FiniteGroup, H_bits: int, K_bits: int) -> GSet:
@@ -70,7 +85,7 @@ def restrict_gset(X: GSet, H_bits: int) -> GSet:
     """The same points with the action restricted to H <= acting subgroup."""
     if not is_subset(H_bits, X.acting_bits):
         raise ContainmentError("restriction target must be a subgroup of the acting subgroup")
-    return GSet(X.group, H_bits, X.size, lambda g: X.action_row(g))
+    return GSet(X.group, H_bits, X.size, X.action_row, X.fixed_bits)
 
 
 def conjugate_gset(g: int, X: GSet) -> GSet:
@@ -79,11 +94,9 @@ def conjugate_gset(g: int, X: GSet) -> GSet:
     target = conjugate_bits(group, g, X.acting_bits)
     mul, inv = group.mul_table, group.inv
 
-    def row_fn(k):
-        # k = g h g^-1 acts as h = g^-1 k g.
-        return X.action_row(mul[mul[inv[g]][k]][g])
-
-    return GSet(group, target, X.size, row_fn)
+    # k = g h g^-1 acts as h = g^-1 k g.
+    return GSet(group, target, X.size, lambda k: X.action_row(mul[mul[inv[g]][k]][g]),
+                lambda k: X.fixed_bits(mul[mul[inv[g]][k]][g]))
 
 
 def induce(K_bits: int, X: GSet) -> GSet:
@@ -157,8 +170,7 @@ def fixed_points(X: GSet, I_bits: int) -> int:
     """|X^I|: the number of points fixed by every generator of I (hence by I)."""
     if not is_subset(I_bits, X.acting_bits):
         raise ContainmentError("I must be contained in the acting subgroup")
-    fixed = range(X.size)
+    fixed = (1 << X.size) - 1
     for g in generating_set(X.group, I_bits):
-        row = X.action_row(g)
-        fixed = [x for x in fixed if row[x] == x]
-    return len(fixed)
+        fixed &= X.fixed_bits(g)
+    return fixed.bit_count()

@@ -18,7 +18,9 @@ c in T but not in M, and M is conjugate to an extended representative.
 from __future__ import annotations
 
 from collections import Counter, namedtuple
+from functools import cache
 from math import gcd
+from operator import eq
 
 from .errors import ContainmentError, LatticeSizeError
 from .groups import FiniteGroup
@@ -44,6 +46,15 @@ def bit_count(bits: int) -> int:
 
 def is_subset(a: int, b: int) -> bool:
     return a & ~b == 0
+
+
+_BIT_CHARS = bytes.maketrans(b"\0\1", b"01")
+
+
+def fixed_bits(row) -> int:
+    """Bitset of the points x with row[x] == x, written as one binary numeral
+    (linear time, where setting one bit per point would be quadratic)."""
+    return int(bytes(map(eq, row, range(len(row))))[::-1].translate(_BIT_CHARS) or b"0", 2)
 
 
 class Subgroup(namedtuple("Subgroup", "members order")):
@@ -137,6 +148,16 @@ def left_cosets(group: FiniteGroup, K_bits: int, H_bits: int) -> tuple[list[int]
     return _cosets(K_bits, H_bits, lambda k: map(mul[k].__getitem__, H_list))
 
 
+def coset_action(group: FiniteGroup, K_bits: int, H_bits: int) -> tuple:
+    """``left_cosets`` of K/H, then K's action on the coset numbers as two
+    functions computed once per element g: ``row(g)``, the coset g sends each
+    coset to, and ``fixed(g)``, the bitset of the cosets g fixes."""
+    reps, coset_of = left_cosets(group, K_bits, H_bits)
+    mul = group.mul_table
+    row = cache(lambda g: [coset_of[mul[g][k]] for k in reps])
+    return reps, coset_of, row, cache(lambda g: fixed_bits(row(g)))
+
+
 def right_cosets(group: FiniteGroup, K_bits: int, H_bits: int) -> tuple[list[int], dict[int, int]]:
     """``left_cosets`` for the right cosets Hk inside K (H <= K)."""
     H_rows = [group.mul_table[h] for h in bits_iter(H_bits)]
@@ -150,6 +171,7 @@ class SubgroupLattice:
     classes: bit c1 is set iff some member of class c1 is contained in some
     member of class c2 (so bit c2 is always set).  ``residual_class(cls, p)``
     is the class of O^p(H) for H in class cls, computed once per (cls, p).
+    ``conjugation(g)`` permutes subgroup indices as S -> ^g S.
     """
 
     def __init__(self, group: FiniteGroup, subgroups: list[Subgroup], index_of: dict[int, int],
@@ -162,6 +184,7 @@ class SubgroupLattice:
         self.below = below
         self._class_sizes: Counter | None = None
         self._residuals: dict[tuple[int, int], int] = {}
+        self._conjugations: dict[int, list[int]] = {}
 
     @property
     def num_classes(self) -> int:
@@ -186,6 +209,24 @@ class SubgroupLattice:
         """Indices of all subgroups contained in the given subgroup, ascending."""
         top = self.subgroups[sub_idx].members
         return tuple(i for i, s in enumerate(self.subgroups) if is_subset(s.members, top))
+
+    def conjugation(self, g: int) -> list[int]:
+        """``perm[i]`` is the index of ^g S for S the subgroup at index i.  The
+        first call reads each generator's off ``conjugate_bits`` and composes
+        every other element's along a breadth-first word, as ^{sx} S = ^s(^x S)."""
+        perms = self._conjugations
+        if not perms:
+            group, index_of = self.group, self.index_of
+            steps = [(s, [index_of[conjugate_bits(group, s, b)] for b, _ in self.subgroups])
+                     for s in group.gen_indices]
+            perms[0], walk = list(range(len(self.subgroups))), [0]
+            for x in walk:  # grows while it is walked
+                for s, step in steps:
+                    y = group.mul_table[s][x]
+                    if y not in perms:
+                        perms[y] = list(map(step.__getitem__, perms[x]))
+                        walk.append(y)
+        return perms[g]
 
     def residual_class(self, cls: int, p: int) -> int:
         """Conjugacy class of O^p(H) for H the representative of class cls."""

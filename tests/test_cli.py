@@ -839,8 +839,10 @@ class TestCache:
             lambda raw: raw.update(subgroups=["1", "3", "3", "11", "25", "3f"]),
             lambda raw: raw.update(class_of=[0, 1, 1, -1, 2, 3], below=["1", "3", "5", "b"]),
             lambda raw: raw.update(class_of=[0, 2, 2, 2, 1, 3]),
+            # C3 joins the class of the C2s, which then holds two orders.
+            lambda raw: raw.update(class_of=[0, 1, 1, 1, 1, 2], below=["1", "3", "7"]),
         ],
-        ids=["duplicate-subgroup", "negative-class", "classes-out-of-order"],
+        ids=["duplicate-subgroup", "negative-class", "classes-out-of-order", "mixed-order-class"],
     )
     @pytest.mark.parametrize(
         "command",
