@@ -6,7 +6,9 @@ table by composing the image tuples of every pair of elements, G-set products,
 disjoint unions and orbit decompositions for Burnside products, the
 double-coset formula for ``LevelRing.multiply``, cosets built as sets for
 ``lattice.left_cosets``/``right_cosets``, double cosets covered element by
-element for ``GhostSystem.double_coset_reps``, normalizers by conjugating a
+element for ``GhostSystem.double_coset_reps`` and built as sets L k H for
+the tr and nm terms, fixed cosets found by testing every element, fixed
+points counted row by row, normalizers by conjugating a
 subgroup by every element for the printed normalizer orders, the fixed-point
 counting identity, downward closure and every subgroup family, and the
 Q-condition over every level.
@@ -206,6 +208,58 @@ def double_coset_reps(group: FiniteGroup, L_bits: int, K_bits: int, H_bits: int)
             for h in h_list:
                 covered |= 1 << row[h]
     return reps
+
+
+def double_coset_sets(group: FiniteGroup, L_bits: int, K_bits: int, H_bits: int) -> list:
+    """The double cosets L k H inside K (L, H <= K), each built as the set of
+    products l k h, distinct sets ordered by least element."""
+    mul = group.mul_table
+    L, H = list(bits_iter(L_bits)), list(bits_iter(H_bits))
+    found = {frozenset(mul[mul[l][k]][h] for l in L for h in H) for k in bits_iter(K_bits)}
+    return sorted(found, key=min)
+
+
+def fixed_cosets(group: FiniteGroup, K_bits: int, H_bits: int, I_bits: int) -> int:
+    """Bitset of the numbers (in ``cosets`` order) of the left cosets C of H in
+    K with x C = C for every element x of I."""
+    mul = group.mul_table
+    return sum(
+        1 << i
+        for i, C in enumerate(cosets(group, K_bits, H_bits, "left"))
+        if all({mul[x][c] for c in C} == C for x in bits_iter(I_bits))
+    )
+
+
+def tr_terms(system, K_idx: int, H_idx: int, I_bits: int) -> tuple[int, ...]:
+    """``GhostSystem.tr_term_classes`` from the coset sets I fixes, with I^k
+    conjugated element by element."""
+    group, lat = system.group, system.lattice
+    K_bits, H_bits = lat.subgroups[K_idx].members, lat.subgroups[H_idx].members
+    kept = fixed_cosets(group, K_bits, H_bits, I_bits)
+    sets = cosets(group, K_bits, H_bits, "left")
+    ring = system.level(H_idx)
+    return tuple(
+        ring.class_of_bits(conjugate_bits(group, group.inv[min(sets[i])], I_bits))
+        for i in bits_iter(kept)
+    )
+
+
+def nm_factors(system, K_idx: int, H_idx: int, I_bits: int) -> tuple[int, ...]:
+    """``GhostSystem.nm_factor_classes`` from the double cosets I g H built as
+    sets, with I^g conjugated element by element."""
+    group, lat = system.group, system.lattice
+    K_bits, H_bits = lat.subgroups[K_idx].members, lat.subgroups[H_idx].members
+    ring = system.level(H_idx)
+    return tuple(
+        ring.class_of_bits(conjugate_bits(group, group.inv[min(D)], I_bits) & H_bits)
+        for D in double_coset_sets(group, I_bits, K_bits, H_bits)
+    )
+
+
+def fixed_points_by_rows(X: GSet, I_bits: int) -> int:
+    """|X^I| counted point by point against the row of every element of I."""
+    rows = [X.action_row(g) for g in bits_iter(I_bits)]
+    return sum(1 for x in range(X.size) if all(row[x] == x for row in rows))
 
 
 # -- subgroups -----------------------------------------------------------------

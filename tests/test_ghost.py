@@ -7,10 +7,10 @@ from btspec.burnside import BurnsideElement, GhostElement
 from btspec.errors import ContainmentError
 from btspec.ghost import GhostSystem, VerifyConfig, verify_axioms
 from btspec.gsets import coinduce, coset_space, induce
-from btspec.lattice import conjugate_bits, is_subset, left_cosets, right_cosets
+from btspec.lattice import bits_iter, conjugate_bits, is_subset, left_cosets, right_cosets
 
 from conftest import system_for
-from oracles import cosets, double_coset_reps
+from oracles import cosets, double_coset_reps, double_coset_sets, fixed_cosets, nm_factors, tr_terms
 
 
 @pytest.fixture()
@@ -700,6 +700,32 @@ class TestCosets:
                     L_bits = lat.subgroups[L_idx].members
                     assert s.double_coset_reps(L_bits, K_idx, H_idx) == double_coset_reps(
                         g, L_bits, K_bits, H_bits
+                    )
+
+    @pytest.mark.parametrize("text", ["S3", "A4", "Q8", "D6", "S4"])
+    def test_terms_at_every_subgroup(self, text):
+        """At each class-rep pair H <= K and every subgroup I of K: the cosets
+        I fixes, the double cosets I\\K/H and the tr and nm terms match
+        cosets and double cosets built as sets and tested element by element."""
+        s = system_for(text)
+        g, lat = s.group, s.lattice
+        for K_idx in lat.class_reps:
+            K_bits = lat.subgroups[K_idx].members
+            for H_idx in s.level(K_idx).class_reps:
+                H_bits = lat.subgroups[H_idx].members
+                _, _, _, fixed = s._coset_action(K_idx, H_idx)
+                for I_idx in s.level(K_idx).sub_ids:
+                    I_bits = lat.subgroups[I_idx].members
+                    kept = (1 << len(s.left_cosets(K_idx, H_idx)[0])) - 1
+                    for x in bits_iter(I_bits):
+                        kept &= fixed(x)
+                    assert kept == fixed_cosets(g, K_bits, H_bits, I_bits)
+                    assert s.double_coset_reps(I_bits, K_idx, H_idx) == [
+                        min(d) for d in double_coset_sets(g, I_bits, K_bits, H_bits)
+                    ]
+                    assert s.tr_term_classes(K_idx, H_idx, I_bits) == tr_terms(s, K_idx, H_idx, I_bits)
+                    assert s.nm_factor_classes(K_idx, H_idx, I_bits) == nm_factors(
+                        s, K_idx, H_idx, I_bits
                     )
 
     def test_containment_is_checked(self, sys_s3):

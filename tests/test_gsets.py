@@ -12,7 +12,7 @@ from btspec.gsets import (
     induce,
     restrict_gset,
 )
-from btspec.lattice import bits_iter
+from btspec.lattice import bits_iter, is_subset
 
 from conftest import system_for
 from oracles import (
@@ -20,6 +20,7 @@ from oracles import (
     cosets,
     disjoint_union,
     fixed_point_identity_check,
+    fixed_points_by_rows,
     orbit_decompose,
     product,
 )
@@ -219,6 +220,44 @@ class TestRestrictConjugate:
         P = product(free, X)
         decomp = orbit_decompose(P)
         assert [(s.order, m) for s, m in decomp] == [(1, X.size)]
+
+
+class TestFixedPointBitsets:
+    """|X^I| as the popcount of an AND of per-element bitsets, against a count
+    of every row of I, on each kind of set; restricted and conjugated sets
+    read the bitsets of the set they came from."""
+
+    @pytest.mark.parametrize("text", ["S3", "A4", "D6"])
+    def test_every_construction(self, text):
+        s = system_for(text)
+        g, lat = s.group, s.lattice
+        full = full_bits(g)
+        for H in lat.subgroups:
+            for J in lat.subgroups:
+                if not is_subset(J.members, H.members):
+                    continue
+                X = coset_space(g, H.members, J.members)
+                sets = [X, induce(full, X)]
+                if (H.order // J.order) ** (g.order // H.order) <= 1296:
+                    sets.append(coinduce(full, X))
+                sets += [restrict_gset(sets[1], H.members), conjugate_gset(g.order - 1, X)]
+                for Y in sets:
+                    for I in lat.subgroups:
+                        if is_subset(I.members, Y.acting_bits):
+                            assert fixed_points(Y, I.members) == fixed_points_by_rows(Y, I.members)
+
+    def test_shared_with_the_source_set(self, sys_a4):
+        g, lat = sys_a4.group, sys_a4.lattice
+        X = coset_space(g, full_bits(g), 1)  # 12 points: bitsets are not cached small ints
+        k4 = sub_of_order(lat, 4).members
+        R, C = restrict_gset(X, k4), conjugate_gset(5, X)
+        for h in bits_iter(k4):
+            assert R.fixed_bits(h) is X.fixed_bits(h)
+        for k in range(g.order):
+            h = g.mul_table[g.mul_table[g.inv[5]][k]][5]
+            assert C.fixed_bits(k) is X.fixed_bits(h)
+        with pytest.raises(ContainmentError):
+            R.fixed_bits(next(x for x in range(g.order) if not k4 >> x & 1))
 
 
 class TestConjugationInvariance:

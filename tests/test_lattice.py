@@ -7,6 +7,7 @@ from btspec.lattice import (
     bits_iter,
     closure,
     conjugate_bits,
+    fixed_bits,
     generating_set,
     is_subset,
     left_cosets,
@@ -198,6 +199,35 @@ class TestTransversals:
         assert sorted(coset_of) == list(range(6))
         assert all(coset_of[g.mul_table[r][h]] == i for i, r in enumerate(reps)
                    for h in bits_iter(c3.members))
+
+
+class TestConjugation:
+    """``SubgroupLattice.conjugation`` against conjugating each subgroup's bits."""
+
+    @pytest.mark.parametrize("text", ["S4", "A5", "D9"])
+    def test_matches_conjugate_bits(self, text):
+        s = system_for(text)
+        g, lat = s.group, s.lattice
+        for x in range(g.order):
+            perm = lat.conjugation(x)
+            assert sorted(perm) == list(range(len(lat.subgroups)))
+            for i, sub in enumerate(lat.subgroups):
+                assert lat.subgroups[perm[i]].members == conjugate_bits(g, x, sub.members)
+
+
+class TestFixedBits:
+    @pytest.mark.parametrize("n", [0, 1, 7, 64, 100_000])
+    def test_matches_points(self, n):
+        import random
+
+        rng = random.Random(n)
+        row = list(range(n))
+        for _ in range(n // 3):
+            i, j = rng.randrange(n), rng.randrange(n)
+            row[i], row[j] = row[j], row[i]
+        bits = fixed_bits(row)
+        assert list(bits_iter(bits)) == [x for x in range(n) if row[x] == x]
+        assert fixed_bits(range(n)) == (1 << n) - 1
 
 
 class TestPResidual:
