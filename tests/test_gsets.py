@@ -339,14 +339,6 @@ def coinduce_row_by_digits(K_bits, X, k):
     return out
 
 
-def fixed_points_all_elements(X, I_bits):
-    """|X^I| tested against the row of every element of I."""
-    rows = [X.action_row(g) for g in bits_iter(I_bits) if g != 0]
-    if not rows:
-        return X.size
-    return sum(1 for x in range(X.size) if all(row[x] == x for row in rows))
-
-
 def coinduced_sets(text, max_size=1296):
     """(X, Map_H(G, X)) for X = H/J over class representatives H of G, J of H."""
     s = system_for(text)
@@ -377,7 +369,7 @@ class TestAgainstPreviousRoutes:
         subgroups = system_for(text).lattice.subgroups
         for _, co in coinduced_sets(text):
             for sub in subgroups:
-                assert fixed_points(co, sub.members) == fixed_points_all_elements(co, sub.members)
+                assert fixed_points(co, sub.members) == fixed_points_by_rows(co, sub.members)
 
     def test_largest_s4_case_is_over_1000_points(self):
         assert max(co.size for _, co in coinduced_sets("S4")) == 1296
