@@ -572,31 +572,37 @@ def verify_axioms(
                         )
 
             if {"conjugacy_res", "conjugacy_tr", "conjugacy_nm"} & enabled:
+                # The identities read only this pair's routes and g's conj
+                # routes, so conjugators with the same conj routes share them.
+                decided: dict[tuple, list[bool]] = {}
                 for g in conj_sample:
                     gK_idx, cK = conj_route(g, K_idx)
                     gH_idx, cH = conj_route(g, H_idx)
-                    ginst = dict(inst, g=g)
+                    ids = decided.get((gK_idx, gH_idx, cK, cH))
+                    if ids is None:
+                        ids = decided[gK_idx, gH_idx, cK, cH] = [
+                            "conjugacy_res" in enabled
+                            and tuple(res_route(K_idx, H_idx)[i] for i in cH)
+                            == tuple(cK[i] for i in res_route(gK_idx, gH_idx))
+                        ] + [
+                            axiom in enabled
+                            and _picked(route(K_idx, H_idx), cK)
+                            == _renamed(route(gK_idx, gH_idx), cH)
+                            for (_, _, axiom), route, _, _, _ in twins
+                        ]
                     if "conjugacy_res" in enabled and not rec.proved(
-                        "conjugacy_res",
-                        tuple(res_route(K_idx, H_idx)[i] for i in cH)
-                        == tuple(cK[i] for i in res_route(gK_idx, gH_idx)),
-                        size(K_idx),
+                        "conjugacy_res", ids[0], size(K_idx)
                     ):
                         for b in els(K_idx):
                             lhs = system.ghost_conj(g, system.ghost_res(K_idx, H_idx, b))
                             rhs = system.ghost_res(gK_idx, gH_idx, system.ghost_conj(g, b))
-                            rec.check("conjugacy_res", lhs == rhs, ginst, f"b={b.values}")
-                    for (_, _, axiom), route, apply, _, _ in twins:
-                        if axiom in enabled and not rec.proved(
-                            axiom,
-                            _picked(route(K_idx, H_idx), cK)
-                            == _renamed(route(gK_idx, gH_idx), cH),
-                            size(H_idx),
-                        ):
+                            rec.check("conjugacy_res", lhs == rhs, dict(inst, g=g), f"b={b.values}")
+                    for holds, ((_, _, axiom), route, apply, _, _) in zip(ids[1:], twins):
+                        if axiom in enabled and not rec.proved(axiom, holds, size(H_idx)):
                             for a in els(H_idx):
                                 lhs = system.ghost_conj(g, apply(K_idx, H_idx, a))
                                 rhs = apply(gK_idx, gH_idx, system.ghost_conj(g, a))
-                                rec.check(axiom, lhs == rhs, ginst, f"a={a.values}")
+                                rec.check(axiom, lhs == rhs, dict(inst, g=g), f"a={a.values}")
 
             if {"chi_res", "chi_tr", "chi_nm", "chi_conj"} & enabled:
                 for j_cls in range(ringH.num_classes):
@@ -718,16 +724,19 @@ def verify_axioms(
             pairs = [(g, h) for g in conj_sample for h in conj_sample]
         conjugators = sorted({h for _, h in pairs} | {mul[g][h] for g, h in pairs})
 
-        def composes(H_idx, g, h):
-            hH_idx, ch = conj_route(h, H_idx)
-            ghH_idx, cg = conj_route(g, hH_idx)
-            return (ghH_idx, tuple(map(ch.__getitem__, cg))) == conj_route(mul[g][h], H_idx)
+        def composes(H_idx):
+            for g, h in pairs:
+                hH_idx, ch = conj_route(h, H_idx)
+                ghH_idx, cg = conj_route(g, hH_idx)
+                if (ghH_idx, tuple(map(ch.__getitem__, cg))) != conj_route(mul[g][h], H_idx):
+                    return False
+            return True
 
         for H_idx in lattice.class_reps:
             block = min(size(H_idx), system.level(H_idx).num_classes + 3)
             if rec.proved(
                 "conj_functoriality",
-                all(composes(H_idx, g, h) for g, h in pairs),
+                composes(H_idx),
                 block * len(pairs),
             ):
                 continue
