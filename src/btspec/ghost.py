@@ -188,10 +188,6 @@ class GhostSystem:
 
     # -- cosets -----------------------------------------------------------------
 
-    def left_cosets(self, K_idx: int, H_idx: int) -> tuple[list[int], dict[int, int]]:
-        """``lattice.left_cosets`` of K/H, computed once per (K, H)."""
-        return self._coset_action(K_idx, H_idx)[:2]
-
     def _coset_action(self, K_idx: int, H_idx: int) -> tuple:
         """``lattice.coset_action`` of K on K/H, built once per (K, H)."""
         found = self._cosets.get((K_idx, H_idx))
@@ -453,6 +449,7 @@ def verify_axioms(
         return X, GhostElement(idx, tuple(ring.marks_matrix[j_cls]))
 
     conj_oks: dict[tuple[int, int], list[bool]] = {}  # chi_conj at (H, J), for the sweep
+    chi_res = "chi_res" in enabled
 
     # Sampled conjugators: all of G when small, else generators plus a prefix.
     if group.order <= 64:
@@ -464,7 +461,6 @@ def verify_axioms(
         ringK = system.level(K_idx)
         K_bits = system._bits(K_idx)
         system._cosets.clear()  # coset actions are kept for one K's pairs
-        chi_res = "chi_res" in enabled
         k_orbits = [orbit(K_idx, j) for j in range(ringK.num_classes)] if chi_res else []
 
         # Chains H <= L <= K for functoriality of res/tr/nm.
