@@ -690,6 +690,9 @@ def verify_axioms(
                         system.tr_term_classes(K_idx, H_idx, I_bits),
                         system.nm_factor_classes(K_idx, H_idx, I_bits),
                     ))
+                # Its rows now cover the generators of every subgroup of K,
+                # and no later pair of this K reads them.
+                system._cosets.pop((K_idx, H_idx), None)
                 tr_cls = _sorted(system.tr_route(K_idx, H_idx))
                 nm_cls = _sorted(system.nm_route(K_idx, H_idx))
                 probe = ringH.num_classes + 1

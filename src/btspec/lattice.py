@@ -152,9 +152,11 @@ def coset_action(group: FiniteGroup, K_bits: int, H_bits: int) -> tuple:
     """``left_cosets`` of K/H, then K's action on the coset numbers as two
     functions computed once per element g: ``row(g)``, the coset g sends each
     coset to, and ``fixed(g)``, the bitset of the cosets g fixes."""
+    from array import array  # verify's alone: not loaded by other commands
+
     reps, coset_of = left_cosets(group, K_bits, H_bits)
-    mul = group.mul_table
-    row = cache(lambda g: [coset_of[mul[g][k]] for k in reps])
+    mul = group.mul_table  # coset numbers are below |G| <= groups.MAX_ORDER < 2^16
+    row = cache(lambda g: array("H", [coset_of[mul[g][k]] for k in reps]))
     return reps, coset_of, row, cache(lambda g: fixed_bits(row(g)))
 
 
@@ -184,7 +186,7 @@ class SubgroupLattice:
         self.below = below
         self._class_sizes: Counter | None = None
         self._residuals: dict[tuple[int, int], int] = {}
-        self._conjugations: dict[int, list[int]] = {}
+        self._conjugations: dict = {}
 
     @property
     def num_classes(self) -> int:
@@ -210,21 +212,24 @@ class SubgroupLattice:
         top = self.subgroups[sub_idx].members
         return tuple(i for i, s in enumerate(self.subgroups) if is_subset(s.members, top))
 
-    def conjugation(self, g: int) -> list[int]:
+    def conjugation(self, g: int):
         """``perm[i]`` is the index of ^g S for S the subgroup at index i.  The
         first call reads each generator's off ``conjugate_bits`` and composes
         every other element's along a breadth-first word, as ^{sx} S = ^s(^x S)."""
         perms = self._conjugations
         if not perms:
-            group, index_of = self.group, self.index_of
+            from array import array  # verify's alone: not loaded by other commands
+
+            group, index_of, n = self.group, self.index_of, len(self.subgroups)
+            code = "H" if n < 1 << 16 else "I"  # two bytes an entry where they fit
             steps = [(s, [index_of[conjugate_bits(group, s, b)] for b, _ in self.subgroups])
                      for s in group.gen_indices]
-            perms[0], walk = list(range(len(self.subgroups))), [0]
+            perms[0], walk = array(code, range(n)), [0]
             for x in walk:  # grows while it is walked
                 for s, step in steps:
                     y = group.mul_table[s][x]
                     if y not in perms:
-                        perms[y] = list(map(step.__getitem__, perms[x]))
+                        perms[y] = array(code, map(step.__getitem__, perms[x]))
                         walk.append(y)
         return perms[g]
 
