@@ -751,4 +751,6 @@ def verify_axioms(
                         f"a={a.values}",
                     )
 
+    system._cosets.clear()  # the coset actions and permutations are the sweep's
+    lattice._conjugations.clear()
     return report
