@@ -7,19 +7,22 @@ lattice order), ``class_of``, and ``below`` (one subconjugacy row per class,
 as ``SubgroupLattice.below``).  Bytes that are not UTF-8 JSON, or nest too
 deep to parse, are ignored with a one-line stderr note.  An entry is checked
 against the freshly realized group (spec hash, order, degree, generators) and
-for shape (format version, bitsets within the group, the whole group last,
+for shape (format version, at most ``lattice.MAX_SUBGROUPS`` subgroups, counted
+before any bitset is read, bitsets within the group, the whole group last,
 strictly increasing (order, bitset) order, classes numbered 0, 1, ... in order
-of first appearance, one subgroup order per class, one row per class); an
-entry that fails is ignored and recomputed, so entries of an older format are
-silently replaced.  Each stored
-bitset must be a subgroup (identity bit set, order dividing |G|, and the span
-that ``lattice.generating_set`` grows from its elements equal to itself, so
-each accepted subgroup's generating set is kept on the group as a by-product),
-and each row of ``below`` must hold its own class and only classes whose order
-divides its class's order; an entry that fails these is ignored with a
-one-line stderr note.  That the classes are conjugacy classes and the rows are
-exactly subconjugacy is trusted, not re-derived.  Writes are atomic (temp file
-+ rename).  ``hashlib`` and ``tempfile`` are imported by the functions that
+of first appearance, one row per class); an entry that fails is ignored and
+recomputed, so entries of an older format are silently replaced.  Each
+class's least member must be a subgroup (identity bit set, order dividing |G|,
+and the span that ``lattice.generating_set`` grows from its elements equal to
+itself, so its generating set is kept on the group as a by-product).  Each
+class must be that member's orbit under conjugation by the group's generators
+(``lattice.conjugates``), in an abelian group that member alone, so every
+stored bitset is a subgroup and the classes are the group's conjugacy classes.
+Each row of ``below`` must hold its own class and only classes whose order
+divides its class's order.  An entry that fails these is ignored with a
+one-line stderr note.  That the stored subgroups are all of them and the rows
+are exactly subconjugacy is trusted, not re-derived.  Writes are atomic (temp
+file + rename).  ``hashlib`` and ``tempfile`` are imported by the functions that
 use them, so a ``--no-cache`` run loads neither.
 """
 
@@ -32,7 +35,8 @@ from pathlib import Path
 
 from .errors import ContainmentError
 from .groups import FiniteGroup
-from .lattice import Subgroup, SubgroupLattice, generating_set
+from . import lattice as lattice_mod
+from .lattice import Subgroup, SubgroupLattice, conjugates, generating_set
 
 CACHE_FORMAT_VERSION = 2
 CACHE_ENV_VAR = "BTSPEC_CACHE"
@@ -113,6 +117,8 @@ def cache_load(path: Path, group: FiniteGroup, key: str) -> SubgroupLattice | No
         gens = [list(g) for g in group.generators]
         if raw["generators"] != gens:
             return None
+        if len(raw["subgroups"]) > lattice_mod.MAX_SUBGROUPS:
+            return None  # refused unread: recomputing it stops at the bound
         bits_list = [int(h, 16) for h in raw["subgroups"]]
         class_of = [int(c) for c in raw["class_of"]]
         below = [int(h, 16) for h in raw["below"]]
@@ -121,7 +127,7 @@ def cache_load(path: Path, group: FiniteGroup, key: str) -> SubgroupLattice | No
         full = (1 << group.order) - 1
         if bits_list[-1] != full or any(b & ~full for b in bits_list):
             return None
-        subgroups = [Subgroup(b, bin(b).count("1")) for b in bits_list]
+        subgroups = [Subgroup(b, b.bit_count()) for b in bits_list]
         keys = [(s.order, s.members) for s in subgroups]
         if any(a >= b for a, b in zip(keys, keys[1:])):  # strictly increasing: no duplicates
             return None
@@ -134,10 +140,15 @@ def cache_load(path: Path, group: FiniteGroup, key: str) -> SubgroupLattice | No
         nclasses = len(class_reps)
         if len(below) != nclasses or any(r >> nclasses for r in below):
             return None
-        if any(s.order != subgroups[class_reps[c]].order for s, c in zip(subgroups, class_of)):
-            return None  # conjugate subgroups have one order
-        if not all(_is_subgroup(group, s) for s in subgroups):
+        if not all(_is_subgroup(group, subgroups[r]) for r in class_reps):
             raise ValueError("a stored bitset is not a subgroup")
+        classes: list[list[int]] = [[] for _ in class_reps]
+        for s, c in zip(subgroups, class_of):
+            classes[c].append(s.members)
+        for members in classes:  # the orbit of a subgroup, its least member
+            orbit = members[:1] if group.is_abelian else sorted(conjugates(group, members[0]))
+            if members != orbit:
+                raise ValueError("a stored class is not a conjugacy class")
         of_order: dict[int, int] = {}  # order -> bitset of the classes of that order
         for c, r in enumerate(class_reps):
             of_order[subgroups[r].order] = of_order.get(subgroups[r].order, 0) | 1 << c

@@ -24,6 +24,7 @@ from .names import class_labels
 from .spectrum import (
     GENERIC,
     SpectrumPoset,
+    below_prime_limit,
     burnside_ring_spectrum,
     burnside_ideal_membership,
     check_extra_primes,
@@ -142,10 +143,10 @@ class Session:
 
 
 def _below_limit(p: int, what: str = "--prime") -> int:
-    # ``is_prime`` is exact well past 2^64; prime flags stay below it.
-    if p >= 1 << 64:
-        raise UsageError(f"{what} must be below 2^64, got {p}")
-    return p
+    try:
+        return below_prime_limit(p, what)
+    except ValueError as exc:
+        raise UsageError(str(exc))
 
 
 def check_args(args) -> None:

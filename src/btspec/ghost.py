@@ -493,52 +493,54 @@ def verify_axioms(
                             two = apply(K_idx, L_idx, apply(L_idx, H_idx, a))
                             rec.check(axiom, two == one, inst, f"a={a.values}")
 
-        # Double-coset formulas for H, L <= K.
-        for L_idx in ringK.class_reps:
-            L_bits = system._bits(L_idx)
-            for H_idx in ringK.class_reps:
-                inst = {
-                    "K": _sub_label(system, K_idx),
-                    "L": _sub_label(system, L_idx),
-                    "H": _sub_label(system, H_idx),
-                }
-                legs = []
-                for gma in system.double_coset_reps(L_bits, K_idx, H_idx):
-                    gH_idx = lattice.conjugation(gma)[H_idx]
-                    meet_idx = lattice.index_of[L_bits & lattice.subgroups[gH_idx].members]
-                    legs.append((gma, gH_idx, meet_idx))
+        # Double-coset formulas for H, L <= K; their legs are built only for them.
+        if {"additive_double_coset", "multiplicative_double_coset"} & enabled:
+            for L_idx in ringK.class_reps:
+                L_bits = system._bits(L_idx)
+                for H_idx in ringK.class_reps:
+                    inst = {
+                        "K": _sub_label(system, K_idx),
+                        "L": _sub_label(system, L_idx),
+                        "H": _sub_label(system, H_idx),
+                    }
+                    legs = []
+                    for gma in system.double_coset_reps(L_bits, K_idx, H_idx):
+                        gH_idx = lattice.conjugation(gma)[H_idx]
+                        meet_idx = lattice.index_of[L_bits & lattice.subgroups[gH_idx].members]
+                        legs.append((gma, gH_idx, meet_idx))
 
-                def legs_form(route):
-                    # Sum (or product) over the legs of route(L, L cap gH)
-                    # applied to res^{gH}_{L cap gH} c_gamma, as H-coordinates.
-                    cols = [[] for _ in range(system.level(L_idx).num_classes)]
-                    for gma, gH_idx, meet_idx in legs:
-                        target_idx, cidx = conj_route(gma, H_idx)
-                        if target_idx != gH_idx:
-                            return None
-                        idx = [cidx[i] for i in res_route(gH_idx, meet_idx)]
-                        for col, terms in zip(cols, route(L_idx, meet_idx)):
-                            col.extend([idx[t] for t in terms])
-                    return [sorted(col) for col in cols]
+                    def legs_form(route):
+                        # Sum (or product) over the legs of route(L, L cap gH)
+                        # applied to res^{gH}_{L cap gH} c_gamma, as H-coordinates.
+                        cols = [[] for _ in range(system.level(L_idx).num_classes)]
+                        for gma, gH_idx, meet_idx in legs:
+                            target_idx, cidx = conj_route(gma, H_idx)
+                            if target_idx != gH_idx:
+                                return None
+                            idx = [cidx[i] for i in res_route(gH_idx, meet_idx)]
+                            for col, terms in zip(cols, route(L_idx, meet_idx)):
+                                col.extend([idx[t] for t in terms])
+                        return [sorted(col) for col in cols]
 
-                def parts(a):
-                    # res^{gH}_{L cap gH} c_gamma(a) per leg.
-                    return [
-                        (meet_idx, system.ghost_res(gH_idx, meet_idx, system.ghost_conj(gma, a)))
-                        for gma, gH_idx, meet_idx in legs
-                    ]
+                    def parts(a):
+                        # res^{gH}_{L cap gH} c_gamma(a) per leg.
+                        return [
+                            (m, system.ghost_res(gH_idx, m, system.ghost_conj(gma, a)))
+                            for gma, gH_idx, m in legs
+                        ]
 
-                for (_, axiom, _), route, apply, op, unit in twins:
-                    if axiom in enabled and not rec.proved(
-                        axiom,
-                        legs_form(route) == _picked(route(K_idx, H_idx), res_route(K_idx, L_idx)),
-                        size(H_idx),
-                    ):
-                        start = GhostElement(L_idx, (unit,) * system.level(L_idx).num_classes)
-                        for a in els(H_idx):
-                            lhs = system.ghost_res(K_idx, L_idx, apply(K_idx, H_idx, a))
-                            rhs = reduce(op, (apply(L_idx, m, p) for m, p in parts(a)), start)
-                            rec.check(axiom, lhs == rhs, inst, f"a={a.values}")
+                    for (_, axiom, _), route, apply, op, unit in twins:
+                        if axiom in enabled and not rec.proved(
+                            axiom,
+                            legs_form(route)
+                            == _picked(route(K_idx, H_idx), res_route(K_idx, L_idx)),
+                            size(H_idx),
+                        ):
+                            start = GhostElement(L_idx, (unit,) * system.level(L_idx).num_classes)
+                            for a in els(H_idx):
+                                lhs = system.ghost_res(K_idx, L_idx, apply(K_idx, H_idx, a))
+                                rhs = reduce(op, (apply(L_idx, m, p) for m, p in parts(a)), start)
+                                rec.check(axiom, lhs == rhs, inst, f"a={a.values}")
 
         # Pairs H <= K: Frobenius, conjugacy compatibility, chi naturality,
         # Tambara reciprocity, Weyl constancy.

@@ -2,14 +2,16 @@
 
 Groups are specified either by a named family (cyclic, dihedral, quaternion,
 symmetric, alternating, PSL2(7)/GL3(2)) or by explicit permutation generators,
-and realized by breadth-first closure.  A permutation of {0, ..., d-1} is the
-tuple of its images.  Only ``perm:`` input is checked to be one, by the
-parser's cycle checks; the named families' generators are trusted.  A
-realized group keeps its generators and its multiplication table, not the
-image tuples of its elements.  Element indices are stable and deterministic
-for a given spec: index 0 is the identity and new elements are numbered in
-BFS discovery order over the sorted generator list, so two runs on the same
-spec produce identical tables.
+and realized by breadth-first closure.  ``_FAMILIES`` is the one place a named
+family is defined: its spec letter or fixed text, its ``GroupSpec.kind``, its
+range message and its generators; parsing, canonical text and realization all
+read it.  A permutation of {0, ..., d-1} is the tuple of its images.  Only
+``perm:`` input is checked to be one, by the parser's cycle checks; the named
+families' generators are trusted.  A realized group keeps its generators and
+its multiplication table, not the image tuples of its elements.  Element
+indices are stable and deterministic for a given spec: index 0 is the identity
+and new elements are numbered in BFS discovery order over the sorted generator
+list, so two runs on the same spec produce identical tables.
 """
 
 from __future__ import annotations
@@ -47,21 +49,9 @@ class GroupSpec(namedtuple("GroupSpec", "kind parameters generators", defaults=(
     __slots__ = ()
 
     def canonical_text(self) -> str:
-        k, p = self.kind, self.parameters
-        if k == "cyclic":
-            return f"C{p[0]}"
-        if k == "dihedral":
-            return f"D{p[0]}"
-        if k == "quaternion":
-            return f"Q{p[0]}"
-        if k == "symmetric":
-            return f"S{p[0]}"
-        if k == "alternating":
-            return f"A{p[0]}"
-        if k == "psl2":
-            return f"PSL2_{p[0]}"
-        if k == "gl3":
-            return f"GL3_{p[0]}"
+        key = _KEY_OF_KIND.get(self.kind)
+        if key is not None:  # a letter takes the parameter; a fixed text is whole
+            return f"{key}{self.parameters[0]}" if len(key) == 1 else key
         parts = []
         for g in self.generators or ():
             parts.append("".join(f"({' '.join(str(x) for x in cyc)})" for cyc in _cycle_form(g)))
@@ -86,9 +76,6 @@ def _cycle_form(p: tuple[int, ...]) -> list[list[int]]:
     return cycles
 
 
-_NAMED_RE = re.compile(r"^([CDQSA])(\d+)$")
-
-
 def parse_group_spec(text: str) -> GroupSpec:
     """Parse group-spec text: C<n> | D<n> | Q<n> | S<n> | A<n> | PSL2_7 | GL3_2 | perm:...
 
@@ -98,10 +85,8 @@ def parse_group_spec(text: str) -> GroupSpec:
     text = text.strip()
     if not text:
         raise SpecParseError("empty group spec", 0)
-    if text == "PSL2_7":
-        return GroupSpec("psl2", (7,))
-    if text == "GL3_2":
-        return GroupSpec("gl3", (2,))
+    if len(text) > 1 and text in _FAMILIES:  # a fixed text: its parameter follows the "_"
+        return GroupSpec(_FAMILIES[text].kind, (int(text.rpartition("_")[2]),))
     if text.startswith("perm:"):
         return GroupSpec("perm", (), _parse_perm_generators(text, 5))
     m = _NAMED_RE.match(text)
@@ -116,25 +101,10 @@ def parse_group_spec(text: str) -> GroupSpec:
     # C<n> acts on the sum of n's prime-power parts; D/Q/S/A<n> on n points.
     degree = sum(_prime_power_parts(n)) if letter == "C" else n
     _check_degree(text, degree)
-    if letter == "C":
-        if n < 1:
-            raise SpecRangeError("cyclic order must be >= 1")
-        return GroupSpec("cyclic", (n,))
-    if letter == "D":
-        if n < 1:
-            raise SpecRangeError("dihedral parameter must be >= 1 (order 2n)")
-        return GroupSpec("dihedral", (n,))
-    if letter == "Q":
-        if n < 8 or n % 4 != 0:
-            raise SpecRangeError(f"quaternion order must be a multiple of 4 and >= 8, got {n}")
-        return GroupSpec("quaternion", (n,))
-    if letter == "S":
-        if n < 1:
-            raise SpecRangeError("symmetric degree must be >= 1")
-        return GroupSpec("symmetric", (n,))
-    if n < 1:
-        raise SpecRangeError("alternating degree must be >= 1")
-    return GroupSpec("alternating", (n,))
+    family = _FAMILIES[letter]
+    if n < 1 or letter == "Q" and (n < 8 or n % 4 != 0):
+        raise SpecRangeError(family.range_message.format(n=n))
+    return GroupSpec(family.kind, (n,))
 
 
 def _parse_perm_generators(text: str, offset: int) -> tuple[tuple[int, ...], ...]:
@@ -265,44 +235,26 @@ def _dihedral_generators(m: int) -> list[tuple[int, ...]]:
 
 
 def _quaternion_generators(n: int) -> list[tuple[int, ...]]:
-    # Dicyclic group of order n = 4k acting on itself: elements a^i b^j with
-    # 0 <= i < m = n/2, j in {0,1}, b^2 = a^(m/2), b a b^-1 = a^-1.
+    # Dicyclic group of order n = 4k acting on itself from the left: a^i b^j is
+    # point j m + i for m = n/2, 0 <= i < m, with b^2 = a^(m/2) and b a b^-1 = a^-1.
     m = n // 2
-
-    def idx(i: int, j: int) -> int:
-        return j * m + i
-
-    def mult(x: tuple[int, int], y: tuple[int, int]) -> tuple[int, int]:
-        i, j = x
-        k, l = y
-        if j == 0:
-            return ((i + k) % m, l)
-        if l == 0:
-            return ((i - k) % m, 1)
-        return ((i - k + m // 2) % m, 0)
-
-    elems = [(i, j) for j in (0, 1) for i in range(m)]
-    gens = []
-    for g in ((1, 0), (0, 1)):
-        gens.append(tuple(idx(*mult(g, x)) for x in elems))
-    return gens
+    a = (*range(1, m), 0, *range(m + 1, n), m)
+    b = (*(m + -i % m for i in range(m)), *((m // 2 - i) % m for i in range(m)))
+    return [a, b]
 
 
 def _symmetric_generators(n: int) -> list[tuple[int, ...]]:
-    # (0 1) and (0 1 ... n-1).
+    # (0 1) and (0 1 ... n-1), one permutation at n = 2: realize drops repeats.
     if n == 1:
         return [(0,)]
-    if n == 2:
-        return [(1, 0)]
     return [(1, 0, *range(2, n)), (*range(1, n), 0)]
 
 
 def _alternating_generators(n: int) -> list[tuple[int, ...]]:
-    # (0 1 2) and the longest cycle of odd length: (0 ... n-1) or (1 ... n-1).
+    # (0 1 2) and the longest cycle of odd length: (0 ... n-1) or (1 ... n-1),
+    # one permutation at n = 3.
     if n <= 2:
         return [tuple(range(max(n, 1)))]
-    if n == 3:
-        return [(1, 2, 0)]
     three = (1, 2, 0, *range(3, n))
     if n % 2 == 1:
         big = (*range(1, n), 0)
@@ -311,56 +263,47 @@ def _alternating_generators(n: int) -> list[tuple[int, ...]]:
     return [three, big]
 
 
-def _psl2_7_generators() -> list[tuple[int, ...]]:
-    # Projective line over F7: points 0..6 and infinity = 7.
-    # z -> z + 1 and z -> -1/z.
-    shift = (*range(1, 7), 0, 7)
-    img = [0] * 8
-    img[7] = 0
-    img[0] = 7
-    for z in range(1, 7):
-        img[z] = (-pow(z, 5, 7)) % 7  # z^-1 = z^5 mod 7
-    return [shift, tuple(img)]
+def _psl2_generators(p: int) -> list[tuple[int, ...]]:
+    # Projective line over F_p: points 0..p-1 and infinity = p.
+    # z -> z + 1 and z -> -1/z, with z^-1 = z^(p-2).
+    return [(*range(1, p), 0, p), (p, *(-pow(z, p - 2, p) % p for z in range(1, p)), 0)]
 
 
-def _gl3_2_generators() -> list[tuple[int, ...]]:
-    # Nonzero vectors of F2^3 encoded as integers 1..7, acting points 0..6.
-    def apply(matrix_rows, v):
-        bits = [(v >> c) & 1 for c in range(3)]
-        out = 0
-        for r in range(3):
-            s = 0
-            for c in range(3):
-                s ^= matrix_rows[r][c] & bits[c]
-            out |= s << r
-        return out
+def _gl3_2_generators(q: int) -> list[tuple[int, ...]]:
+    # Nonzero vectors v of F2^3 as the integers 1..7, acting on points v - 1 (q = 2
+    # only): the transvection e1 -> e0 + e1 and the rotation e0 -> e1 -> e2 -> e0.
+    return [tuple((v ^ v >> 1 & 1) - 1 for v in range(1, 8)),
+            tuple((v << 1 & 6 | v >> 2) - 1 for v in range(1, 8))]
 
-    transvection = [[1, 1, 0], [0, 1, 0], [0, 0, 1]]
-    rotation = [[0, 0, 1], [1, 0, 0], [0, 1, 0]]
-    gens = []
-    for mat in (transvection, rotation):
-        gens.append(tuple(apply(mat, v) - 1 for v in range(1, 8)))
-    return gens
+
+_Family = namedtuple("_Family", "kind range_message build")
+
+# The one place a named family is defined, keyed by its spec letter (C<n>, ...)
+# or its fixed text: its GroupSpec kind, the SpecRangeError message for n < 1
+# (for Q<n> also n not a multiple of 4 and >= 8), and its generators from n.
+_FAMILIES = {
+    "C": _Family("cyclic", "cyclic order must be >= 1", _cyclic_generator),
+    "D": _Family("dihedral", "dihedral parameter must be >= 1 (order 2n)", _dihedral_generators),
+    "Q": _Family(
+        "quaternion", "quaternion order must be a multiple of 4 and >= 8, got {n}",
+        _quaternion_generators,
+    ),
+    "S": _Family("symmetric", "symmetric degree must be >= 1", _symmetric_generators),
+    "A": _Family("alternating", "alternating degree must be >= 1", _alternating_generators),
+    "PSL2_7": _Family("psl2", None, _psl2_generators),
+    "GL3_2": _Family("gl3", None, _gl3_2_generators),
+}
+_KEY_OF_KIND = {family.kind: key for key, family in _FAMILIES.items()}
+_NAMED_RE = re.compile(f"^([{''.join(key for key in _FAMILIES if len(key) == 1)}])(\\d+)$")
 
 
 def _generators_for(spec: GroupSpec) -> list[tuple[int, ...]]:
-    if spec.kind == "cyclic":
-        return _cyclic_generator(spec.parameters[0])
-    if spec.kind == "dihedral":
-        return _dihedral_generators(spec.parameters[0])
-    if spec.kind == "quaternion":
-        return _quaternion_generators(spec.parameters[0])
-    if spec.kind == "symmetric":
-        return _symmetric_generators(spec.parameters[0])
-    if spec.kind == "alternating":
-        return _alternating_generators(spec.parameters[0])
-    if spec.kind == "psl2":
-        return _psl2_7_generators()
-    if spec.kind == "gl3":
-        return _gl3_2_generators()
     if spec.kind == "perm":
         return list(spec.generators or ())
-    raise ValueError(f"unknown spec kind {spec.kind!r}")
+    key = _KEY_OF_KIND.get(spec.kind)
+    if key is None:
+        raise ValueError(f"unknown spec kind {spec.kind!r}")
+    return _FAMILIES[key].build(spec.parameters[0])
 
 
 class FiniteGroup:
@@ -413,6 +356,12 @@ class FiniteGroup:
             order = self.element_order(x)
             masks[order] = masks.get(order, 0) | 1 << x
         return masks
+
+    @cached_property
+    def gen_conjugations(self) -> list[list[int]]:
+        """For each of ``gen_indices`` s, the list sending element x to s x s^-1."""
+        mt = self.mul_table
+        return [[mt[mt[s][x]][self.inv[s]] for x in range(self.order)] for s in self.gen_indices]
 
     @cached_property
     def is_abelian(self) -> bool:

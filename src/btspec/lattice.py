@@ -128,6 +128,24 @@ def conjugate_bits(group: FiniteGroup, g: int, bits: int) -> int:
     return out
 
 
+def conjugates(group: FiniteGroup, bits: int) -> list[int]:
+    """The conjugacy class of the subgroup ``bits``, ``bits`` first: the orbit
+    a walk over conjugation by the group's generators reaches.  The walk keeps
+    each conjugate's elements, so the next conjugates are their images."""
+    orbit, seen, elements = [bits], {bits}, [list(bits_iter(bits))]
+    for xs in elements:  # grows while it is walked
+        for conj in group.gen_conjugations:
+            ys = list(map(conj.__getitem__, xs))
+            cb = 0
+            for y in ys:
+                cb |= 1 << y
+            if cb not in seen:
+                seen.add(cb)
+                orbit.append(cb)
+                elements.append(ys)
+    return orbit
+
+
 def _cosets(K_bits: int, H_bits: int, coset) -> tuple[list[int], dict[int, int]]:
     """Number the cosets ``coset(k)`` of H inside K by their least elements."""
     if not is_subset(H_bits, K_bits):
@@ -221,15 +239,16 @@ class SubgroupLattice:
             from array import array  # verify's alone: not loaded by other commands
 
             group, index_of, n = self.group, self.index_of, len(self.subgroups)
-            code = "H" if n < 1 << 16 else "I"  # two bytes an entry where they fit
             steps = [(s, [index_of[conjugate_bits(group, s, b)] for b, _ in self.subgroups])
                      for s in group.gen_indices]
-            perms[0], walk = array(code, range(n)), [0]
+            # Two bytes an entry: enumeration and cache_load both refuse a
+            # lattice of more than MAX_SUBGROUPS < 2^16 subgroups.
+            perms[0], walk = array("H", range(n)), [0]
             for x in walk:  # grows while it is walked
                 for s, step in steps:
                     y = group.mul_table[s][x]
                     if y not in perms:
-                        perms[y] = array(code, map(step.__getitem__, perms[x]))
+                        perms[y] = array("H", map(step.__getitem__, perms[x]))
                         walk.append(y)
         return perms[g]
 
@@ -293,23 +312,12 @@ def subgroup_lattice(group: FiniteGroup) -> SubgroupLattice:
     reps: list[tuple[int, tuple[int, ...]]] = []
 
     def add_class(bits: int, gens: tuple[int, ...]) -> None:
-        cls = len(reps)
+        found.update(dict.fromkeys(conjugates(group, bits), len(reps)))
         reps.append((bits, gens))
-        found[bits] = cls
-        frontier = [bits]
-        while frontier:
-            if len(found) > MAX_SUBGROUPS:
-                raise LatticeSizeError(
-                    f"{group.name} has more than {MAX_SUBGROUPS} subgroups (lattice.MAX_SUBGROUPS)"
-                )
-            new = []
-            for b in frontier:
-                for g in group.gen_indices:
-                    cb = conjugate_bits(group, g, b)
-                    if cb not in found:
-                        found[cb] = cls
-                        new.append(cb)
-            frontier = new
+        if len(found) > MAX_SUBGROUPS:  # checked per class, which adds at most |G|
+            raise LatticeSizeError(
+                f"{group.name} has more than {MAX_SUBGROUPS} subgroups (lattice.MAX_SUBGROUPS)"
+            )
 
     add_class(1, ())
     blocks: list[list[int] | None] = [None] * group.order  # see _cyclic_generators

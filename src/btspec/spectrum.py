@@ -76,8 +76,16 @@ def is_prime(n: int) -> bool:
     return True
 
 
+def below_prime_limit(p: int, what: str) -> int:
+    """p, if it is below 2^64, where ``is_prime`` is exact with room to spare;
+    every prime btspec takes, from the CLI or the library, must be."""
+    if p >= 1 << 64:
+        raise ValueError(f"{what} must be below 2^64, got {p}")
+    return p
+
+
 def validate_prime_or_zero(p: int) -> int:
-    if p != 0 and not is_prime(p):
+    if p != 0 and not is_prime(below_prime_limit(p, "a prime")):
         raise ValueError(f"expected a prime or 0, got {p}")
     return p
 

@@ -10,6 +10,7 @@ from pathlib import Path
 
 import pytest
 
+import btspec.lattice as lattice_mod
 from btspec.cache import cache_load, cache_path, cache_store, spec_cache_key
 from btspec.cli import MAX_MESSAGE, build_parser, run
 from btspec.errors import SpecParseError, SpecRangeError
@@ -704,6 +705,19 @@ def _edit_row(raw, cls, update):
     raw["below"][cls] = f"{update(int(raw['below'][cls], 16)):x}"
 
 
+def _merge_classes(raw, a, b):
+    """Store class b (> a) as part of class a: renumber ``class_of`` and OR
+    the subconjugacy rows, renumbered the same way."""
+    rows = [int(h, 16) for h in raw["below"]]
+    new = [a if c == b else c - (c > b) for c in range(len(rows))]
+    rows[a] |= rows.pop(b)
+    raw["class_of"] = [new[c] for c in raw["class_of"]]
+    raw["below"] = [
+        f"{sum(1 << n for n in {new[c] for c in range(len(new)) if row >> c & 1}):x}"
+        for row in rows
+    ]
+
+
 # Cache files written when groups kept one permutation object per element:
 # sha256 of the A4 and GL3_2 entries, and the A4 entry itself.
 PINNED_ENTRY_SHA256 = {
@@ -862,6 +876,47 @@ class TestCache:
         assert code == 0 and captured.err.count("\n") <= 1
         assert run(["--no-cache", command[0], "S3", *command[1:]]) == 0
         assert captured.out == capsys.readouterr().out
+
+    @pytest.mark.parametrize("command", ["subgroups", "spec", "marks", "verify"])
+    def test_merged_classes_match_no_cache(self, tmp_path, capsys, command):
+        # S4's transpositions and double transpositions generate two classes of
+        # C2; stored as one class they pass every per-subgroup check.
+        group = group_from_text("S4")
+        key = spec_cache_key(group.name, DEFAULT_MAX_ORDER)
+        path = cache_path(tmp_path, key)
+        lattice = subgroup_lattice(group)
+        cache_store(path, group, lattice, key)
+        raw = json.loads(path.read_text())
+        a, b = [c for c, r in enumerate(lattice.class_reps) if lattice.subgroups[r].order == 2]
+        _merge_classes(raw, a, b)
+        path.write_text(json.dumps(raw))
+        code = run(["--cache-dir", str(tmp_path), command, "S4"])
+        captured = capsys.readouterr()
+        assert code == 0
+        assert captured.err == f"btspec: ignoring corrupt cache entry {path}\n"
+        assert run(["--no-cache", command, "S4"]) == 0
+        assert captured.out == capsys.readouterr().out
+
+    def test_oversized_entry_recomputed(self, tmp_path, capsys, monkeypatch):
+        # C2^4 has 67 subgroups: with the bound at 50 its stored entry is
+        # refused before its bitsets are read (an unreadable one would draw a
+        # note), and the recomputation stops at the bound.
+        text = "perm:(0 1);(2 3);(4 5);(6 7)"
+        group = group_from_text(text)
+        key = spec_cache_key(group.name, DEFAULT_MAX_ORDER)
+        path = cache_path(tmp_path, key)
+        cache_store(path, group, subgroup_lattice(group), key)
+        raw = json.loads(path.read_text())
+        raw["subgroups"][1] = "not hex"
+        path.write_text(json.dumps(raw))
+        monkeypatch.setattr(lattice_mod, "MAX_SUBGROUPS", 50)
+        assert cache_load(path, group, key) is None
+        assert capsys.readouterr().err == ""
+        code = run(["--cache-dir", str(tmp_path), "subgroups", text])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        message = f"{group.name} has more than 50 subgroups (lattice.MAX_SUBGROUPS)"
+        assert captured.err == f"error: {message}\n"
 
     def test_format_1_entry_replaced_silently(self, tmp_path, capsys):
         group = group_from_text("S3")

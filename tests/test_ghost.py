@@ -519,6 +519,18 @@ class TestVerify:
         assert set(report.counts) == {"frobenius"}
         assert report.ok
 
+    @pytest.mark.parametrize("axioms", [("res_functoriality",), ("frobenius",)])
+    def test_no_double_cosets_unless_asked(self, monkeypatch, axioms):
+        calls = []
+        reps = GhostSystem.double_coset_reps
+        monkeypatch.setattr(
+            GhostSystem, "double_coset_reps", lambda self, *a: calls.append(a) or reps(self, *a)
+        )
+        report = verify_axioms(GhostSystem(system_for("S4").group), VerifyConfig(axioms=axioms))
+        assert report.ok and set(report.counts) == set(axioms) and calls == []
+        verify_axioms(system_for("S3"), VerifyConfig(axioms=("additive_double_coset",)))
+        assert calls
+
 
 class ExtraTermSystem(GhostSystem):
     """Deliberate fault injection: at every nontrivial subgroup I, tr^K_H gains

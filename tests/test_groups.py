@@ -5,7 +5,7 @@ import hashlib
 import pytest
 
 from btspec.errors import OrderExceededError, SpecParseError, SpecRangeError
-from btspec.groups import group_from_text, parse_group_spec, realize
+from btspec.groups import MAX_ORDER, group_from_text, parse_group_spec, realize
 
 from conftest import C2_S6, C840, CORPUS
 from oracles import realize_by_pairs
@@ -59,6 +59,62 @@ class TestParse:
     def test_canonical_text_roundtrip(self):
         for text in ["C6", "D9", "Q8", "S4", "A4", "PSL2_7", "GL3_2"]:
             assert parse_group_spec(text).canonical_text() == text
+
+
+# Every named family at small sizes, keyed by spec letter or fixed text.
+FAMILY_TEXTS = {
+    "C": [f"C{n}" for n in range(1, 41)],
+    "D": [f"D{n}" for n in range(1, 41)],
+    "Q": [f"Q{n}" for n in range(8, 41, 4)],
+    "S": [f"S{n}" for n in range(1, 7)],
+    "A": [f"A{n}" for n in range(1, 8)],
+    "PSL2_7": ["PSL2_7"],
+    "GL3_2": ["GL3_2"],
+}
+# sha256 over each family's (text, kind, parameters, canonical text, degree,
+# generators), mul_table rows and inverses, recorded before the families
+# shared one table in groups.py.
+FAMILY_SHA256 = {
+    "C": "74e1d3efe7c18d5fbdaef2744790c5f953cfae0da43f4435cd1ae74b44b57c23",
+    "D": "cc9365a4f92d01757bf793c2e02d168e89d9594e8ad1b2c8aa55bdfb71514f8b",
+    "Q": "aba761b2288333f1b00cdd7fbf79c6a9797c2dc856b18d8cedc21fb87952cce3",
+    "S": "01bcf0db3c3aa1d52536411d5dc0ba4a965ef1c3211d6014960787c1b5864a03",
+    "A": "9742251808ddcd3d8a5ac22da595ae1c23f8eb802959e8e7c2c398ac9e517de7",
+    "PSL2_7": "e85b90ca6ec1bd8934bd92dac374ec9d1f87a367078f9836534dcedebc01244e",
+    "GL3_2": "fb1bfb9e5c6feb36afefe5a0dae16e8a0968c578f30a67095c929d84372767ef",
+}
+RANGE_MESSAGES = {
+    "C0": "cyclic order must be >= 1",
+    "D0": "dihedral parameter must be >= 1 (order 2n)",
+    "Q6": "quaternion order must be a multiple of 4 and >= 8, got 6",
+    "Q10": "quaternion order must be a multiple of 4 and >= 8, got 10",
+    "S0": "symmetric degree must be >= 1",
+    "A0": "alternating degree must be >= 1",
+}
+
+
+class TestFamilyPins:
+    """The named families' groups, spec kinds, canonical texts and range
+    messages, pinned byte for byte."""
+
+    @pytest.mark.parametrize("family", sorted(FAMILY_TEXTS))
+    def test_family_digest(self, family):
+        digest = hashlib.sha256()
+        for text in FAMILY_TEXTS[family]:
+            spec = parse_group_spec(text)
+            g = realize(spec, MAX_ORDER)
+            head = (text, spec.kind, spec.parameters, spec.canonical_text(), g.degree, g.generators)
+            digest.update(repr(head).encode())
+            for row in g.mul_table:
+                digest.update(repr(row).encode())
+            digest.update(repr(g.inv).encode())
+        assert digest.hexdigest() == FAMILY_SHA256[family]
+
+    @pytest.mark.parametrize("text", sorted(RANGE_MESSAGES))
+    def test_range_message(self, text):
+        with pytest.raises(SpecRangeError) as exc:
+            parse_group_spec(text)
+        assert str(exc.value) == RANGE_MESSAGES[text]
 
 
 class TestRealize:

@@ -202,6 +202,30 @@ class TestPrimeHelpers:
         with pytest.raises(ValueError):
             validate_prime_or_zero(1)
 
+    # The least strong pseudoprime to the first 12 prime bases: is_prime calls
+    # it prime, yet it is 399165290221 * 798330580441.
+    PSEUDOPRIME = 318665857834031151167461
+
+    def test_library_refuses_primes_past_2_64(self, sys_s3):
+        assert is_prime(self.PSEUDOPRIME)
+        family = principal_family(sys_s3.lattice, 0)
+        ring = sys_s3.level(sys_s3.top_index)
+        a, x = ring.all_ones(), ring.basis_element(0)
+        calls = [
+            lambda p: validate_prime_or_zero(p),
+            lambda p: enumerate_spectrum(system_for("C2"), [p]),
+            lambda p: burnside_ring_spectrum(system_for("C2"), [p]),
+            lambda p: ghost_ideal_membership(sys_s3, family, p, a),
+            lambda p: burnside_ideal_membership(sys_s3, 0, p, x),
+            lambda p: q_condition_check(sys_s3, family, p, a, a),
+            lambda p: non_prime_witness(sys_s3, family, p),
+        ]
+        for call in calls:
+            for p in (self.PSEUDOPRIME, 2**64 + 13):
+                with pytest.raises(ValueError, match="below 2\\^64"):
+                    call(p)
+        assert validate_prime_or_zero(2**64 - 59) == 2**64 - 59
+
 
 class TestMembership:
     def test_a4_examples(self, sys_a4):
