@@ -27,9 +27,9 @@ from .errors import OrderExceededError, SpecParseError, SpecRangeError
 
 DEFAULT_MAX_ORDER = 2000
 
-# Largest max_order accepted: it bounds realize's n x n multiplication table.
-# At order 4096 (D2048, C4096) realize takes about 1.2-1.5 s and 145 MB peak RSS
-# (CPython 3.11); with one permutation object per element it took 3.8-5 s and 240-275 MB.
+# Largest max_order accepted: it bounds realize's n x n multiplication table, 32 MB
+# of two-byte rows at order 4096.  Realizing D2048 or C4096 takes about 0.8-1.0 s, and
+# `subgroups --no-cache` on D2048 peaks at 56 MB RSS (146 MB with list rows; CPython 3.11).
 MAX_ORDER = 4096
 
 # Largest permutation degree a spec may ask for.  Specs are checked against it
@@ -190,26 +190,31 @@ def _check_degree(text: str, degree: int) -> None:
         raise SpecRangeError(f"{text!r} needs more than {MAX_DEGREE} permutation points")
 
 
-def _prime_power_parts(n: int) -> list[int]:
-    """The prime-power factors of n, by ascending prime.
-
-    Trial division stops past MAX_DEGREE; any cofactor left then has only
-    larger prime factors and is kept as one entry, so the sum still exceeds
-    MAX_DEGREE exactly when the true sum does.
-    """
-    parts = []
-    m = n
-    d = 2
-    while d * d <= m and d <= MAX_DEGREE:
-        if m % d == 0:
-            q = 1
-            while m % d == 0:
-                q *= d
-                m //= d
-            parts.append(q)
+def prime_factors(n: int) -> list[int]:
+    """The primes dividing n, ascending.  Trial division stops past MAX_DEGREE
+    and keeps any cofactor left whole; it has only larger prime factors, so the
+    list is exact below (MAX_DEGREE + 1)^2, group orders included."""
+    out, d = [], 2
+    while d * d <= n and d <= MAX_DEGREE:
+        if n % d == 0:
+            out.append(d)
+            while n % d == 0:
+                n //= d
         d += 1
-    if m > 1:
-        parts.append(m)
+    if n > 1:
+        out.append(n)
+    return out
+
+
+def _prime_power_parts(n: int) -> list[int]:
+    """The prime-power factors of n, by ascending prime.  A cofactor kept whole
+    by ``prime_factors`` is one part, so the sum passes MAX_DEGREE as the true one does."""
+    parts = []
+    for p in prime_factors(n):
+        q = p
+        while n % (q * p) == 0:
+            q *= p
+        parts.append(q)
     return parts
 
 
@@ -310,14 +315,17 @@ class FiniteGroup:
     """Fully enumerated permutation group.
 
     ``mul_table[i][j]`` is the index of the product of elements i and j;
-    index 0 is always the identity.  ``generators`` are the image tuples of the
-    elements ``gen_indices``.  Instances are immutable by convention and safe
-    to share across threads; element orders and subgroup generating sets are
-    memoized on them as they are asked for, and ``order_masks`` once.
+    index 0 is always the identity.  Each row is an ``array("H")``: every index
+    fits two bytes, as the order is at most MAX_ORDER < 2^16, where a list
+    takes eight per entry, and a garbage collection walks no entry of it.
+    ``generators`` are the image tuples of the elements ``gen_indices``.
+    Instances are immutable by convention and safe to share across threads;
+    element orders and subgroup generating sets are memoized on them as they
+    are asked for, and ``order_masks`` once.
     """
 
     def __init__(self, spec: GroupSpec, degree: int, generators: tuple[tuple[int, ...], ...],
-                 mul_table: list[list[int]], inv: list[int], gen_indices: tuple[int, ...] = ()):
+                 mul_table: list, inv: list[int], gen_indices: tuple[int, ...] = ()):
         self.spec = spec
         self.degree = degree
         self.generators = generators
@@ -377,48 +385,75 @@ def realize(spec: GroupSpec, max_order: int = DEFAULT_MAX_ORDER) -> FiniteGroup:
     """
     if not 1 <= max_order <= MAX_ORDER:
         raise ValueError(f"max_order must be in 1..{MAX_ORDER}, got {max_order}")
+    from array import array  # on first use: `import btspec.cli` does not load it
+    from struct import Struct
+
     raw = _generators_for(spec)
     degree = max(map(len, raw), default=1)
+    _check_degree(spec.kind, degree)  # for a GroupSpec built without the parser
     ident = tuple(range(degree))
     gens = sorted(set(raw) - {ident})
     # Element i is element x * gens[j] (gens[j] applied first) for deriv[i] = (x, j),
     # and step[x][j] is the index of that product.  A non-identity permutation
-    # moves at least two points, so each itemgetter returns a tuple.
+    # moves at least two points, so each itemgetter returns a tuple.  Elements are
+    # looked up by their images packed two bytes each (degree <= MAX_DEGREE < 2^16),
+    # and the queue lets go of each image tuple once it is walked.
     right = [itemgetter(*g) for g in gens]
-    elements = [ident]
-    index = {ident: 0}
+    key = Struct(f"{degree}H").pack
+    queue = [ident]
+    index = {key(*ident): 0}
     deriv: list[tuple[int, int]] = [(0, -1)]
     step: list[list[int]] = []
-    for pos, x in enumerate(elements):
+    for pos, x in enumerate(queue):
+        queue[pos] = None
         row = []
         for j, times_g in enumerate(right):
             y = times_g(x)
-            i = index.get(y)
-            if i is None:
-                if len(elements) >= max_order:
+            i = index.setdefault(key(*y), len(queue))
+            if i == len(queue):
+                if i >= max_order:
                     raise OrderExceededError(
                         f"group closure for {spec.canonical_text()!r} exceeds max_order={max_order}"
                     )
-                i = index[y] = len(elements)
-                elements.append(y)
+                queue.append(y)
                 deriv.append((pos, j))
             row.append(i)
         step.append(row)
-    gen_indices = tuple(index[g] for g in gens)
-    gen_inverses = [index[tuple(sorted(range(len(g)), key=g.__getitem__))] for g in gens]
-    del elements, index
+    gen_indices = tuple(index[key(*g)] for g in gens)
+    gen_inverses = [index[key(*sorted(range(len(g)), key=g.__getitem__))] for g in gens]
+    del queue, index
 
     # left[k] reads off the indices of gens[k] * element i: for element i = x * gens[j]
     # that is (gens[k] * x) * gens[j], and row i of the table is row x read through left[j].
+    n = len(deriv)
     left = []
     for k in gen_indices:
         row = [k]
         for x, j in deriv[1:]:
             row.append(step[row[x]][j])
         left.append(itemgetter(*row))
-    mul = [list(range(len(deriv)))]
-    for x, j in deriv[1:]:
-        mul.append(list(left[j](mul[x])))
+    # Rows are gathered from their parent's tuple, whose ints all come from row 0,
+    # and packed into arrays.  The walk is depth-first over the derivation tree and
+    # takes each element's children smallest subtree first, so the only tuples kept
+    # are those of the at most log2(n) + 1 ancestors that still wait for a child.
+    size, kids = [1] * n, [[] for _ in range(n)]
+    for i in range(n - 1, 0, -1):
+        size[deriv[i][0]] += size[i]
+        kids[deriv[i][0]].append(i)
+    for pending in kids:
+        pending.sort(key=size.__getitem__, reverse=True)
+    pack = Struct(f"{n}H").pack
+    mul = [array("H", range(n))] * n  # row 0; the walk replaces every other row
+    walk = [(tuple(range(n)), kids[0])] if n > 1 else []
+    while walk:
+        parent, pending = walk[-1]
+        i = pending.pop()
+        if not pending:
+            walk.pop()
+        row = left[deriv[i][1]](parent)
+        mul[i] = array("H", pack(*row))
+        if kids[i]:
+            walk.append((row, kids[i]))
     # (x * gens[j])^-1 = gens[j]^-1 * x^-1, and x precedes x * gens[j] in BFS order.
     inv = [0]
     for x, j in deriv[1:]:

@@ -6,13 +6,15 @@ index / least bitset, which makes every derived structure deterministic for a
 fixed group realization.
 
 Enumeration extends one representative S per conjugacy class, in the line of
-Neubueser's cyclic extension (Numer. Math. 2, 1960): for each element c
-outside S it forms the join <S, c>, grown from S a left coset at a time, and
-every new join enters with its whole conjugacy class.  Once c is joined,
-each c' reached from c by coprime powers (<c'> = <c>) and products c s with
-s in S (c' S = c S) is skipped, as <S, c'> is then <S, c> itself.  The result
-is complete: a subgroup T != 1 is <M, c> for any maximal subgroup M of T and
-c in T but not in M, and M is conjugate to an extended representative.
+Neubueser's cyclic extension (Numer. Math. 2, 1960): for each element c of
+prime-power order outside S it forms the join <S, c>, grown from S a left
+coset at a time, and every new join enters with its whole conjugacy class.
+Once c is joined, each c' reached from c by coprime powers (<c'> = <c>) and
+products c s with s in S (c' S = c S) is skipped, as <S, c'> is then <S, c>
+itself.  The result is complete: a subgroup T != 1 is <M, c> for any maximal
+subgroup M of T and c in T but not in M, and M is conjugate to an extended
+representative.  Some such c has prime-power order, as those elements generate
+T (each element is a product of prime-power powers of itself).
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from math import gcd
 from operator import eq
 
 from .errors import ContainmentError, LatticeSizeError
-from .groups import FiniteGroup
+from .groups import FiniteGroup, prime_factors
 
 # Enumeration stops with LatticeSizeError once a group has more subgroups than
 # this, before any table sized by the lattice is allocated.  It sits above the
@@ -170,7 +172,7 @@ def coset_action(group: FiniteGroup, K_bits: int, H_bits: int) -> tuple:
     """``left_cosets`` of K/H, then K's action on the coset numbers as two
     functions computed once per element g: ``row(g)``, the coset g sends each
     coset to, and ``fixed(g)``, the bitset of the cosets g fixes."""
-    from array import array  # verify's alone: not loaded by other commands
+    from array import array  # on first use, as in groups.realize
 
     reps, coset_of = left_cosets(group, K_bits, H_bits)
     mul = group.mul_table  # coset numbers are below |G| <= groups.MAX_ORDER < 2^16
@@ -236,7 +238,7 @@ class SubgroupLattice:
         every other element's along a breadth-first word, as ^{sx} S = ^s(^x S)."""
         perms = self._conjugations
         if not perms:
-            from array import array  # verify's alone: not loaded by other commands
+            from array import array  # on first use, as in groups.realize
 
             group, index_of, n = self.group, self.index_of, len(self.subgroups)
             steps = [(s, [index_of[conjugate_bits(group, s, b)] for b, _ in self.subgroups])
@@ -300,8 +302,8 @@ def _mark_join_orbit(group: FiniteGroup, c: int, right, done: bytearray, blocks)
         for x in block:
             row = mul[x]
             for s in right:
-                if not done[row[s]]:
-                    stack.append(row[s])
+                if not done[y := row[s]]:
+                    stack.append(y)
 
 
 def subgroup_lattice(group: FiniteGroup) -> SubgroupLattice:
@@ -321,11 +323,13 @@ def subgroup_lattice(group: FiniteGroup) -> SubgroupLattice:
 
     add_class(1, ())
     blocks: list[list[int] | None] = [None] * group.order  # see _cyclic_generators
+    masks = group.order_masks
+    prime_power = list(bits_iter(sum(masks[d] for d in masks if len(prime_factors(d)) == 1)))
     for s_bits, s_gens in reps:  # add_class appends while this loop walks reps
         done = bytearray(group.order)
         for x in bits_iter(s_bits):
             done[x] = 1
-        for c in range(group.order):
+        for c in prime_power:
             if done[c]:
                 continue
             joined = closure(group, (c,), s_bits)

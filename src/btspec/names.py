@@ -23,11 +23,10 @@ from collections import Counter
 from functools import lru_cache
 from math import gcd
 
-from .groups import FiniteGroup
+from .groups import FiniteGroup, prime_factors
 # Read only by bench/tracer.py, which wraps this name here to count calls.
 from .groups import realize
 from .lattice import SubgroupLattice, generating_set
-from .spectrum import prime_factors
 
 # Named groups fixed by one literal element-order histogram: (name, abelian, histogram).
 _SMALL_GROUPS = [

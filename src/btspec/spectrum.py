@@ -40,6 +40,7 @@ from collections import namedtuple
 from .burnside import BurnsideElement, GhostElement
 from .errors import PrimeCountError
 from .ghost import GhostSystem
+from .groups import prime_factors
 from .lattice import bits_iter, conjugate_bits, is_subset
 
 
@@ -96,19 +97,6 @@ def check_extra_primes(extra_primes) -> None:
     distinct = len(set(extra_primes))
     if distinct > MAX_EXTRA_PRIMES:
         raise PrimeCountError(f"at most {MAX_EXTRA_PRIMES} distinct --prime values, got {distinct}")
-
-
-def prime_factors(n: int) -> list[int]:
-    out, d = [], 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        out.append(n)
-    return out
 
 
 def residual_class(system: GhostSystem, cls: int, p: int) -> int:

@@ -7,6 +7,19 @@ Each formula is derived by hand, independently of the enumeration:
   d, so tau(n) + sigma(n) in all.  The cyclic ones are normal; the dihedral
   ones of a given d form one class when n/d is odd and two when it is even,
   so there are 2 tau(n) classes for odd n and 2 tau(n) + tau(n/2) for even n.
+- The spectrum of D_n (n >= 3).  Write delta(n) for the number of classes
+  of dihedral subgroups <r^(n/d), r^i s>: tau(n) for odd n and
+  tau(n) + tau(n/2) for even n, by the count above.  Fibers 0 and GENERIC
+  have one node per class, tau(n) + delta(n).  The fiber over p has one node
+  per class of p-residuals O^p(H), the subgroup generated by the p'-elements
+  of H.  Over 2 these are the rotations of odd order, so O^2 of C_d and of
+  the dihedral group of order 2d are both C_(d_2'): tau(n_2') nodes.  Over
+  an odd p | n, O^p(C_d) is C_(d_p'), and a dihedral subgroup is generated
+  by its reflections, which have order 2, so it is its own residual:
+  tau(n_p') + delta(n) nodes.  A chain of subgroups steps down by at least a
+  prime each time, so it has at most Omega(2n) = Omega(n) + 1 steps, and
+  1 < <s> < ... < D_n along a maximal chain of divisors of n has that many;
+  the Krull dimension is one more, Omega(n) + 2.
 - C_p^k: a subgroup is an F_p-subspace, so there are sum_j [k choose j]_p of
   them (Gaussian binomials), each its own class.
 - C_n: one subgroup C_d per divisor d.  Its spectrum (Calle and Ginnett) has
@@ -63,6 +76,8 @@ def elementary_abelian(p: int, k: int) -> str:
 
 
 DIHEDRAL = list(range(3, 25)) + [30, 36, 45, 60, 64, 97, 100, 210, 1000]
+# Every n in 3..30, then prime powers, a larger prime and more prime factors.
+DIHEDRAL_SPECTRUM = list(range(3, 31)) + [60, 64, 97, 100, 210]
 CYCLIC = list(range(1, 41)) + [48, 60, 64, 97, 210, 360, 720, 1000, 1155]
 
 
@@ -71,6 +86,19 @@ def test_dihedral_subgroups_and_classes(n):
     lattice = subgroup_lattice(group_from_text(f"D{n}"))
     assert len(lattice.subgroups) == tau(n) + sigma(n)
     assert lattice.num_classes == 2 * tau(n) + (tau(n // 2) if n % 2 == 0 else 0)
+
+
+@pytest.mark.parametrize("n", DIHEDRAL_SPECTRUM)
+def test_dihedral_spectrum(n):
+    poset = enumerate_spectrum(GhostSystem(group_from_text(f"D{n}")))
+    parts = prime_power_parts(n)
+    delta = tau(n) + (tau(n // 2) if n % 2 == 0 else 0)
+    assert poset.krull_dimension == sum(parts.values()) + 2
+    assert list(poset.fibers) == ["0", *map(str, sorted({2, *parts})), GENERIC]
+    for fiber, ids in poset.fibers.items():
+        p = int(fiber) if fiber.isdigit() else 1  # fibers 0 and GENERIC: all classes
+        p_free = tau(n // p ** parts.get(p, 0))
+        assert len(ids) == (p_free if p == 2 else p_free + delta), fiber
 
 
 @pytest.mark.parametrize("p,k", [(2, 1), (2, 2), (2, 3), (2, 4), (2, 5), (3, 2), (3, 3), (3, 4),

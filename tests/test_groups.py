@@ -1,11 +1,16 @@
 """Group parsing, realization, and determinism."""
 
+import gc
 import hashlib
+import tracemalloc
+from array import array
 
 import pytest
 
 from btspec.errors import OrderExceededError, SpecParseError, SpecRangeError
-from btspec.groups import MAX_ORDER, group_from_text, parse_group_spec, realize
+from btspec.groups import (
+    MAX_DEGREE, MAX_ORDER, GroupSpec, group_from_text, parse_group_spec, prime_factors, realize,
+)
 
 from conftest import C2_S6, C840, CORPUS
 from oracles import realize_by_pairs
@@ -106,7 +111,7 @@ class TestFamilyPins:
             head = (text, spec.kind, spec.parameters, spec.canonical_text(), g.degree, g.generators)
             digest.update(repr(head).encode())
             for row in g.mul_table:
-                digest.update(repr(row).encode())
+                digest.update(repr(list(row)).encode())
             digest.update(repr(g.inv).encode())
         assert digest.hexdigest() == FAMILY_SHA256[family]
 
@@ -183,6 +188,7 @@ class TestRealize:
             g = group_from_text(text)
             want = realize_by_pairs(g.spec)
             got = {key: getattr(g, key) for key in want}
+            got["mul_table"] = [list(row) for row in g.mul_table]
             assert got == want, text
 
     def test_deterministic(self):
@@ -195,8 +201,16 @@ class TestRealize:
              "c2d626166f317014ec4a3d63683bc915544fea5f3555cb10345a8f6e80c7534c"),
         ):
             g = group_from_text(text)
-            assert hashlib.sha256(repr(g.mul_table).encode()).hexdigest() == mul, text
+            rows = [list(row) for row in g.mul_table]
+            assert hashlib.sha256(repr(rows).encode()).hexdigest() == mul, text
             assert hashlib.sha256(repr(g.inv).encode()).hexdigest() == inv, text
+
+    def test_degree_checked_without_the_parser(self):
+        # A GroupSpec built by hand skips parse_group_spec's degree check; realize
+        # refuses it before any element is built.
+        cycle = (*range(1, MAX_DEGREE + 1), 0)
+        with pytest.raises(SpecRangeError):
+            realize(GroupSpec("perm", (), (cycle,)))
 
     def test_max_order_exceeded(self):
         with pytest.raises(OrderExceededError):
@@ -204,8 +218,44 @@ class TestRealize:
 
     def test_trivial_group(self):
         g = group_from_text("C1")
-        assert g.order == 1 and g.mul_table == [[0]]
+        assert g.order == 1 and [list(row) for row in g.mul_table] == [[0]]
 
     def test_cyclic_degree_is_prime_power_sum(self):
         assert group_from_text("C2000").degree == 16 + 125
         assert group_from_text("C6").degree == 2 + 3
+
+
+class TestTableStorage:
+    """``mul_table`` rows are two-byte arrays: a quarter of a list's memory,
+    and the garbage collector walks none of their entries."""
+
+    @pytest.mark.parametrize("text", ["C1", "C2", "S4", "A6", C840])
+    def test_rows_are_two_byte_arrays(self, text):
+        g = group_from_text(text)
+        assert len(g.mul_table) == g.order
+        for row in g.mul_table:
+            assert isinstance(row, array) and row.typecode == "H" and len(row) == g.order
+            # An array is tracked from CPython 3.10 on, but a collection visits
+            # only its type, where a list row's visits are one per entry.
+            assert gc.get_referents(row) == [array]
+
+    def test_every_index_fits_two_bytes(self):
+        assert array("H").itemsize == 2 and MAX_ORDER < 2**16
+
+    def test_d1000_peak_memory(self):
+        # List rows of 8-byte references peak at about 33 MB here; the rows
+        # alone take 8 MB as arrays.
+        spec = parse_group_spec("D1000")
+        tracemalloc.start()
+        try:
+            realize(spec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 12_000_000
+
+
+def test_prime_factors():
+    for n in range(1, 5000):
+        want = [p for p in range(2, n + 1) if n % p == 0 and all(p % d for d in range(2, p))]
+        assert prime_factors(n) == want, n

@@ -94,6 +94,25 @@ class TestEnumeration:
                 j = lat.subgroup_index(cb)
                 assert lat.class_of[j] == lat.class_of[i]
 
+    @pytest.mark.parametrize("text", ["S5", "D6", C840])
+    def test_extends_by_prime_power_elements_only(self, monkeypatch, text):
+        # Elements of prime-power order generate every subgroup, so each join
+        # <S, c> of enumeration takes c of order 2, 3, 4, 5, 7, ... and never 6.
+        import btspec.lattice as lattice_mod
+        from btspec.groups import group_from_text
+
+        g = group_from_text(text)
+        orders = []
+        real = lattice_mod.closure
+
+        def spy(group, generators, base=1):
+            orders.extend(map(g.element_order, generators))
+            return real(group, generators, base)
+
+        monkeypatch.setattr(lattice_mod, "closure", spy)
+        lattice_mod.subgroup_lattice(g)
+        assert orders and all(len(prime_factors(d)) == 1 for d in orders)
+
     def test_lattice_complete(self, sys_a4):
         # Every subgroup of every listed subgroup is listed: spot-check by
         # intersecting pairs (intersections are subgroups).
