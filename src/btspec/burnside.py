@@ -22,10 +22,11 @@ from __future__ import annotations
 from collections import namedtuple
 
 from .errors import NotInImageError
+from .groups import FiniteGroup
+from .lattice import SubgroupLattice, bits_iter, conjugates, generating_set, is_subset
 # Read only by bench/tracer.py, which wraps these names here to count calls.
 from .gsets import coset_space, fixed_points
-from .groups import FiniteGroup
-from .lattice import SubgroupLattice, conjugate_bits, generating_set, is_subset
+from .lattice import conjugate_bits
 
 
 class _LevelVector(tuple):
@@ -73,7 +74,9 @@ class LevelRing:
     """Burnside/ghost ring data at one level subgroup H.
 
     Holds the H-conjugacy classes of subgroups of H (indexed locally, sorted by
-    (order, bitset) of the class representative) and the table of marks.
+    (order, bitset) of the class representative; ``lattice.conjugates`` orbits
+    under conjugation by the generators of H not central in H) and the table of
+    marks.
     """
 
     def __init__(self, group: FiniteGroup, lattice: SubgroupLattice, level_index: int):
@@ -85,30 +88,18 @@ class LevelRing:
         sub_ids = lattice.subgroups_within(level_index)
         # Conjugation by a generator central in H is trivial, so the orbits
         # under the others are the H-classes (all singletons when H is abelian).
-        mul = group.mul_table
+        mul, inv = group.mul_table, group.inv
         gens = generating_set(group, H_bits)
-        gens = [a for a in gens if any(mul[a][b] != mul[b][a] for b in gens)]
-
+        maps = [{x: mul[mul[h][x]][inv[h]] for x in bits_iter(H_bits)}
+                for h in gens if any(mul[h][b] != mul[b][h] for b in gens)]
         # H-conjugacy classes of the subgroups of H; reps are (order, bits)-least.
         local_cls: dict[int, int] = {}
         reps: list[int] = []
         for sid in sub_ids:
-            if sid in local_cls:
-                continue
-            cls = len(reps)
-            reps.append(sid)
-            frontier = [lattice.subgroups[sid].members]
-            local_cls[sid] = cls
-            while frontier:
-                new = []
-                for bits in frontier:
-                    for h in gens:
-                        cb = conjugate_bits(group, h, bits)
-                        j = lattice.index_of[cb]
-                        if j not in local_cls:
-                            local_cls[j] = cls
-                            new.append(cb)
-                frontier = new
+            if sid not in local_cls:
+                orbit = conjugates(group, lattice.subgroups[sid].members, maps)
+                local_cls.update(dict.fromkeys(map(lattice.index_of.__getitem__, orbit), len(reps)))
+                reps.append(sid)
         self.sub_ids = sub_ids
         self.class_reps = reps
         self.local_class_of = local_cls

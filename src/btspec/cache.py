@@ -18,12 +18,15 @@ itself, so its generating set is kept on the group as a by-product).  Each
 class must be that member's orbit under conjugation by the group's generators
 (``lattice.conjugates``), in an abelian group that member alone, so every
 stored bitset is a subgroup and the classes are the group's conjugacy classes.
-Each row of ``below`` must hold its own class and only classes whose order
-divides its class's order.  An entry that fails these is ignored with a
-one-line stderr note.  That the stored subgroups are all of them and the rows
-are exactly subconjugacy is trusted, not re-derived.  Writes are atomic (temp
-file + rename).  ``hashlib`` and ``tempfile`` are imported by the functions that
-use them, so a ``--no-cache`` run loads neither.
+The identity must come first, the cyclic subgroups must hold |G| generators
+in all (one per element), and for each p^k dividing |G| the subgroups of order
+p^k must number 1 mod p (Frobenius).  Each row of ``below`` must hold its own
+class and only classes whose order divides its class's order.  An entry that
+fails these is ignored with a one-line stderr note.  Trusted, not re-derived:
+that no class is missing of non-cyclic subgroups of an order not a prime
+power, or of p^k-subgroups with a multiple of p members, and that the rows are
+exactly subconjugacy.  Writes are atomic (temp file + rename).  ``hashlib``
+and ``tempfile`` are imported where used, so a ``--no-cache`` run loads neither.
 """
 
 from __future__ import annotations
@@ -34,7 +37,7 @@ import sys
 from pathlib import Path
 
 from .errors import ContainmentError
-from .groups import FiniteGroup
+from .groups import FiniteGroup, prime_factors
 from . import lattice as lattice_mod
 from .lattice import Subgroup, SubgroupLattice, conjugates, generating_set
 
@@ -127,6 +130,8 @@ def cache_load(path: Path, group: FiniteGroup, key: str) -> SubgroupLattice | No
         full = (1 << group.order) - 1
         if bits_list[-1] != full or any(b & ~full for b in bits_list):
             return None
+        if bits_list[0] != 1:
+            raise ValueError("the identity is not stored first")
         subgroups = [Subgroup(b, b.bit_count()) for b in bits_list]
         keys = [(s.order, s.members) for s in subgroups]
         if any(a >= b for a, b in zip(keys, keys[1:])):  # strictly increasing: no duplicates
@@ -145,13 +150,21 @@ def cache_load(path: Path, group: FiniteGroup, key: str) -> SubgroupLattice | No
         classes: list[list[int]] = [[] for _ in class_reps]
         for s, c in zip(subgroups, class_of):
             classes[c].append(s.members)
-        for members in classes:  # the orbit of a subgroup, its least member
-            orbit = members[:1] if group.is_abelian else sorted(conjugates(group, members[0]))
-            if members != orbit:
-                raise ValueError("a stored class is not a conjugacy class")
         of_order: dict[int, int] = {}  # order -> bitset of the classes of that order
-        for c, r in enumerate(class_reps):
-            of_order[subgroups[r].order] = of_order.get(subgroups[r].order, 0) | 1 << c
+        counts: dict[int, int] = {}  # order -> number of subgroups of that order
+        n, generators, masks = group.order, 0, group.order_masks
+        for c, (r, members) in enumerate(zip(class_reps, classes)):
+            orbit = members[:1] if group.is_abelian else sorted(conjugates(group, members[0]))
+            if members != orbit:  # the orbit of a subgroup, its least member
+                raise ValueError("a stored class is not a conjugacy class")
+            order = subgroups[r].order
+            of_order[order] = of_order.get(order, 0) | 1 << c
+            counts[order] = counts.get(order, 0) + len(members)
+            # Only a cyclic subgroup holds elements of its own order: its generators.
+            generators += len(members) * (members[0] & masks.get(order, 0)).bit_count()
+        if generators != n or any(counts.get(p**k, 0) % p != 1 for p in prime_factors(n)
+                                  for k in range(1, n.bit_length()) if n % p**k == 0):
+            raise ValueError("a class of subgroups is missing")
         for c, row in enumerate(below):
             order = subgroups[class_reps[c]].order
             dividing = sum(bits for o, bits in of_order.items() if order % o == 0)

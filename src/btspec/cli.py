@@ -358,34 +358,17 @@ def _poset_json(session: Session, poset: SpectrumPoset, keys=None) -> dict:
     }
 
 
-def _ranks_within(ids: list[int], inner: list[tuple[int, int]]) -> dict[int, int]:
-    rank = {i: 0 for i in ids}
-    changed = True
-    while changed:
-        changed = False
-        for a, b in inner:
-            if rank[b] < rank[a] + 1:
-                rank[b] = rank[a] + 1
-                changed = True
-    return rank
-
-
 def _edges_text(session: Session, poset: SpectrumPoset, edges) -> str:
     label = lambda i: _node_label(session, poset, i)
     return ", ".join(f"{label(a)} < {label(b)}" for a, b in edges)
 
 
 def _print_fiber_text(session: Session, poset: SpectrumPoset, key: str) -> None:
-    ids = list(poset.fibers[key])
-    idset = set(ids)
-    inner = [(a, b) for a, b in poset.edges if a in idset and b in idset]
-    rank = _ranks_within(ids, inner)
+    ids, rank, nodes = poset.fibers[key], poset.rank, poset.nodes
+    inner = [(a, b) for a, b in poset.edges if nodes[a].fiber == key == nodes[b].fiber]
     print(f"fiber {key} ({len(ids)} nodes)")
-    by_rank: dict[int, list[int]] = {}
-    for i in ids:
-        by_rank.setdefault(rank[i], []).append(i)
-    for r in sorted(by_rank):
-        labels = "  ".join(_node_label(session, poset, i) for i in sorted(by_rank[r]))
+    for r in sorted({rank[i] for i in ids}):  # ids ascend, and so does each rank's list
+        labels = "  ".join(_node_label(session, poset, i) for i in ids if rank[i] == r)
         print("  " * (r + 1) + labels)
     if inner:
         print("  edges: " + _edges_text(session, poset, inner))

@@ -11,10 +11,8 @@ prime-power order outside S it forms the join <S, c>, grown from S a left
 coset at a time, and every new join enters with its whole conjugacy class.
 Once c is joined, each c' reached from c by coprime powers (<c'> = <c>) and
 products c s with s in S (c' S = c S) is skipped, as <S, c'> is then <S, c>
-itself.  The result is complete: a subgroup T != 1 is <M, c> for any maximal
-subgroup M of T and c in T but not in M, and M is conjugate to an extended
-representative.  Some such c has prime-power order, as those elements generate
-T (each element is a product of prime-power powers of itself).
+itself.  The joins also give subconjugacy, with no pair of subgroups
+compared; ``subgroup_lattice`` shows why both are complete.
 """
 
 from __future__ import annotations
@@ -130,13 +128,17 @@ def conjugate_bits(group: FiniteGroup, g: int, bits: int) -> int:
     return out
 
 
-def conjugates(group: FiniteGroup, bits: int) -> list[int]:
-    """The conjugacy class of the subgroup ``bits``, ``bits`` first: the orbit
-    a walk over conjugation by the group's generators reaches.  The walk keeps
-    each conjugate's elements, so the next conjugates are their images."""
-    orbit, seen, elements = [bits], {bits}, [list(bits_iter(bits))]
+def conjugates(group: FiniteGroup, bits: int, maps=None) -> list[int]:
+    """The orbit of the subgroup ``bits``, ``bits`` first, under ``maps``, each
+    x -> h x h^-1 for one h (by default the group's generators: the conjugacy
+    class).  The walk keeps each conjugate's elements, so the next conjugates
+    are their images; with no maps it keeps none."""
+    if maps is None:
+        maps = group.gen_conjugations
+    orbit, seen = [bits], {bits}
+    elements = [list(bits_iter(bits))] if maps else []
     for xs in elements:  # grows while it is walked
-        for conj in group.gen_conjugations:
+        for conj in maps:
             ys = list(map(conj.__getitem__, xs))
             cb = 0
             for y in ys:
@@ -307,15 +309,26 @@ def _mark_join_orbit(group: FiniteGroup, c: int, right, done: bytearray, blocks)
 
 
 def subgroup_lattice(group: FiniteGroup) -> SubgroupLattice:
-    """Enumerate every subgroup by extending one representative per conjugacy class."""
+    """Every subgroup, by extending one representative per conjugacy class,
+    and subconjugacy, read off the joins: each join <S, c>, also one that finds
+    a known class, makes S's class a source of its own, and ``below`` of a
+    class is its bit ORed with ``below`` of its sources, which come first in
+    (order, bitset) order.  Both are complete.  Let M be a maximal subgroup of
+    T != 1, and S = ^g M its class representative.  The elements of ^g T of
+    prime-power order generate it (each element is a product of prime-power
+    powers of itself), so ^g T = <S, c> for one of them outside S, and c is
+    skipped only for an element with the same join: T is found, M < T recorded."""
     # found maps every subgroup seen so far to its class in discovery order;
-    # reps holds the first-found member of each class and its generators.
+    # reps holds the first-found member of each class and its generators, and
+    # joined_from the classes each class was joined from.
     found: dict[int, int] = {}
     reps: list[tuple[int, tuple[int, ...]]] = []
+    joined_from: list[list[int]] = []
 
     def add_class(bits: int, gens: tuple[int, ...]) -> None:
         found.update(dict.fromkeys(conjugates(group, bits), len(reps)))
         reps.append((bits, gens))
+        joined_from.append([])
         if len(found) > MAX_SUBGROUPS:  # checked per class, which adds at most |G|
             raise LatticeSizeError(
                 f"{group.name} has more than {MAX_SUBGROUPS} subgroups (lattice.MAX_SUBGROUPS)"
@@ -325,7 +338,7 @@ def subgroup_lattice(group: FiniteGroup) -> SubgroupLattice:
     blocks: list[list[int] | None] = [None] * group.order  # see _cyclic_generators
     masks = group.order_masks
     prime_power = list(bits_iter(sum(masks[d] for d in masks if len(prime_factors(d)) == 1)))
-    for s_bits, s_gens in reps:  # add_class appends while this loop walks reps
+    for k, (s_bits, s_gens) in enumerate(reps):  # add_class appends while this loop walks reps
         done = bytearray(group.order)
         for x in bits_iter(s_bits):
             done[x] = 1
@@ -335,6 +348,7 @@ def subgroup_lattice(group: FiniteGroup) -> SubgroupLattice:
             joined = closure(group, (c,), s_bits)
             if joined not in found:
                 add_class(joined, s_gens + (c,))
+            joined_from[found[joined]].append(k)
             _mark_join_orbit(group, c, s_gens, done, blocks)
 
     ordered = sorted(found, key=lambda b: (bit_count(b), b))
@@ -351,12 +365,11 @@ def subgroup_lattice(group: FiniteGroup) -> SubgroupLattice:
             class_reps.append(i)
         class_of.append(cls)
 
-    below = []
-    for rep in class_reps:
-        outside, row = ~ordered[rep], 0
-        for i in range(rep + 1):  # sorted by order: no later subgroup fits inside
-            if not ordered[i] & outside:
-                row |= 1 << class_of[i]
+    below: list[int] = []
+    for cls, rep in enumerate(class_reps):
+        row = 1 << cls
+        for src in joined_from[found[ordered[rep]]]:  # smaller, so its row is final
+            row |= below[renumber[src]]
         below.append(row)
     return SubgroupLattice(group, subgroups, index_of, class_of, class_reps, below)
 

@@ -165,12 +165,13 @@ class SpectrumNode(namedtuple("SpectrumNode", "node_id fiber residual_class memb
 
 class SpectrumPoset:
     """The prime ideals of one group's spectrum (``kind`` "tambara" or
-    "ring"): Hasse ``edges`` (a, b) mean ideal a < ideal b, and ``succ[a]`` is
-    the bitset of the node ids strictly above a."""
+    "ring"): Hasse ``edges`` (a, b) mean ideal a < ideal b, ``succ[a]`` is
+    the bitset of the node ids strictly above a, and ``rank[a]`` is the edge
+    count of the longest chain inside a's fiber that ends at a."""
 
     def __init__(self, group: str, kind: str, nodes: list[SpectrumNode],
                  edges: list[tuple[int, int]], fibers: dict[str, list[int]],
-                 krull_dimension: int, succ: list[int]):
+                 krull_dimension: int, succ: list[int], rank: list[int]):
         self.group = group
         self.kind = kind
         self.nodes = nodes
@@ -178,6 +179,7 @@ class SpectrumPoset:
         self.fibers = fibers
         self.krull_dimension = krull_dimension
         self.succ = succ
+        self.rank = rank
 
     def contains(self, a: int, b: int) -> bool:
         """True iff ideal a is contained in ideal b."""
@@ -242,24 +244,13 @@ def _successor_rows(system, nodes, fibers, ring: bool) -> list[int]:
     return succ
 
 
-def _class_chain_length(lattice) -> int:
-    """Longest strict chain (edge count) in the subconjugacy poset of classes,
-    a DP over the rows ``lattice.below``."""
-    best = [0] * lattice.num_classes
-    # A class strictly below c has smaller order, so its chain is final before c's.
-    order = lambda c: lattice.subgroups[lattice.class_reps[c]].order
-    for c in sorted(range(lattice.num_classes), key=order):
-        strict = lattice.below[c] & ~(1 << c)
-        best[c] = max((best[k] + 1 for k in bits_iter(strict)), default=0)
-    return max(best, default=0)
-
-
 def _assemble(system, fiber_keys, ring: bool) -> SpectrumPoset:
-    """Nodes, their successor rows, and the Hasse covers.
+    """Nodes, their successor rows, the Hasse covers and the ranks.
 
     The covers of a are succ(a) minus the union of succ(c) over c in succ(a),
-    emitted in (a, b) order.
-    """
+    emitted in (a, b) order.  Inside a fiber a cover (a, b) has b < a (nodes
+    follow their classes, and a smaller class has the larger ideal), so one
+    pass over the covers in reverse finishes a's rank before the covers from a."""
     nodes, fibers = _collect_nodes(system, fiber_keys)
     succ = _successor_rows(system, nodes, fibers, ring)
     edges = []
@@ -268,14 +259,19 @@ def _assemble(system, fiber_keys, ring: bool) -> SpectrumPoset:
         for c in bits_iter(row):
             above |= succ[c]
         edges.extend((a, b) for b in bits_iter(row & ~above))
+    rank = [0] * len(nodes)
+    for a, b in reversed(edges):
+        if nodes[a].fiber == nodes[b].fiber:
+            rank[b] = max(rank[b], rank[a] + 1)
     return SpectrumPoset(
         group=system.group.name,
         kind="ring" if ring else "tambara",
         nodes=nodes,
         edges=edges,
         fibers=fibers,
-        krull_dimension=1 if ring else 1 + _class_chain_length(system.lattice),
+        krull_dimension=1 if ring else 1 + max(rank[i] for i in fibers["0"]),
         succ=succ,
+        rank=rank,
     )
 
 

@@ -9,7 +9,8 @@ double-coset formula for ``LevelRing.multiply``, cosets built as sets for
 element for ``GhostSystem.double_coset_reps`` and built as sets L k H for
 the tr and nm terms, fixed cosets found by testing every element, fixed
 points counted row by row, normalizers by conjugating a
-subgroup by every element for the printed normalizer orders, the fixed-point
+subgroup by every element for the printed normalizer orders, subconjugacy by
+testing every subgroup against every class representative, the fixed-point
 counting identity, downward closure and every subgroup family, and the
 Q-condition over every level.
 """
@@ -276,6 +277,21 @@ def normalizer_bits(group: FiniteGroup, bits: int) -> int:
         if all(bits >> mul[row[s]][g_inv] & 1 for s in members):
             out |= 1 << g
     return out
+
+
+def subconjugacy_rows(lattice) -> list[int]:
+    """``SubgroupLattice.below`` by a scan: bit c1 of row c2 is set iff some
+    subgroup of class c1 lies inside the representative of class c2, tested
+    as a bitset subset for every subgroup up to that representative."""
+    ordered = [s.members for s in lattice.subgroups]
+    below = []
+    for rep in lattice.class_reps:
+        outside, row = ~ordered[rep], 0
+        for i in range(rep + 1):  # sorted by order: no later subgroup fits inside
+            if not ordered[i] & outside:
+                row |= 1 << lattice.class_of[i]
+        below.append(row)
+    return below
 
 
 # -- Burnside rings ------------------------------------------------------------

@@ -718,6 +718,16 @@ def _merge_classes(raw, a, b):
     ]
 
 
+def _drop_class(raw, c):
+    """Remove class c and its subgroups from a stored entry: renumber the later
+    classes and drop bit c from the subconjugacy rows."""
+    keep = [i for i, k in enumerate(raw["class_of"]) if k != c]
+    raw["subgroups"] = [raw["subgroups"][i] for i in keep]
+    raw["class_of"] = [k - (k > c) for k in (raw["class_of"][i] for i in keep)]
+    rows = [int(h, 16) for i, h in enumerate(raw["below"]) if i != c]
+    raw["below"] = [f"{row & (1 << c) - 1 | row >> c + 1 << c:x}" for row in rows]
+
+
 # Cache files written when groups kept one permutation object per element:
 # sha256 of the A4 and GL3_2 entries, and the A4 entry itself.
 PINNED_ENTRY_SHA256 = {
@@ -895,6 +905,42 @@ class TestCache:
         assert code == 0
         assert captured.err == f"btspec: ignoring corrupt cache entry {path}\n"
         assert run(["--no-cache", command, "S4"]) == 0
+        assert captured.out == capsys.readouterr().out
+
+    # Each entry misses one whole class and passes every per-class check.
+    @pytest.mark.parametrize(
+        "text, order, kind",
+        [
+            ("S4", 1, None),
+            # D6's C6 holds two elements of order 6, which no other subgroup has.
+            ("D6", 6, "cyclic"),
+            # Without S4's normal K4, S4 has 6 subgroups of order 4, an even number.
+            ("S4", 4, "normal"),
+            # S4's four C3s are all its subgroups of order 3, and cyclic.
+            ("S4", 3, None),
+        ],
+        ids=["identity-first", "cyclic-count", "prime-power-count", "S4-without-C3"],
+    )
+    def test_missing_class_recomputes_with_note(self, tmp_path, capsys, text, order, kind):
+        group = group_from_text(text)
+        key = spec_cache_key(group.name, DEFAULT_MAX_ORDER)
+        path = cache_path(tmp_path, key)
+        lattice = subgroup_lattice(group)
+        cache_store(path, group, lattice, key)
+        raw = json.loads(path.read_text())
+        (c,) = [
+            c for c, r in enumerate(lattice.class_reps)
+            if lattice.subgroups[r].order == order
+            and (kind != "cyclic" or lattice.subgroups[r].members & group.order_masks[order])
+            and (kind != "normal" or lattice.class_size(c) == 1)
+        ]
+        _drop_class(raw, c)
+        path.write_text(json.dumps(raw))
+        code = run(["--cache-dir", str(tmp_path), "subgroups", text])
+        captured = capsys.readouterr()
+        assert code == 0
+        assert captured.err == f"btspec: ignoring corrupt cache entry {path}\n"
+        assert run(["--no-cache", "subgroups", text]) == 0
         assert captured.out == capsys.readouterr().out
 
     def test_oversized_entry_recomputed(self, tmp_path, capsys, monkeypatch):

@@ -10,11 +10,14 @@ import pytest
 
 from btspec.burnside import LevelRing
 from btspec.groups import group_from_text
-from btspec.lattice import subgroup_lattice
+from btspec.lattice import conjugates, subgroup_lattice
 
-from conftest import C2_5, C840
+from conftest import C2_5, C840, system_for
+from oracles import subconjugacy_rows
 
+C2_4 = "perm:(0 1);(2 3);(4 5);(6 7)"
 C2_6 = "perm:(0 1);(2 3);(4 5);(6 7);(8 9);(10 11)"
+C3_5 = "perm:(0 1 2);(3 4 5);(6 7 8);(9 10 11);(12 13 14)"
 
 
 def _members(bits):
@@ -85,17 +88,22 @@ def oracle_lattice(group):
 
 
 def oracle_level_classes(lattice, level_index):
-    """(sub_ids, class_reps, local_class_of) by orbits under every element of H."""
+    """(sub_ids, class_reps, local_class_of) by orbits under every element of H.
+    Elements that conjugate H alike give one map, which is tried once."""
     group = lattice.group
+    mul, inv = group.mul_table, group.inv
     H_bits = lattice.subgroups[level_index].members
+    H = _members(H_bits)
+    position = {x: i for i, x in enumerate(H)}
+    maps = {tuple(mul[mul[h][x]][inv[h]] for x in H) for h in H}
     sub_ids = [i for i, s in enumerate(lattice.subgroups) if s.members & ~H_bits == 0]
     local, reps = {}, []
     for sid in sub_ids:
         if sid in local:
             continue
-        for h in _members(H_bits):
-            local.setdefault(lattice.index_of[_conjugate(group, h, lattice.subgroups[sid].members)],
-                             len(reps))
+        at = [position[x] for x in _members(lattice.subgroups[sid].members)]
+        for image in maps:
+            local.setdefault(lattice.index_of[sum(1 << image[i] for i in at)], len(reps))
         reps.append(sid)
     return tuple(sub_ids), reps, local
 
@@ -122,18 +130,35 @@ def test_lattice_matches_pairwise_join_oracle(text):
     [("A6", 501, 22), ("S6", 1455, 56), (C2_6, 2825, 2825)],
 )
 def test_known_lattice_sizes(text, subgroups, classes):
-    lat = subgroup_lattice(group_from_text(text))
+    lat = system_for(text).lattice
     assert len(lat.subgroups) == subgroups
     assert lat.num_classes == classes
 
 
-@pytest.mark.parametrize("text", ["S4", "GL3_2"])
+# The groups whose join closure has the most edges.
+@pytest.mark.parametrize("text", [C2_6, C3_5, "S6", "D1000"])
+def test_below_matches_scan_oracle(text):
+    lat = system_for(text).lattice
+    assert lat.below == subconjugacy_rows(lat)
+
+
+# C2^4 is abelian, so its levels walk no conjugation map.
+@pytest.mark.parametrize("text", ["S4", "GL3_2", "Q8", "D9", "A5", C2_4, C840])
 def test_level_classes_match_all_elements_oracle(text):
     group = group_from_text(text)
     lat = subgroup_lattice(group)
-    for level_index in range(len(lat.subgroups)):
+    # Every level, except that C2^3 x C105 is checked at the top level only.
+    levels = [lat.top_index] if text == C840 else range(len(lat.subgroups))
+    for level_index in levels:
         ring = LevelRing(group, lat, level_index)
         sub_ids, reps, local = oracle_level_classes(lat, level_index)
         assert ring.sub_ids == sub_ids
         assert ring.class_reps == reps
         assert ring.local_class_of == local
+
+
+@pytest.mark.parametrize("text", ["S4", C2_4])
+def test_conjugates_without_maps_is_the_subgroup(text):
+    group = group_from_text(text)
+    for sub in subgroup_lattice(group).subgroups:
+        assert conjugates(group, sub.members, []) == [sub.members]

@@ -157,6 +157,34 @@ def chain_length_by_pairs(lattice):
 
 KRULL_CORPUS = CORPUS + ["D9", "GL3_2", "A6", C2_5, C840]
 
+# The groups of the golden fiber diagrams, and C2^4 (67 classes).
+RANK_CORPUS = ["A4", "Q8", "D9", "GL3_2", "perm:(0 1);(2 3);(4 5);(6 7)"]
+
+
+def longest_chain_ending_at(edges, node):
+    """Edge count of the longest path along ``edges`` that ends at node, by
+    trying every path backwards from it."""
+    return max((1 + longest_chain_ending_at(edges, a) for a, b in edges if b == node), default=0)
+
+
+class TestRank:
+    @pytest.mark.parametrize("text", RANK_CORPUS, ids=RANK_CORPUS[:-1] + ["C2_4"])
+    @pytest.mark.parametrize("build", [enumerate_spectrum, burnside_ring_spectrum])
+    def test_fiber_edges_point_to_smaller_ids(self, text, build):
+        poset = build(system_for(text))
+        for a, b in poset.edges:
+            if poset.nodes[a].fiber == poset.nodes[b].fiber:
+                assert b < a
+
+    @pytest.mark.parametrize("text", RANK_CORPUS, ids=RANK_CORPUS[:-1] + ["C2_4"])
+    @pytest.mark.parametrize("build", [enumerate_spectrum, burnside_ring_spectrum])
+    def test_rank_is_longest_chain_in_fiber(self, text, build):
+        poset = build(system_for(text))
+        for ids in poset.fibers.values():
+            inner = [(a, b) for a, b in poset.edges if a in ids and b in ids]
+            for i in ids:
+                assert poset.rank[i] == longest_chain_ending_at(inner, i)
+
 
 class TestKrullOracle:
     @pytest.mark.parametrize(
