@@ -61,9 +61,11 @@ from .gsets import (
 from .lattice import (
     SubgroupLattice,
     bits_iter,
+    conjugate_bits,
     coset_action,
     generating_set,
     is_subset,
+    right_cosets,
     subgroup_lattice,
 )
 
@@ -244,13 +246,9 @@ class GhostSystem:
 
     def oracle_marks(self, gset, level_idx: int) -> GhostElement:
         """Mark vector of a concrete G-set, counted by the brute-force oracle."""
-        ring = self.level(level_idx)
+        subgroups, reps = self.lattice.subgroups, self.level(level_idx).class_reps
         return GhostElement(
-            level_idx,
-            tuple(
-                fixed_points(gset, ring.class_rep_subgroup(c).members)
-                for c in range(ring.num_classes)
-            ),
+            level_idx, tuple([fixed_points(gset, subgroups[r].members) for r in reps])
         )
 
 
@@ -339,9 +337,9 @@ class _Recorder:
                 self.report.suppressed_failures += 1
 
     def proved(self, axiom: str, holds: bool, n: int) -> bool:
-        """Count a block of n instances whose identity holds on the routing
-        tables (n = 0 adds no key); False sends the block to its per-element
-        loop."""
+        """Count a block of n instances that hold, by an identity on the
+        routing tables or as already checked (n = 0 adds no key); False sends
+        the block to its per-element loop."""
         if holds and n:
             self.report.counts[axiom] = self.report.counts.get(axiom, 0) + n
         return holds
@@ -413,9 +411,10 @@ def verify_axioms(
     failures and their order are those of checking every instance one by one.
     A level's test elements are built only for such a loop.  tr and nm share
     the functoriality, double-coset and conjugacy blocks, each run first for
-    tr and then for nm.  The ``chi_*`` checks always run element by element
-    against the G-set oracle; chi_conj reads neither K nor its routes, so each
-    (H, J, g) is checked once and its result counted at every K.
+    tr and then for nm.  The ``chi_*`` checks always run against the G-set
+    oracle, one orbit at a time, and are counted the same way; chi_conj reads
+    neither K nor its routes, so each (H, J, g) is checked once and its result
+    counted at every K.
     """
     cfg = config or VerifyConfig()
     group = system.group
@@ -442,14 +441,32 @@ def verify_axioms(
          system.nm_route, system.ghost_nm, operator.mul, 1),
     )
 
-    def orbit(idx, j_cls):
-        # The orbit S/J for J the class rep j of S, and its mark vector.
-        ring = system.level(idx)
-        X = coset_space(group, system._bits(idx), ring.class_rep_subgroup(j_cls).members)
-        return X, GhostElement(idx, tuple(ring.marks_matrix[j_cls]))
+    orbits: dict[tuple[int, int], tuple] = {}
 
-    conj_oks: dict[tuple[int, int], list[bool]] = {}  # chi_conj at (H, J), for the sweep
+    def orbit(idx, j_cls):
+        # The orbit S/J for J the class rep j of S, and its mark vector, kept
+        # with its fixed-point bitsets for every K.
+        found = orbits.get((idx, j_cls))
+        if found is None:
+            ring = system.level(idx)
+            X = coset_space(group, system._bits(idx), ring.class_rep_subgroup(j_cls).members)
+            found = orbits[idx, j_cls] = X, GhostElement(idx, tuple(ring.marks_matrix[j_cls]))
+        return found
+
+    def chi_conj_results(H_idx):
+        # chi_conj at each orbit H/J: whether every g passed, and each g's result.
+        results = [[] for _ in range(system.level(H_idx).num_classes)]
+        for g in conj_sample:
+            target = conjugate_bits(group, g, system._bits(H_idx))
+            for j_cls, oks in enumerate(results):
+                X, chi_x = orbit(H_idx, j_cls)
+                lhs = system.ghost_conj(g, chi_x)
+                oks.append(lhs == system.oracle_marks(conjugate_gset(g, X, target), lhs.level))
+        return [(all(oks), oks) for oks in results]
+
+    conj_oks: dict[int, list[tuple[bool, list[bool]]]] = {}  # chi_conj_results, for the sweep
     chi_res = "chi_res" in enabled
+    conj_axioms = [a for a in ("conjugacy_res", "conjugacy_tr", "conjugacy_nm") if a in enabled]
 
     # Sampled conjugators: all of G when small, else generators plus a prefix.
     if group.order <= 64:
@@ -462,6 +479,7 @@ def verify_axioms(
         K_bits = system._bits(K_idx)
         system._cosets.clear()  # coset actions are kept for one K's pairs
         k_orbits = [orbit(K_idx, j) for j in range(ringK.num_classes)] if chi_res else []
+        k_conj = [conj_route(g, K_idx) for g in conj_sample] if conj_axioms else []
 
         # Chains H <= L <= K for functoriality of res/tr/nm.
         for L_idx in ringK.class_reps:
@@ -473,7 +491,7 @@ def verify_axioms(
                 }
                 if "res_functoriality" in enabled and not rec.proved(
                     "res_functoriality",
-                    tuple(res_route(K_idx, L_idx)[j] for j in res_route(L_idx, H_idx))
+                    tuple(map(res_route(K_idx, L_idx).__getitem__, res_route(L_idx, H_idx)))
                     == res_route(K_idx, H_idx),
                     size(K_idx),
                 ):
@@ -569,25 +587,35 @@ def verify_axioms(
                             "frobenius", lhs == rhs, inst, f"a={a.values}, b={b.values}"
                         )
 
-            if {"conjugacy_res", "conjugacy_tr", "conjugacy_nm"} & enabled:
+            if conj_axioms:
                 # The identities read only this pair's routes and g's conj
                 # routes, so conjugators with the same conj routes share them.
+                # All g are decided first and, when all hold (a disabled axiom
+                # holds), counted at once; else each g runs its blocks in turn.
                 decided: dict[tuple, list[bool]] = {}
-                for g in conj_sample:
-                    gK_idx, cK = conj_route(g, K_idx)
+                steps = []
+                for g, (gK_idx, cK) in zip(conj_sample, k_conj):
                     gH_idx, cH = conj_route(g, H_idx)
                     ids = decided.get((gK_idx, gH_idx, cK, cH))
                     if ids is None:
                         ids = decided[gK_idx, gH_idx, cK, cH] = [
-                            "conjugacy_res" in enabled
-                            and tuple(res_route(K_idx, H_idx)[i] for i in cH)
-                            == tuple(cK[i] for i in res_route(gK_idx, gH_idx))
+                            "conjugacy_res" not in enabled
+                            or tuple(map(res_route(K_idx, H_idx).__getitem__, cH))
+                            == tuple(map(cK.__getitem__, res_route(gK_idx, gH_idx)))
                         ] + [
-                            axiom in enabled
-                            and _picked(route(K_idx, H_idx), cK)
+                            axiom not in enabled
+                            or _picked(route(K_idx, H_idx), cK)
                             == _renamed(route(gK_idx, gH_idx), cH)
                             for (_, _, axiom), route, _, _, _ in twins
                         ]
+                    steps.append((g, gK_idx, gH_idx, ids))
+                n = len(conj_sample)
+                if all(map(all, decided.values())) and all(
+                    rec.proved(axiom, True, n * size(K_idx if axiom == "conjugacy_res" else H_idx))
+                    for axiom in conj_axioms
+                ):
+                    steps = []
+                for g, gK_idx, gH_idx, ids in steps:
                     if "conjugacy_res" in enabled and not rec.proved(
                         "conjugacy_res", ids[0], size(K_idx)
                     ):
@@ -603,38 +631,41 @@ def verify_axioms(
                                 rec.check(axiom, lhs == rhs, dict(inst, g=g), f"a={a.values}")
 
             if {"chi_res", "chi_tr", "chi_nm", "chi_conj"} & enabled:
+                # One instance per check; the cosets of H in K serve every J.
+                left = system._coset_action(K_idx, H_idx)[:2] if "chi_tr" in enabled else None
+                right = right_cosets(group, K_bits, H_bits) if "chi_nm" in enabled else None
                 for j_cls in range(ringH.num_classes):
                     X, chi_x = orbit(H_idx, j_cls)
                     xinst = dict(inst, X=f"orbit H/{_sub_label(system, ringH.class_reps[j_cls])}")
                     if "chi_tr" in enabled:
                         lhs = system.ghost_tr(K_idx, H_idx, chi_x)
-                        rhs = system.oracle_marks(induce(K_bits, X), K_idx)
-                        rec.check("chi_tr", lhs == rhs, xinst, f"chi(X)={chi_x.values}")
+                        ok = lhs == system.oracle_marks(induce(K_bits, X, left), K_idx)
+                        if not rec.proved("chi_tr", ok, 1):
+                            rec.check("chi_tr", ok, xinst, f"chi(X)={chi_x.values}")
                     if "chi_nm" in enabled:
                         try:
-                            co = coinduce(K_bits, X)
+                            co = coinduce(K_bits, X, right)
                         except CapExceededError:
                             pass
                         else:
                             lhs = system.ghost_nm(K_idx, H_idx, chi_x)
-                            rhs = system.oracle_marks(co, K_idx)
-                            rec.check("chi_nm", lhs == rhs, xinst, f"chi(X)={chi_x.values}")
+                            ok = lhs == system.oracle_marks(co, K_idx)
+                            if not rec.proved("chi_nm", ok, 1):
+                                rec.check("chi_nm", ok, xinst, f"chi(X)={chi_x.values}")
                     if "chi_conj" in enabled:
                         # Nothing here depends on K: check once, count for every K.
-                        oks = conj_oks.get((H_idx, j_cls))
-                        if oks is None:
-                            oks = conj_oks[H_idx, j_cls] = [
-                                (lhs := system.ghost_conj(g, chi_x))
-                                == system.oracle_marks(conjugate_gset(g, X), lhs.level)
-                                for g in conj_sample
-                            ]
-                        for g, ok in zip(conj_sample, oks):
-                            rec.check("chi_conj", ok, dict(xinst, g=g))
+                        if H_idx not in conj_oks:
+                            conj_oks[H_idx] = chi_conj_results(H_idx)
+                        held, oks = conj_oks[H_idx][j_cls]
+                        if not rec.proved("chi_conj", held, len(conj_sample)):
+                            for g, ok in zip(conj_sample, oks):
+                                rec.check("chi_conj", ok, dict(xinst, g=g))
                 if chi_res:
                     for Y, chi_y in k_orbits:
                         lhs = system.ghost_res(K_idx, H_idx, chi_y)
-                        rhs = system.oracle_marks(restrict_gset(Y, H_bits), H_idx)
-                        rec.check("chi_res", lhs == rhs, inst, f"chi(Y)={chi_y.values}")
+                        ok = lhs == system.oracle_marks(restrict_gset(Y, H_bits), H_idx)
+                        if not rec.proved("chi_res", ok, 1):
+                            rec.check("chi_res", ok, inst, f"chi(Y)={chi_y.values}")
 
             top_cls = ringK.num_classes - 1
             if "tambara_sum" in enabled and not rec.proved(
@@ -719,18 +750,26 @@ def verify_axioms(
 
     # Conjugation functoriality: c_{g, ^h H} . c_{h, H} = c_{gh, H}.
     if "conj_functoriality" in enabled:
-        if group.order * group.order <= CONJ_PAIR_CAP:
-            pairs = [(g, h) for g in range(group.order) for h in range(group.order)]
-        else:
-            pairs = [(g, h) for g in conj_sample for h in conj_sample]
+        outer = range(group.order) if group.order**2 <= CONJ_PAIR_CAP else conj_sample
+        pairs = [(g, h) for g in outer for h in outer]
         conjugators = sorted({h for _, h in pairs} | {mul[g][h] for g, h in pairs})
 
         def composes(H_idx):
-            for g, h in pairs:
-                hH_idx, ch = conj_route(h, H_idx)
-                ghH_idx, cg = conj_route(g, hH_idx)
-                if (ghH_idx, tuple(map(ch.__getitem__, cg))) != conj_route(mul[g][h], H_idx):
-                    return False
+            # c_{g, ^h H} . c_{h, H} depends only on g and c_{h, H}: compose
+            # each distinct route of H with each g once, and compare it with
+            # c_{gh, H} by number, for every h that has the route.
+            number: dict[tuple, int] = {}
+            on_H = {x: number.setdefault(conj_route(x, H_idx), len(number)) for x in conjugators}
+            routes, having = list(number), {}
+            for h in outer:
+                having.setdefault(on_H[h], []).append(h)
+            for n, hs in having.items():
+                hH_idx, ch = routes[n]
+                for g in outer:
+                    ghH_idx, cg = conj_route(g, hH_idx)
+                    want, row = number.get((ghH_idx, tuple(map(ch.__getitem__, cg)))), mul[g]
+                    if want is None or any(on_H[row[h]] != want for h in hs):
+                        return False
             return True
 
         for H_idx in lattice.class_reps:

@@ -24,6 +24,8 @@ CORPUS = [
     "S4",
 ]
 
+# C2^3, the abelian group of the verify golden data.
+C2_3 = "perm:(0 1);(2 3);(4 5)"
 # Many-class abelian groups: C2^3 x C105 (128 classes) and C2^5 (374 classes).
 C840 = "perm:(0 1);(2 3);(4 5);(6 7 8)(9 10 11 12 13)(14 15 16 17 18 19 20)"
 C2_5 = "perm:(0 1);(2 3);(4 5);(6 7);(8 9)"

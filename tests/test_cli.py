@@ -21,7 +21,7 @@ from btspec.groups import (
 from btspec.lattice import MAX_SUBGROUPS, bit_count, subgroup_lattice
 from btspec.spectrum import MAX_EXTRA_PRIMES
 
-from conftest import C2_5, C2_7, C2_S6, C840, CORPUS, system_for
+from conftest import C2_3, C2_5, C2_7, C2_S6, C840, CORPUS, system_for
 from oracles import normalizer_bits
 
 
@@ -547,6 +547,8 @@ GOLDEN_STDOUT = [
     ("D9", "verify", "json", "078b15008251a9910760d1cf10f2ed5783992adc9a14cb299f1650de54b5c6e7"),
     ("GL3_2", "verify", "text", "ccfe9070d497852820aadd242774676c0d1bb3c37920985d283ade390728d205"),
     ("GL3_2", "verify", "json", "2c05fdc820933e5e76d8780c41af78b8f099be1b8e760142c20ff27ae25a5083"),
+    ("C2_3", "verify", "text", "4a4a799ff70d9a6e8807d7390239f8eb52867729cfbb7de4174e40e2ac8e10db"),
+    ("C2_3", "verify", "json", "2aec515d85f89f88ff469c31c767930943f5175fbabfba1672e2a273c1e9b3a0"),
 ]
 
 
@@ -557,7 +559,7 @@ class TestGoldenStdout:
         ids=[f"{g} {c} {f}" for g, c, f, _ in GOLDEN_STDOUT],
     )
     def test_stdout_sha256(self, invoke, group, command, fmt, digest):
-        spec = {"C2_5": C2_5, "C2_S6": C2_S6, "C840": C840}.get(group, group)
+        spec = {"C2_3": C2_3, "C2_5": C2_5, "C2_S6": C2_S6, "C840": C840}.get(group, group)
         cmd, *rest = command.split()
         code, out, err = invoke("--format", fmt, cmd, spec, *rest)
         assert code == 0 and err == ""

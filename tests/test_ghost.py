@@ -454,6 +454,29 @@ class TestMutation:
         assert report.ok
 
 
+class OffByOneMarksSystem(GhostSystem):
+    """Deliberate fault injection: at every level H the table of marks counts
+    |(H/e)^e| as |H| + 1.  The routing tables never read the marks, so only
+    the chi_* checks, which count marks on concrete G-sets, can see it."""
+
+    def level(self, sub_idx):
+        fresh = sub_idx not in self._levels
+        ring = super().level(sub_idx)
+        if fresh:
+            ring.marks_matrix[0][0] += 1
+        return ring
+
+
+class TestMarksMutant:
+    def test_off_by_one_mark_fails_every_chi_check(self, monkeypatch, four_random):
+        from btspec.groups import group_from_text
+
+        monkeypatch.setattr(ghost_mod, "MAX_RECORDED_FAILURES", 10**9)
+        report = verify_axioms(OffByOneMarksSystem(group_from_text("S4")))
+        assert {f.axiom for f in report.failures} == {"chi_res", "chi_tr", "chi_nm", "chi_conj"}
+        assert report.counts == verify_axioms(system_for("S4")).counts
+
+
 class TestPinnedFailures:
     """The sweep records the same failures, in the same order, as it always has."""
 
@@ -612,6 +635,7 @@ class TestIdentityProofs:
         "DroppedLegSystem": DroppedLegSystem,
         "MisreadResSystem": MisreadResSystem,
         "MisreadConjSystem": MisreadConjSystem,
+        "InverseConjSystem": InverseConjSystem,
     }
 
     @staticmethod
@@ -649,6 +673,10 @@ class TestIdentityProofs:
             ("DroppedLegSystem", "A4"),
             ("MisreadResSystem", "A4"),
             ("MisreadConjSystem", "A4"),
+            # chi_conj fails at every K above the misread level, so its bulk
+            # count falls back to the per-g loop again and again.
+            ("InverseConjSystem", "A4"),
+            ("InverseConjSystem", "S4"),
         ],
     )
     def test_mutants_agree_with_loops(self, name, text, cap, monkeypatch, four_random):

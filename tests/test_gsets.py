@@ -12,7 +12,7 @@ from btspec.gsets import (
     induce,
     restrict_gset,
 )
-from btspec.lattice import bits_iter, is_subset
+from btspec.lattice import bits_iter, fixed_bits, is_subset
 
 from conftest import system_for
 from oracles import (
@@ -258,6 +258,44 @@ class TestFixedPointBitsets:
             assert C.fixed_bits(k) is X.fixed_bits(h)
         with pytest.raises(ContainmentError):
             R.fixed_bits(next(x for x in range(g.order) if not k4 >> x & 1))
+
+
+class TestSolvedFixedPoints:
+    """Induced and coinduced sets solve for the points each element fixes
+    without building a row; every solved bitset must be the one read off the
+    element's action row, which stays the definition."""
+
+    @pytest.mark.parametrize("text", ["S3", "A4", "D4", "Q8"])
+    def test_against_action_rows(self, text):
+        s = system_for(text)
+        g, subgroups = s.group, s.lattice.subgroups
+        for K in subgroups:
+            for H in subgroups:
+                if not is_subset(H.members, K.members):
+                    continue
+                for J in subgroups:
+                    if is_subset(J.members, H.members):
+                        X = coset_space(g, H.members, J.members)
+                        for Y in (induce(K.members, X), coinduce(K.members, X)):
+                            for k in bits_iter(K.members):
+                                assert Y.fixed_bits(k) == fixed_bits(Y.action_row(k))
+
+    def test_coinduced_near_the_cap(self):
+        # Map_{D3}(D18, D3/e): 6^6 = 46,656 points.  The six digits move along
+        # cycles of up to six cosets, with h in the nonabelian D3.
+        s = system_for("D18")
+        g = s.group
+        mul = g.mul_table
+        D3 = next(
+            S.members for S in s.lattice.subgroups
+            if S.order == 6 and any(mul[a][b] != mul[b][a]
+                                    for a in bits_iter(S.members) for b in bits_iter(S.members))
+        )
+        X, full = coset_space(g, D3, 1), full_bits(g)
+        assert coinduce(full, X).size == 6**6 <= COINDUCE_CAP
+        for k in range(g.order):
+            co = coinduce(full, X)  # a fresh set per k keeps one large row at a time
+            assert co.fixed_bits(k) == fixed_bits(co.action_row(k))
 
 
 class TestConjugationInvariance:
