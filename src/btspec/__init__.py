@@ -17,7 +17,7 @@ from .errors import (
     SpecParseError,
     SpecRangeError,
 )
-from .ghost import GhostSystem, VerifyConfig, VerificationReport, verify_axioms
+from .ghost import GhostSystem, VerificationReport, verify_axioms
 from .groups import (
     FiniteGroup,
     GroupSpec,
@@ -56,7 +56,6 @@ __all__ = [
     "SpecParseError",
     "SpecRangeError",
     "GhostSystem",
-    "VerifyConfig",
     "VerificationReport",
     "verify_axioms",
     "FiniteGroup",

@@ -154,7 +154,7 @@ def cache_load(path: Path, group: FiniteGroup, key: str) -> SubgroupLattice | No
         counts: dict[int, int] = {}  # order -> number of subgroups of that order
         n, generators, masks = group.order, 0, group.order_masks
         for c, (r, members) in enumerate(zip(class_reps, classes)):
-            orbit = members[:1] if group.is_abelian else sorted(conjugates(group, members[0]))
+            orbit = sorted(conjugates(group, members[0]))
             if members != orbit:  # the orbit of a subgroup, its least member
                 raise ValueError("a stored class is not a conjugacy class")
             order = subgroups[r].order

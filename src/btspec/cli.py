@@ -17,7 +17,7 @@ from pathlib import Path
 
 from . import cache as cache_mod
 from .errors import BtspecError, UsageError
-from .ghost import DEFAULT_SEED, GhostSystem, VerifyConfig, verify_axioms, ALL_AXIOMS
+from .ghost import DEFAULT_SEED, GhostSystem, verify_axioms, ALL_AXIOMS
 from .groups import DEFAULT_MAX_ORDER, MAX_ORDER, FiniteGroup, parse_group_spec, realize
 from .lattice import subgroup_lattice
 from .names import class_labels
@@ -289,7 +289,7 @@ def cmd_marks(session: Session, args) -> int:
     ring = session.system.level(level_idx)
     local_labels = _level_class_labels(session, ring)
     level_label = session.labels[lat.class_of[level_idx]]
-    matrix = [list(row) for row in ring.marks_matrix]
+    matrix = ring.marks_matrix
     if args.fmt == "json":
         _emit_json(
             {"level_label": level_label, "class_labels": local_labels, "matrix": matrix}
@@ -444,7 +444,7 @@ def cmd_fibers(session: Session, args) -> int:
 
 
 def cmd_verify(session: Session, args) -> int:
-    report = verify_axioms(session.system, VerifyConfig(seed=args.seed, axioms=args.axioms))
+    report = verify_axioms(session.system, seed=args.seed, axioms=args.axioms)
     if args.fmt == "json":
         _emit_json(report.to_json_dict())
         return 0 if report.ok else 1

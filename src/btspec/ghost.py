@@ -31,13 +31,14 @@ composites of routing tables: at each target coordinate a side reads one
 source coordinate (res, conj) or adds or multiplies a multiset of them (tr,
 nm).  The sweep decides each block of checks by comparing those coordinate
 forms, which proves it for every ghost element at once, and counts its
-instances; only a block whose identity fails runs its per-element loop over
-the test elements (mark rows, the unit, seeded random vectors) to record
-witnesses.  Counts, failures and their order are therefore those of the
-element-by-element sweep.  One block checks each tr/nm twin (functoriality,
-double-coset formula, conjugacy), with products in place of sums for nm.  The
-``chi_*`` checks compare the maps' outputs with mark vectors counted on
-concrete G-sets, so they also test how the routes are applied.
+instances with ``VerificationReport.proved``; only a block whose identity
+fails runs its per-element loop over the test elements (mark rows, the unit,
+seeded random vectors), recording each instance with
+``VerificationReport.check``.  Counts, failures and their order are therefore
+those of the element-by-element sweep.  One block checks each tr/nm twin
+(functoriality, double-coset formula, conjugacy), with products in place of
+sums for nm.  The ``chi_*`` checks compare the maps' outputs with mark vectors
+counted on concrete G-sets, so they also test how the routes are applied.
 """
 
 from __future__ import annotations
@@ -273,25 +274,20 @@ ALL_AXIOMS = (
 )
 
 
-class VerifyConfig:
-    """The axiom sweep's random seed and the axioms it checks (None: all)."""
-
-    def __init__(self, seed: int = DEFAULT_SEED, axioms: tuple[str, ...] | None = None):
-        self.seed, self.axioms = seed, axioms
-
-
 class AxiomFailure:
     def __init__(self, axiom: str, instance: dict, detail: str):
         self.axiom, self.instance, self.detail = axiom, instance, detail
 
 
 class VerificationReport:
-    def __init__(self, group: str, counts: dict[str, int] | None = None,
-                 failures: list[AxiomFailure] | None = None, suppressed_failures: int = 0):
+    """Per-axiom instance counts, and failures in the order found (past
+    ``MAX_RECORDED_FAILURES`` only counted)."""
+
+    def __init__(self, group: str):
         self.group = group
-        self.counts = {} if counts is None else counts
-        self.failures = [] if failures is None else failures
-        self.suppressed_failures = suppressed_failures
+        self.counts: dict[str, int] = {}
+        self.failures: list[AxiomFailure] = []
+        self.suppressed_failures = 0
 
     @property
     def ok(self) -> bool:
@@ -300,6 +296,22 @@ class VerificationReport:
     @property
     def total_instances(self) -> int:
         return sum(self.counts.values())
+
+    def check(self, axiom: str, ok: bool, instance: dict, detail: str = "") -> None:
+        self.counts[axiom] = self.counts.get(axiom, 0) + 1
+        if not ok:
+            if len(self.failures) < MAX_RECORDED_FAILURES:
+                self.failures.append(AxiomFailure(axiom, instance, detail))
+            else:
+                self.suppressed_failures += 1
+
+    def proved(self, axiom: str, holds: bool, n: int) -> bool:
+        """Count a block of n instances that hold, by an identity on the
+        routing tables or as already checked (n = 0 adds no key); False sends
+        the block to its per-element loop."""
+        if holds and n:
+            self.counts[axiom] = self.counts.get(axiom, 0) + n
+        return holds
 
     def to_json_dict(self) -> dict:
         return {
@@ -322,48 +334,6 @@ class VerificationReport:
                 for f in self.failures
             ],
         }
-
-
-class _Recorder:
-    def __init__(self, report: VerificationReport):
-        self.report = report
-
-    def check(self, axiom: str, ok: bool, instance: dict, detail: str = "") -> None:
-        self.report.counts[axiom] = self.report.counts.get(axiom, 0) + 1
-        if not ok:
-            if len(self.report.failures) < MAX_RECORDED_FAILURES:
-                self.report.failures.append(AxiomFailure(axiom, instance, detail))
-            else:
-                self.report.suppressed_failures += 1
-
-    def proved(self, axiom: str, holds: bool, n: int) -> bool:
-        """Count a block of n instances that hold, by an identity on the
-        routing tables or as already checked (n = 0 adds no key); False sends
-        the block to its per-element loop."""
-        if holds and n:
-            self.report.counts[axiom] = self.report.counts.get(axiom, 0) + n
-        return holds
-
-
-def _test_elements(system: GhostSystem, level_idx: int, cfg: VerifyConfig, cache: dict):
-    els = cache.get(level_idx)
-    if els is None:
-        ring = system.level(level_idx)
-        els = [GhostElement(level_idx, tuple(row)) for row in ring.marks_matrix]
-        els.append(ring.all_ones())
-        rng = random.Random((cfg.seed << 16) ^ (level_idx * 0x9E3779B1))
-        for _ in range(RANDOM_ELEMENTS):
-            els.append(
-                GhostElement(
-                    level_idx,
-                    tuple(
-                        rng.randint(-COORD_BOUND, COORD_BOUND)
-                        for _ in range(ring.num_classes)
-                    ),
-                )
-            )
-        cache[level_idx] = els
-    return els
 
 
 def _sorted(route) -> list[list[int]]:
@@ -391,14 +361,15 @@ def _sub_label(system: GhostSystem, idx: int) -> str:
 
 
 def verify_axioms(
-    system: GhostSystem, config: VerifyConfig | None = None
+    system: GhostSystem, seed: int = DEFAULT_SEED, axioms: tuple[str, ...] | None = None
 ) -> VerificationReport:
-    """Run the full axiom sweep; returns a report with per-axiom instance counts.
+    """Run the axiom sweep over ``axioms`` (None: all of ``ALL_AXIOMS``);
+    returns a report that has counted each axiom's instances.
 
     Chains H <= L <= K range over conjugacy-class representatives at each
     level (conjugation reduces the general case to these).  Elements range
-    over the mark images of all basis orbits, the unit vector, and seeded
-    random ghost vectors.
+    over the mark images of all basis orbits, the unit vector, and random
+    ghost vectors drawn from ``seed``.
 
     Each block of checks (one axiom at one chain, pair or conjugator) first
     decides its identity on the routing tables.  A res or conj route is the
@@ -411,22 +382,39 @@ def verify_axioms(
     failures and their order are those of checking every instance one by one.
     A level's test elements are built only for such a loop.  tr and nm share
     the functoriality, double-coset and conjugacy blocks, each run first for
-    tr and then for nm.  The ``chi_*`` checks always run against the G-set
-    oracle, one orbit at a time, and are counted the same way; chi_conj reads
-    neither K nor its routes, so each (H, J, g) is checked once and its result
-    counted at every K.
+    tr and then for nm.  Conjugacy identities are decided once per distinct
+    pair of g's conj routes on K and H, and counted or looped at each g.  The
+    ``chi_*`` checks always run against the G-set oracle, one orbit at a
+    time, and are counted the same way; chi_conj reads neither K nor its
+    routes, so each (H, J, g) is checked once and its result counted at
+    every K.
     """
-    cfg = config or VerifyConfig()
     group = system.group
     lattice = system.lattice
-    report = VerificationReport(group=group.name)
-    rec = _Recorder(report)
-    enabled = set(cfg.axioms) if cfg.axioms is not None else set(ALL_AXIOMS)
+    report = VerificationReport(group.name)
+    enabled = set(axioms) if axioms is not None else set(ALL_AXIOMS)
     elements: dict[int, list[GhostElement]] = {}
     res_route, conj_route = system.res_route, system.conj_route
 
-    def els(idx):
-        return _test_elements(system, idx, cfg, elements)
+    def els(idx):  # the level's mark rows, unit and random vectors, built once
+        found = elements.get(idx)
+        if found is None:
+            ring = system.level(idx)
+            found = [GhostElement(idx, tuple(row)) for row in ring.marks_matrix]
+            found.append(ring.all_ones())
+            rng = random.Random((seed << 16) ^ (idx * 0x9E3779B1))
+            for _ in range(RANDOM_ELEMENTS):
+                found.append(
+                    GhostElement(
+                        idx,
+                        tuple(
+                            rng.randint(-COORD_BOUND, COORD_BOUND)
+                            for _ in range(ring.num_classes)
+                        ),
+                    )
+                )
+            elements[idx] = found
+        return found
 
     def size(idx):  # len(els(idx)), counted without building the elements
         return system.level(idx).num_classes + 1 + RANDOM_ELEMENTS
@@ -465,7 +453,6 @@ def verify_axioms(
         return [(all(oks), oks) for oks in results]
 
     conj_oks: dict[int, list[tuple[bool, list[bool]]]] = {}  # chi_conj_results, for the sweep
-    chi_res = "chi_res" in enabled
     conj_axioms = [a for a in ("conjugacy_res", "conjugacy_tr", "conjugacy_nm") if a in enabled]
 
     # Sampled conjugators: all of G when small, else generators plus a prefix.
@@ -478,7 +465,7 @@ def verify_axioms(
         ringK = system.level(K_idx)
         K_bits = system._bits(K_idx)
         system._cosets.clear()  # coset actions are kept for one K's pairs
-        k_orbits = [orbit(K_idx, j) for j in range(ringK.num_classes)] if chi_res else []
+        k_orbits = [orbit(K_idx, j) for j in range(ringK.num_classes) if "chi_res" in enabled]
         k_conj = [conj_route(g, K_idx) for g in conj_sample] if conj_axioms else []
 
         # Chains H <= L <= K for functoriality of res/tr/nm.
@@ -489,7 +476,7 @@ def verify_axioms(
                     "L": _sub_label(system, L_idx),
                     "H": _sub_label(system, H_idx),
                 }
-                if "res_functoriality" in enabled and not rec.proved(
+                if "res_functoriality" in enabled and not report.proved(
                     "res_functoriality",
                     tuple(map(res_route(K_idx, L_idx).__getitem__, res_route(L_idx, H_idx)))
                     == res_route(K_idx, H_idx),
@@ -498,9 +485,9 @@ def verify_axioms(
                     for b in els(K_idx):
                         one = system.ghost_res(K_idx, H_idx, b)
                         two = system.ghost_res(L_idx, H_idx, system.ghost_res(K_idx, L_idx, b))
-                        rec.check("res_functoriality", two == one, inst, f"b={b.values}")
+                        report.check("res_functoriality", two == one, inst, f"b={b.values}")
                 for (axiom, _, _), route, apply, _, _ in twins:
-                    if axiom in enabled and not rec.proved(
+                    if axiom in enabled and not report.proved(
                         axiom,
                         _composed(route(K_idx, L_idx), route(L_idx, H_idx))
                         == _sorted(route(K_idx, H_idx)),
@@ -509,7 +496,7 @@ def verify_axioms(
                         for a in els(H_idx):
                             one = apply(K_idx, H_idx, a)
                             two = apply(K_idx, L_idx, apply(L_idx, H_idx, a))
-                            rec.check(axiom, two == one, inst, f"a={a.values}")
+                            report.check(axiom, two == one, inst, f"a={a.values}")
 
         # Double-coset formulas for H, L <= K; their legs are built only for them.
         if {"additive_double_coset", "multiplicative_double_coset"} & enabled:
@@ -548,7 +535,7 @@ def verify_axioms(
                         ]
 
                     for (_, axiom, _), route, apply, op, unit in twins:
-                        if axiom in enabled and not rec.proved(
+                        if axiom in enabled and not report.proved(
                             axiom,
                             legs_form(route)
                             == _picked(route(K_idx, H_idx), res_route(K_idx, L_idx)),
@@ -558,7 +545,7 @@ def verify_axioms(
                             for a in els(H_idx):
                                 lhs = system.ghost_res(K_idx, L_idx, apply(K_idx, H_idx, a))
                                 rhs = reduce(op, (apply(L_idx, m, p) for m, p in parts(a)), start)
-                                rec.check(axiom, lhs == rhs, inst, f"a={a.values}")
+                                report.check(axiom, lhs == rhs, inst, f"a={a.values}")
 
         # Pairs H <= K: Frobenius, conjugacy compatibility, chi naturality,
         # Tambara reciprocity, Weyl constancy.
@@ -567,7 +554,7 @@ def verify_axioms(
             ringH = system.level(H_idx)
             inst = {"K": _sub_label(system, K_idx), "H": _sub_label(system, H_idx)}
 
-            if "frobenius" in enabled and not rec.proved(
+            if "frobenius" in enabled and not report.proved(
                 "frobenius",
                 # tr(a) b = tr(a res(b)) iff each term of tr at I restricts to I.
                 all(
@@ -583,17 +570,16 @@ def verify_axioms(
                     for b, rb in zip(els(K_idx), restricted):
                         lhs = ta * b
                         rhs = system.ghost_tr(K_idx, H_idx, a * rb)
-                        rec.check(
+                        report.check(
                             "frobenius", lhs == rhs, inst, f"a={a.values}, b={b.values}"
                         )
 
             if conj_axioms:
                 # The identities read only this pair's routes and g's conj
-                # routes, so conjugators with the same conj routes share them.
-                # All g are decided first and, when all hold (a disabled axiom
-                # holds), counted at once; else each g runs its blocks in turn.
+                # routes, so conjugators with the same conj routes share them;
+                # a disabled axiom holds, and compiles no route.
                 decided: dict[tuple, list[bool]] = {}
-                steps = []
+                size_K, size_H = size(K_idx), size(H_idx)
                 for g, (gK_idx, cK) in zip(conj_sample, k_conj):
                     gH_idx, cH = conj_route(g, H_idx)
                     ids = decided.get((gK_idx, gH_idx, cK, cH))
@@ -608,27 +594,21 @@ def verify_axioms(
                             == _renamed(route(gK_idx, gH_idx), cH)
                             for (_, _, axiom), route, _, _, _ in twins
                         ]
-                    steps.append((g, gK_idx, gH_idx, ids))
-                n = len(conj_sample)
-                if all(map(all, decided.values())) and all(
-                    rec.proved(axiom, True, n * size(K_idx if axiom == "conjugacy_res" else H_idx))
-                    for axiom in conj_axioms
-                ):
-                    steps = []
-                for g, gK_idx, gH_idx, ids in steps:
-                    if "conjugacy_res" in enabled and not rec.proved(
-                        "conjugacy_res", ids[0], size(K_idx)
+                    if "conjugacy_res" in enabled and not report.proved(
+                        "conjugacy_res", ids[0], size_K
                     ):
                         for b in els(K_idx):
                             lhs = system.ghost_conj(g, system.ghost_res(K_idx, H_idx, b))
                             rhs = system.ghost_res(gK_idx, gH_idx, system.ghost_conj(g, b))
-                            rec.check("conjugacy_res", lhs == rhs, dict(inst, g=g), f"b={b.values}")
+                            report.check(
+                                "conjugacy_res", lhs == rhs, dict(inst, g=g), f"b={b.values}"
+                            )
                     for holds, ((_, _, axiom), route, apply, _, _) in zip(ids[1:], twins):
-                        if axiom in enabled and not rec.proved(axiom, holds, size(H_idx)):
+                        if axiom in enabled and not report.proved(axiom, holds, size_H):
                             for a in els(H_idx):
                                 lhs = system.ghost_conj(g, apply(K_idx, H_idx, a))
                                 rhs = apply(gK_idx, gH_idx, system.ghost_conj(g, a))
-                                rec.check(axiom, lhs == rhs, dict(inst, g=g), f"a={a.values}")
+                                report.check(axiom, lhs == rhs, dict(inst, g=g), f"a={a.values}")
 
             if {"chi_res", "chi_tr", "chi_nm", "chi_conj"} & enabled:
                 # One instance per check; the cosets of H in K serve every J.
@@ -640,8 +620,8 @@ def verify_axioms(
                     if "chi_tr" in enabled:
                         lhs = system.ghost_tr(K_idx, H_idx, chi_x)
                         ok = lhs == system.oracle_marks(induce(K_bits, X, left), K_idx)
-                        if not rec.proved("chi_tr", ok, 1):
-                            rec.check("chi_tr", ok, xinst, f"chi(X)={chi_x.values}")
+                        if not report.proved("chi_tr", ok, 1):
+                            report.check("chi_tr", ok, xinst, f"chi(X)={chi_x.values}")
                     if "chi_nm" in enabled:
                         try:
                             co = coinduce(K_bits, X, right)
@@ -650,25 +630,24 @@ def verify_axioms(
                         else:
                             lhs = system.ghost_nm(K_idx, H_idx, chi_x)
                             ok = lhs == system.oracle_marks(co, K_idx)
-                            if not rec.proved("chi_nm", ok, 1):
-                                rec.check("chi_nm", ok, xinst, f"chi(X)={chi_x.values}")
+                            if not report.proved("chi_nm", ok, 1):
+                                report.check("chi_nm", ok, xinst, f"chi(X)={chi_x.values}")
                     if "chi_conj" in enabled:
                         # Nothing here depends on K: check once, count for every K.
                         if H_idx not in conj_oks:
                             conj_oks[H_idx] = chi_conj_results(H_idx)
                         held, oks = conj_oks[H_idx][j_cls]
-                        if not rec.proved("chi_conj", held, len(conj_sample)):
+                        if not report.proved("chi_conj", held, len(conj_sample)):
                             for g, ok in zip(conj_sample, oks):
-                                rec.check("chi_conj", ok, dict(xinst, g=g))
-                if chi_res:
-                    for Y, chi_y in k_orbits:
-                        lhs = system.ghost_res(K_idx, H_idx, chi_y)
-                        ok = lhs == system.oracle_marks(restrict_gset(Y, H_bits), H_idx)
-                        if not rec.proved("chi_res", ok, 1):
-                            rec.check("chi_res", ok, inst, f"chi(Y)={chi_y.values}")
+                                report.check("chi_conj", ok, dict(xinst, g=g))
+                for Y, chi_y in k_orbits:  # empty unless chi_res is enabled
+                    lhs = system.ghost_res(K_idx, H_idx, chi_y)
+                    ok = lhs == system.oracle_marks(restrict_gset(Y, H_bits), H_idx)
+                    if not report.proved("chi_res", ok, 1):
+                        report.check("chi_res", ok, inst, f"chi(Y)={chi_y.values}")
 
             top_cls = ringK.num_classes - 1
-            if "tambara_sum" in enabled and not rec.proved(
+            if "tambara_sum" in enabled and not report.proved(
                 "tambara_sum",
                 # The top coordinate of nm is additive iff it has one factor.
                 len(system.nm_route(K_idx, H_idx)[top_cls]) == 1,
@@ -683,7 +662,7 @@ def verify_axioms(
                         b = e_list[j]
                         lhs = system.ghost_nm(K_idx, H_idx, a + b)
                         delta = lhs.values[top_cls] - tops[i] - tops[j]
-                        rec.check(
+                        report.check(
                             "tambara_sum", delta == 0, inst, f"a={a.values}, b={b.values}"
                         )
 
@@ -692,7 +671,7 @@ def verify_axioms(
                     L_idx2 = ringH.class_reps[l_cls]
                     # The top coordinate vanishes iff one of its factors is an
                     # empty sum of transfer terms.
-                    if not rec.proved(
+                    if not report.proved(
                         "tambara_transfer",
                         any(
                             not system.tr_route(H_idx, L_idx2)[f]
@@ -704,7 +683,7 @@ def verify_axioms(
                             out = system.ghost_nm(
                                 K_idx, H_idx, system.ghost_tr(H_idx, L_idx2, b)
                             )
-                            rec.check(
+                            report.check(
                                 "tambara_transfer",
                                 out.values[top_cls] == 0,
                                 dict(inst, L=_sub_label(system, L_idx2)),
@@ -729,7 +708,7 @@ def verify_axioms(
                 tr_cls = _sorted(system.tr_route(K_idx, H_idx))
                 nm_cls = _sorted(system.nm_route(K_idx, H_idx))
                 probe = ringH.num_classes + 1
-                if not rec.proved(
+                if not report.proved(
                     "weyl_constancy",
                     all(
                         sorted(tr_ids) == tr_cls[cls] and sorted(nm_ids) == nm_cls[cls]
@@ -746,7 +725,7 @@ def verify_axioms(
                             and prod(map(get, nm_ids)) == nmv.values[cls]
                             for cls, tr_ids, nm_ids in columns
                         )
-                        rec.check("weyl_constancy", ok, inst, f"a={a.values}")
+                        report.check("weyl_constancy", ok, inst, f"a={a.values}")
 
     # Conjugation functoriality: c_{g, ^h H} . c_{h, H} = c_{gh, H}.
     if "conj_functoriality" in enabled:
@@ -774,7 +753,7 @@ def verify_axioms(
 
         for H_idx in lattice.class_reps:
             block = min(size(H_idx), system.level(H_idx).num_classes + 3)
-            if rec.proved(
+            if report.proved(
                 "conj_functoriality",
                 composes(H_idx),
                 block * len(pairs),
@@ -785,7 +764,7 @@ def verify_axioms(
                 for g, h in pairs:
                     lhs = system.ghost_conj(g, conj_a[h])
                     rhs = conj_a[mul[g][h]]
-                    rec.check(
+                    report.check(
                         "conj_functoriality",
                         lhs == rhs,
                         {"H": _sub_label(system, H_idx), "g": g, "h": h},

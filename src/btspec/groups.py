@@ -367,14 +367,15 @@ class FiniteGroup:
 
     @cached_property
     def gen_conjugations(self) -> list[list[int]]:
-        """For each of ``gen_indices`` s, the list sending element x to s x s^-1."""
-        mt = self.mul_table
-        return [[mt[mt[s][x]][self.inv[s]] for x in range(self.order)] for s in self.gen_indices]
+        """For each of ``gen_indices`` s outside the centre of G, the list
+        sending element x to s x s^-1 (a central s conjugates nothing)."""
+        mt, inv, gens = self.mul_table, self.inv, self.gen_indices
+        return [[mt[mt[s][x]][inv[s]] for x in range(self.order)]
+                for s in gens if any(mt[s][t] != mt[t][s] for t in gens)]
 
-    @cached_property
+    @property
     def is_abelian(self) -> bool:
-        mt = self.mul_table
-        return all(mt[a][b] == mt[b][a] for a in self.gen_indices for b in self.gen_indices)
+        return not self.gen_conjugations
 
 
 def realize(spec: GroupSpec, max_order: int = DEFAULT_MAX_ORDER) -> FiniteGroup:

@@ -17,7 +17,7 @@ the bitsets of the points each element fixes, read off its row (which is
 then not kept), off the set a restricted or conjugated set came from, or,
 for an induced or coinduced set, solved without a row; the tests check each
 solved bitset against its row.  A point is fixed by I iff it is fixed by
-I's generators, so |X^I| is the popcount of the AND of their bitsets.
+I's generators, so |X^I| is the popcount of the AND of their ``fixed_bits``.
 """
 
 from __future__ import annotations
@@ -193,8 +193,6 @@ def coinduce(K_bits: int, X: GSet, cosets=None) -> GSet:
         return out
 
     def fixed_fn(k):
-        if X.size == 1:  # the one map to a point is fixed by everything
-            return 1
         step, seen, bits = steps(k), bytearray(m), 1
         for start in range(m):
             if seen[start]:
@@ -234,13 +232,10 @@ def coinduce(K_bits: int, X: GSet, cosets=None) -> GSet:
 
 
 def fixed_points(X: GSet, I_bits: int) -> int:
-    """|X^I|: the number of points fixed by every generator of I (hence by I)."""
+    """|X^I|: the points ``X.fixed_bits`` has fixed by I's generators (so by I)."""
     if I_bits & ~X.acting_bits:
         raise ContainmentError("I must be contained in the acting subgroup")
-    fixed, known, fill = (1 << X.size) - 1, X._fixed, X._fixed_fn or X._fixed_off_row
+    fixed = (1 << X.size) - 1
     for g in generating_set(X.group, I_bits):
-        bits = known.get(g)
-        if bits is None:  # g is in I, so in the acting subgroup
-            bits = known[g] = fill(g)
-        fixed &= bits
+        fixed &= X.fixed_bits(g)
     return fixed.bit_count()

@@ -15,7 +15,7 @@ import pytest
 
 from btspec.burnside import BurnsideElement, GhostElement
 from btspec.cli import run as cli_run
-from btspec.ghost import GhostSystem, VerifyConfig, verify_axioms
+from btspec.ghost import GhostSystem, verify_axioms
 from btspec.groups import group_from_text
 from btspec.gsets import coinduce, coset_space, induce
 from btspec.spectrum import (
@@ -210,7 +210,7 @@ def test_criterion_5_axiom_verification_corpus():
     total = 0
     for text in CORPUS:
         sysg = GhostSystem(group_from_text(text))
-        report = verify_axioms(sysg, VerifyConfig())
+        report = verify_axioms(sysg)
         assert report.ok, f"{text}: {report.failures[:3]}"
         total += report.total_instances
     elapsed = time.perf_counter() - t0

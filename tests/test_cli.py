@@ -12,7 +12,7 @@ import pytest
 
 import btspec.lattice as lattice_mod
 from btspec.cache import cache_load, cache_path, cache_store, spec_cache_key
-from btspec.cli import MAX_MESSAGE, build_parser, run
+from btspec.cli import MAX_MESSAGE, Session, build_parser, cmd_marks, run
 from btspec.errors import SpecParseError, SpecRangeError
 from btspec.ghost import ALL_AXIOMS
 from btspec.groups import (
@@ -21,7 +21,7 @@ from btspec.groups import (
 from btspec.lattice import MAX_SUBGROUPS, bit_count, subgroup_lattice
 from btspec.spectrum import MAX_EXTRA_PRIMES
 
-from conftest import C2_3, C2_5, C2_7, C2_S6, C840, CORPUS, system_for
+from conftest import C2_3, C2_5, C2_7, C2_S6, C840, CORPUS, labels_for, system_for
 from oracles import normalizer_bits
 
 
@@ -642,6 +642,24 @@ class TestMarksCommand:
         # K4 <= A4 has five K4-classes of subgroups: e, three C2's, K4.
         assert data["class_labels"] == ["e", "C2", "C2#2", "C2#3", "K4"]
 
+    def test_text_rows_are_not_copied(self):
+        # C2^5's top level has 374 classes: a copy of its table of marks as
+        # lists takes about 1.2 MB, and printing it row by row about 50 KB.
+        import contextlib
+        import tracemalloc
+
+        session = Session(system_for(C2_5), labels_for(C2_5))
+        args = build_parser().parse_args(["marks", C2_5])
+        session.system.level(session.lattice.top_index).marks_matrix
+        with open(os.devnull, "w") as sink, contextlib.redirect_stdout(sink):
+            tracemalloc.start()
+            try:
+                assert cmd_marks(session, args) == 0
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peak < 400_000
+
 
 class TestResidualCommand:
     def test_gl32_column(self, invoke):
@@ -909,6 +927,21 @@ class TestCache:
         assert run(["--no-cache", command, "S4"]) == 0
         assert captured.out == capsys.readouterr().out
 
+    def test_merged_abelian_classes_rejected(self, tmp_path, capsys):
+        # Every subgroup of C2^3 is a class of its own, and no generator
+        # conjugates anything: two C2s stored as one class are still refused.
+        group = group_from_text(C2_3)
+        key = spec_cache_key(group.name, DEFAULT_MAX_ORDER)
+        path = cache_path(tmp_path, key)
+        lattice = subgroup_lattice(group)
+        cache_store(path, group, lattice, key)
+        raw = json.loads(path.read_text())
+        a, b = [c for c, r in enumerate(lattice.class_reps) if lattice.subgroups[r].order == 2][:2]
+        _merge_classes(raw, a, b)
+        path.write_text(json.dumps(raw))
+        assert cache_load(path, group, key) is None
+        assert capsys.readouterr().err == f"btspec: ignoring corrupt cache entry {path}\n"
+
     # Each entry misses one whole class and passes every per-class check.
     @pytest.mark.parametrize(
         "text, order, kind",
@@ -1102,6 +1135,8 @@ class TestReadme:
             (spectrum, ("make_family", "PrimeIdeal", "make_prime_ideal", "ideal_contains")),
             # res/conj routes are their index tuples; no compiled callables or copies.
             (ghost, ("_projection", "_Forms", "_Images", "itemgetter")),
+            # verify_axioms takes its seed and axioms; the report counts itself.
+            (ghost, ("VerifyConfig", "_Recorder")),
             # Groups keep their generators' image tuples, not one object per element.
             (groups, ("Permutation",)),
         ):
@@ -1114,7 +1149,7 @@ class TestReadme:
             (burnside.GhostElement, ("scale", "is_zero", "__sub__", "__neg__")),
             (burnside.LevelRing, ("zero",)),
             (ghost.GhostSystem, ("_tr_terms", "_nm_factors")),
-            (ghost._Recorder, ("add",)),
+            (ghost.VerificationReport, ("add",)),
         ):
             for name in names:
                 assert name not in vars(cls), f"{cls.__name__}.{name}"

@@ -5,7 +5,7 @@ import pytest
 import btspec.ghost as ghost_mod
 from btspec.burnside import BurnsideElement, GhostElement
 from btspec.errors import ContainmentError
-from btspec.ghost import GhostSystem, VerifyConfig, verify_axioms
+from btspec.ghost import GhostSystem, verify_axioms
 from btspec.gsets import coinduce, coset_space, induce
 from btspec.lattice import bits_iter, conjugate_bits, is_subset, left_cosets, right_cosets
 
@@ -449,7 +449,7 @@ class TestMutation:
         monkeypatch.setattr(ghost_mod, "RANDOM_ELEMENTS", 8)
         report = verify_axioms(
             sys_s3,
-            VerifyConfig(axioms=("additive_double_coset", "conjugacy_tr", "conjugacy_nm")),
+            axioms=("additive_double_coset", "conjugacy_tr", "conjugacy_nm"),
         )
         assert report.ok
 
@@ -538,7 +538,7 @@ class TestVerify:
         assert all(a["status"] == "pass" for a in data["axioms"])
 
     def test_axiom_subset_filter(self, sys_s3):
-        report = verify_axioms(sys_s3, VerifyConfig(axioms=("frobenius",)))
+        report = verify_axioms(sys_s3, axioms=("frobenius",))
         assert set(report.counts) == {"frobenius"}
         assert report.ok
 
@@ -549,9 +549,9 @@ class TestVerify:
         monkeypatch.setattr(
             GhostSystem, "double_coset_reps", lambda self, *a: calls.append(a) or reps(self, *a)
         )
-        report = verify_axioms(GhostSystem(system_for("S4").group), VerifyConfig(axioms=axioms))
+        report = verify_axioms(GhostSystem(system_for("S4").group), axioms=axioms)
         assert report.ok and set(report.counts) == set(axioms) and calls == []
-        verify_axioms(system_for("S3"), VerifyConfig(axioms=("additive_double_coset",)))
+        verify_axioms(system_for("S3"), axioms=("additive_double_coset",))
         assert calls
 
 
@@ -612,7 +612,7 @@ class MisreadConjSystem(GhostSystem):
 
 def _loops_only(monkeypatch):
     """Make every identity decision fail, so each block runs its loop."""
-    monkeypatch.setattr(ghost_mod._Recorder, "proved", lambda self, axiom, holds, n: False)
+    monkeypatch.setattr(ghost_mod.VerificationReport, "proved", lambda self, axiom, holds, n: False)
 
 
 def _summary(report):
@@ -639,11 +639,11 @@ class TestIdentityProofs:
     }
 
     @staticmethod
-    def _both(make, cfg, monkeypatch):
-        proved = _summary(verify_axioms(make(), cfg))
+    def _both(make, axioms, monkeypatch):
+        proved = _summary(verify_axioms(make(), axioms=axioms))
         with monkeypatch.context() as m:
             _loops_only(m)
-            looped = _summary(verify_axioms(make(), cfg))
+            looped = _summary(verify_axioms(make(), axioms=axioms))
         return proved, looped
 
     @pytest.mark.parametrize("text", ["S3", "A4", "Q8", "D6", "S4"])
@@ -689,28 +689,46 @@ class TestIdentityProofs:
         assert proved == looped
         assert proved[1]
 
+    # Subsets leave some of a block's axioms disabled, which then hold
+    # without compiling a route.
+    @pytest.mark.parametrize(
+        "axioms",
+        [("conjugacy_tr",), ("conjugacy_res", "conjugacy_nm"), ("chi_conj", "conj_functoriality")],
+    )
+    @pytest.mark.parametrize("name", ["GhostSystem", "InverseConjSystem", "MisreadConjSystem"])
+    @pytest.mark.parametrize("text", ["A4", "S4"])
+    def test_axiom_subsets_agree_with_loops(self, text, name, axioms, monkeypatch, four_random):
+        from btspec.groups import group_from_text
+
+        make = dict(self.MUTANTS, GhostSystem=GhostSystem)[name]
+        proved, looped = self._both(lambda: make(group_from_text(text)), axioms, monkeypatch)
+        assert proved == looped
+        assert {axiom for axiom, _ in proved[0]} == set(axioms)
+        if name == "GhostSystem":
+            assert not proved[1]
+
     @pytest.mark.parametrize("text", ["S3", "A4"])
     def test_dropped_leg_reaches_the_fallback(self, text, monkeypatch, four_random):
         fallback_checks = []
-        check = ghost_mod._Recorder.check
+        check = ghost_mod.VerificationReport.check
 
         def spy(self, axiom, ok, instance, detail=""):
             if axiom == "multiplicative_double_coset":
                 fallback_checks.append(ok)
             check(self, axiom, ok, instance, detail)
 
-        monkeypatch.setattr(ghost_mod._Recorder, "check", spy)
+        monkeypatch.setattr(ghost_mod.VerificationReport, "check", spy)
         from btspec.groups import group_from_text
 
         report = verify_axioms(
             DroppedLegSystem(group_from_text(text)),
-            VerifyConfig(axioms=("multiplicative_double_coset",)),
+            axioms=("multiplicative_double_coset",),
         )
         assert fallback_checks and not all(fallback_checks)
         assert {f.axiom for f in report.failures} == {"multiplicative_double_coset"}
         assert report.counts == verify_axioms(
             system_for(text),
-            VerifyConfig(axioms=("multiplicative_double_coset",)),
+            axioms=("multiplicative_double_coset",),
         ).counts
 
 

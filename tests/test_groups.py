@@ -255,6 +255,23 @@ class TestTableStorage:
         assert peak < 12_000_000
 
 
+class TestGenConjugations:
+    """Conjugation maps are kept only for generators outside the centre."""
+
+    def test_abelian_group_has_none(self):
+        group = group_from_text(C840)
+        assert group.gen_conjugations == [] and group.is_abelian
+
+    def test_central_generator_conjugates_nothing(self):
+        # (0 1) is central in C2 x S3; (2 3 4) and (2 3) are not.
+        group = group_from_text("perm:(0 1);(2 3 4);(2 3)")
+        mul, inv, n = group.mul_table, group.inv, group.order
+        maps = [[mul[mul[s][x]][inv[s]] for x in range(n)] for s in group.gen_indices]
+        assert len(maps) == 3 and not group.is_abelian
+        assert group.gen_conjugations == [m for m in maps if m != list(range(n))]
+        assert len(group.gen_conjugations) == 2
+
+
 def test_prime_factors():
     for n in range(1, 5000):
         want = [p for p in range(2, n + 1) if n % p == 0 and all(p % d for d in range(2, p))]
