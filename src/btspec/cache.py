@@ -5,28 +5,29 @@ JSON file keyed by a hash of the canonical spec text and max_order.  Format 2
 stores every bitset as a hex string: ``subgroups`` (one per subgroup, in
 lattice order), ``class_of``, and ``below`` (one subconjugacy row per class,
 as ``SubgroupLattice.below``).  Bytes that are not UTF-8 JSON, or nest too
-deep to parse, are ignored with a one-line stderr note.  An entry is checked
-against the freshly realized group (spec hash, order, degree, generators) and
-for shape (format version, at most ``lattice.MAX_SUBGROUPS`` subgroups, counted
-before any bitset is read, bitsets within the group, the whole group last,
-strictly increasing (order, bitset) order, classes numbered 0, 1, ... in order
-of first appearance, one row per class); an entry that fails is ignored and
-recomputed, so entries of an older format are silently replaced.  Each
-class's least member must be a subgroup (identity bit set, order dividing |G|,
+deep to parse, are ignored with a one-line stderr note.  An entry whose header
+does not match the freshly realized group (format version, spec hash, order,
+degree, generators) is a silent miss, so entries of an older format are
+replaced, and one of more than ``lattice.MAX_SUBGROUPS`` subgroups is refused
+before any bitset is read.  Past the header the load rebuilds the classes.
+The bitsets must rise strictly in (order, bitset) order from the identity to
+the whole group.  Walked in that order, each bitset that no orbit holds yet
+must be a subgroup (within the group, identity bit set, order dividing |G|,
 and the span that ``lattice.generating_set`` grows from its elements equal to
-itself, so its generating set is kept on the group as a by-product).  Each
-class must be that member's orbit under conjugation by the group's generators
-(``lattice.conjugates``), in an abelian group that member alone, so every
-stored bitset is a subgroup and the classes are the group's conjugacy classes.
-The identity must come first, the cyclic subgroups must hold |G| generators
-in all (one per element), and for each p^k dividing |G| the subgroups of order
-p^k must number 1 mod p (Frobenius).  Each row of ``below`` must hold its own
-class and only classes whose order divides its class's order.  An entry that
-fails these is ignored with a one-line stderr note.  Trusted, not re-derived:
-that no class is missing of non-cyclic subgroups of an order not a prime
-power, or of p^k-subgroups with a multiple of p members, and that the rows are
-exactly subconjugacy.  Writes are atomic (temp file + rename).  ``hashlib``
-and ``tempfile`` are imported where used, so a ``--no-cache`` run loads neither.
+itself, so its generating set is kept on the group as a by-product), and its
+orbit under conjugation by the generators (``lattice.conjugates``) is the
+next class.  The walk stops once its orbits hold more bitsets than the entry
+lists, and the classes it numbers must equal the stored ``class_of``.  The
+cyclic subgroups must hold |G| generators in all (one per element), and for
+each p^k dividing |G| the subgroups of order p^k must number 1 mod p
+(Frobenius).  ``below`` must hold one row per class, with its own class and
+only classes whose order divides its class's order.  An entry that fails any
+of these is ignored with the one-line note "ignoring corrupt cache entry" and
+recomputed.  Trusted, not re-derived: that no class is missing of non-cyclic
+subgroups of an order not a prime power, or of p^k-subgroups with a multiple
+of p members, and that the rows are exactly subconjugacy.  Writes are atomic
+(temp file + rename).  ``hashlib`` and ``tempfile`` are imported where used,
+so a ``--no-cache`` run loads neither.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ from pathlib import Path
 from .errors import ContainmentError
 from .groups import FiniteGroup, prime_factors
 from . import lattice as lattice_mod
-from .lattice import Subgroup, SubgroupLattice, conjugates, generating_set
+from .lattice import SubgroupLattice, conjugates, generating_set
 
 CACHE_FORMAT_VERSION = 2
 CACHE_ENV_VAR = "BTSPEC_CACHE"
@@ -90,13 +91,14 @@ def cache_store(path: Path, group: FiniteGroup, lattice: SubgroupLattice, key: s
         raise
 
 
-def _is_subgroup(group: FiniteGroup, s: Subgroup) -> bool:
-    """True iff the bitset holds the identity, its order divides |G|, and the
-    span that ``generating_set`` grows from its elements is itself."""
-    if group.order % s.order or not s.members & 1:
+def _is_subgroup(group: FiniteGroup, bits: int) -> bool:
+    """True iff the bitset lies in the group, holds the identity, its order
+    divides |G|, and the span that ``generating_set`` grows from its elements
+    is itself."""
+    if bits >> group.order or group.order % bits.bit_count() or not bits & 1:
         return False
     try:
-        generating_set(group, s.members)
+        generating_set(group, bits)
     except ContainmentError:
         return False
     return True
@@ -117,61 +119,51 @@ def cache_load(path: Path, group: FiniteGroup, key: str) -> SubgroupLattice | No
             return None
         if raw["order"] != group.order or raw["degree"] != group.degree:
             return None
-        gens = [list(g) for g in group.generators]
-        if raw["generators"] != gens:
+        if raw["generators"] != [list(g) for g in group.generators]:
             return None
         if len(raw["subgroups"]) > lattice_mod.MAX_SUBGROUPS:
             return None  # refused unread: recomputing it stops at the bound
-        bits_list = [int(h, 16) for h in raw["subgroups"]]
-        class_of = [int(c) for c in raw["class_of"]]
+        members = [int(h, 16) for h in raw["subgroups"]]
         below = [int(h, 16) for h in raw["below"]]
-        if len(class_of) != len(bits_list):
-            return None
-        full = (1 << group.order) - 1
-        if bits_list[-1] != full or any(b & ~full for b in bits_list):
-            return None
-        if bits_list[0] != 1:
-            raise ValueError("the identity is not stored first")
-        subgroups = [Subgroup(b, b.bit_count()) for b in bits_list]
-        keys = [(s.order, s.members) for s in subgroups]
-        if any(a >= b for a, b in zip(keys, keys[1:])):  # strictly increasing: no duplicates
-            return None
-        class_reps: list[int] = []  # classes numbered 0, 1, ... by first appearance
-        for i, c in enumerate(class_of):
-            if c == len(class_reps):
-                class_reps.append(i)
-            elif not 0 <= c < len(class_reps):
-                return None
-        nclasses = len(class_reps)
-        if len(below) != nclasses or any(r >> nclasses for r in below):
-            return None
-        if not all(_is_subgroup(group, subgroups[r]) for r in class_reps):
-            raise ValueError("a stored bitset is not a subgroup")
-        classes: list[list[int]] = [[] for _ in class_reps]
-        for s, c in zip(subgroups, class_of):
-            classes[c].append(s.members)
+        keys = [(b.bit_count(), b) for b in members]
+        if members[0] != 1 or members[-1] != (1 << group.order) - 1 or any(
+                a >= b for a, b in zip(keys, keys[1:])):  # strictly increasing: no duplicates
+            raise ValueError("not the identity to the whole group in (order, bitset) order")
+        # Walked in order, each bitset that no orbit holds yet is the least
+        # member of the next class: a subgroup, whose orbit is that class.
+        found: dict[int, int] = {}  # bitset -> class, for every orbit walked
+        class_of: list[int] = []
+        orders: list[int] = []  # class -> order of its members
         of_order: dict[int, int] = {}  # order -> bitset of the classes of that order
         counts: dict[int, int] = {}  # order -> number of subgroups of that order
         n, generators, masks = group.order, 0, group.order_masks
-        for c, (r, members) in enumerate(zip(class_reps, classes)):
-            orbit = sorted(conjugates(group, members[0]))
-            if members != orbit:  # the orbit of a subgroup, its least member
-                raise ValueError("a stored class is not a conjugacy class")
-            order = subgroups[r].order
-            of_order[order] = of_order.get(order, 0) | 1 << c
-            counts[order] = counts.get(order, 0) + len(members)
-            # Only a cyclic subgroup holds elements of its own order: its generators.
-            generators += len(members) * (members[0] & masks.get(order, 0)).bit_count()
+        for b in members:
+            c = found.get(b)
+            if c is None:
+                if not _is_subgroup(group, b):
+                    raise ValueError("a stored bitset is not a subgroup")
+                c, order, orbit = len(orders), b.bit_count(), conjugates(group, b)
+                found.update(dict.fromkeys(orbit, c))
+                if len(found) > len(members):  # found holds every member: it ends equal
+                    raise ValueError("an orbit holds a bitset the entry lacks")
+                orders.append(order)
+                of_order[order] = of_order.get(order, 0) | 1 << c
+                counts[order] = counts.get(order, 0) + len(orbit)
+                # Only a cyclic subgroup holds elements of its own order: its generators.
+                generators += len(orbit) * (b & masks.get(order, 0)).bit_count()
+            class_of.append(c)
+        if class_of != raw["class_of"]:
+            raise ValueError("the stored classes are not the conjugacy classes")
         if generators != n or any(counts.get(p**k, 0) % p != 1 for p in prime_factors(n)
                                   for k in range(1, n.bit_length()) if n % p**k == 0):
             raise ValueError("a class of subgroups is missing")
-        for c, row in enumerate(below):
-            order = subgroups[class_reps[c]].order
+        if len(below) != len(orders):
+            raise ValueError("not one subconjugacy row per class")
+        for c, (row, order) in enumerate(zip(below, orders)):
             dividing = sum(bits for o, bits in of_order.items() if order % o == 0)
             if not row >> c & 1 or row & ~dividing:
                 raise ValueError("subconjugacy is not reflexive or breaks divisibility")
-        index_of = {s.members: i for i, s in enumerate(subgroups)}
-        return SubgroupLattice(group, subgroups, index_of, class_of, class_reps, below)
+        return SubgroupLattice(group, members, class_of, below)
     except (KeyError, TypeError, ValueError, IndexError):
         print(f"btspec: ignoring corrupt cache entry {path}", file=sys.stderr)
         return None

@@ -40,10 +40,6 @@ def bits_iter(bits: int):
         bits ^= low
 
 
-def bit_count(bits: int) -> int:
-    return bits.bit_count()
-
-
 def is_subset(a: int, b: int) -> bool:
     return a & ~b == 0
 
@@ -191,20 +187,26 @@ def right_cosets(group: FiniteGroup, K_bits: int, H_bits: int) -> tuple[list[int
 class SubgroupLattice:
     """All subgroups of a group, their conjugacy classes, and subconjugacy.
 
-    ``subgroups`` is sorted by (order, bitset).  ``below[c2]`` is a bitset over
-    classes: bit c1 is set iff some member of class c1 is contained in some
-    member of class c2 (so bit c2 is always set).  ``residual_class(cls, p)``
-    is the class of O^p(H) for H in class cls, computed once per (cls, p).
-    ``conjugation(g)`` permutes subgroup indices as S -> ^g S.
+    Built from the subgroups' bitsets sorted by (order, bitset), ``class_of``
+    numbering their classes 0, 1, ... by least member, and ``below``; it
+    derives ``subgroups``, ``index_of`` and ``class_reps``.  ``below[c2]`` is
+    a bitset over classes: bit c1 is set iff some member of class c1 is
+    contained in some member of class c2 (so bit c2 is always set).
+    ``residual_class(cls, p)`` is the class of O^p(H) for H in class cls,
+    computed once per (cls, p).  ``conjugation(g)`` permutes subgroup indices
+    as S -> ^g S.
     """
 
-    def __init__(self, group: FiniteGroup, subgroups: list[Subgroup], index_of: dict[int, int],
-                 class_of: list[int], class_reps: list[int], below: list[int]):
+    def __init__(self, group: FiniteGroup, members: list[int], class_of: list[int],
+                 below: list[int]):
         self.group = group
-        self.subgroups = subgroups
-        self.index_of = index_of
+        self.subgroups = [Subgroup(b, b.bit_count()) for b in members]
+        self.index_of = {b: i for i, b in enumerate(members)}
         self.class_of = class_of
-        self.class_reps = class_reps
+        first: dict[int, int] = {}  # class -> index of its least member
+        for i, c in enumerate(class_of):
+            first.setdefault(c, i)
+        self.class_reps = list(first.values())
         self.below = below
         self._class_sizes: Counter | None = None
         self._residuals: dict[tuple[int, int], int] = {}
@@ -351,27 +353,17 @@ def subgroup_lattice(group: FiniteGroup) -> SubgroupLattice:
             joined_from[found[joined]].append(k)
             _mark_join_orbit(group, c, s_gens, done, blocks)
 
-    ordered = sorted(found, key=lambda b: (bit_count(b), b))
-    subgroups = [Subgroup(b, bit_count(b)) for b in ordered]
-    index_of = {b: i for i, b in enumerate(ordered)}
-
+    ordered = sorted(found, key=lambda b: (b.bit_count(), b))
     # Renumber classes by their least member in (order, bitset) order.
     renumber: dict[int, int] = {}
-    class_of: list[int] = []
-    class_reps: list[int] = []
-    for i, b in enumerate(ordered):
-        cls = renumber.setdefault(found[b], len(class_reps))
-        if cls == len(class_reps):
-            class_reps.append(i)
-        class_of.append(cls)
-
+    class_of = [renumber.setdefault(found[b], len(renumber)) for b in ordered]
     below: list[int] = []
-    for cls, rep in enumerate(class_reps):
+    for cls, old in enumerate(renumber):  # old numbers in the new order
         row = 1 << cls
-        for src in joined_from[found[ordered[rep]]]:  # smaller, so its row is final
+        for src in joined_from[old]:  # smaller, so its row is final
             row |= below[renumber[src]]
         below.append(row)
-    return SubgroupLattice(group, subgroups, index_of, class_of, class_reps, below)
+    return SubgroupLattice(group, ordered, class_of, below)
 
 
 def p_residual_bits(group: FiniteGroup, H_bits: int, p: int) -> int:
@@ -379,7 +371,7 @@ def p_residual_bits(group: FiniteGroup, H_bits: int, p: int) -> int:
     p'-elements of H are H masked by the ``order_masks`` of orders prime to p.
     In an abelian group they form a subgroup; otherwise the span grows by the
     least of them outside it, as in generating_set."""
-    if bit_count(H_bits) % p:  # a p'-group is its own residual
+    if H_bits.bit_count() % p:  # a p'-group is its own residual
         return H_bits
     coprime = H_bits & sum(mask for order, mask in group.order_masks.items() if order % p)
     return coprime if group.is_abelian else _span(group, coprime)[1]

@@ -23,7 +23,6 @@ from btspec.groups import FiniteGroup, GroupSpec, _generators_for
 from btspec.gsets import GSet, coset_space, fixed_points
 from btspec.lattice import (
     Subgroup,
-    bit_count,
     bits_iter,
     conjugate_bits,
     is_subset,
@@ -149,7 +148,7 @@ def orbit_decompose(X: GSet) -> list[tuple[Subgroup, int]]:
             if best is None or stab < best:
                 best = stab
         counts[best] = counts.get(best, 0) + 1
-    out = [(Subgroup(b, bit_count(b)), m) for b, m in counts.items()]
+    out = [(Subgroup(b, b.bit_count()), m) for b, m in counts.items()]
     out.sort(key=lambda t: (t[0].order, t[0].members))
     return out
 

@@ -10,6 +10,7 @@ from pathlib import Path
 
 import pytest
 
+import btspec.cache as cache_mod
 import btspec.lattice as lattice_mod
 from btspec.cache import cache_load, cache_path, cache_store, spec_cache_key
 from btspec.cli import MAX_MESSAGE, Session, build_parser, cmd_marks, run
@@ -18,7 +19,7 @@ from btspec.ghost import ALL_AXIOMS
 from btspec.groups import (
     DEFAULT_MAX_ORDER, MAX_DEGREE, MAX_GENERATORS, MAX_ORDER, group_from_text, parse_group_spec,
 )
-from btspec.lattice import MAX_SUBGROUPS, bit_count, subgroup_lattice
+from btspec.lattice import MAX_SUBGROUPS, conjugates, subgroup_lattice
 from btspec.spectrum import MAX_EXTRA_PRIMES
 
 from conftest import C2_3, C2_5, C2_7, C2_S6, C840, CORPUS, labels_for, system_for
@@ -430,7 +431,7 @@ class TestNormalizerOrders:
         lat = system_for(text).lattice
         printed = [row["normalizer_order"] for row in json.loads(out)["classes"]]
         assert printed == [
-            bit_count(normalizer_bits(lat.group, lat.subgroups[rep].members))
+            normalizer_bits(lat.group, lat.subgroups[rep].members).bit_count()
             for rep in lat.class_reps
         ]
 
@@ -840,6 +841,8 @@ class TestCache:
         assert run(["--no-cache", "spec", "S3"]) == 0
         assert captured.out == capsys.readouterr().out
 
+    # S3 is stored as subgroups ["1", "3", "9", "11", "25", "3f"], class_of
+    # [0, 1, 1, 1, 2, 3] and below ["1", "3", "5", "f"].
     @pytest.mark.parametrize(
         "edit",
         [
@@ -848,8 +851,19 @@ class TestCache:
             lambda raw: raw["subgroups"].__setitem__(4, "27"),  # order 4 does not divide 6
             lambda raw: _edit_row(raw, 1, lambda row: row & ~0b10),  # C2 not below itself
             lambda raw: _edit_row(raw, 1, lambda row: row | 0b100),  # C3 below C2
+            # Malformed past the header: a duplicate, a short list, or misnumbered.
+            lambda raw: raw.update(subgroups=["1", "3", "3", "11", "25", "3f"]),
+            lambda raw: raw.update(class_of=[0, 1, 1, 1, 2]),
+            lambda raw: raw.update(
+                subgroups=["1", "3", "9", "11", "25"], class_of=[0, 1, 1, 1, 2],
+                below=["1", "3", "5"],
+            ),
+            lambda raw: raw.update(below=["1", "3", "5"]),
+            lambda raw: raw.update(class_of=[0, 2, 2, 2, 1, 3]),
         ],
-        ids=["no-identity", "not-closed", "order", "subconj-not-reflexive", "subconj-order"],
+        ids=["no-identity", "not-closed", "order", "subconj-not-reflexive", "subconj-order",
+             "duplicate-subgroup", "class-of-short", "group-not-last", "below-short",
+             "classes-out-of-order"],
     )
     def test_inconsistent_entry_rejected(self, tmp_path, capsys, edit):
         group = group_from_text("S3")
@@ -875,8 +889,6 @@ class TestCache:
         assert run(["--no-cache", "subgroups", "S3"]) == 0
         assert captured.out == capsys.readouterr().out
 
-    # S3 is stored as subgroups ["1", "3", "9", "11", "25", "3f"], class_of
-    # [0, 1, 1, 1, 2, 3] and below ["1", "3", "5", "f"].
     @pytest.mark.parametrize(
         "edit",
         [
@@ -941,6 +953,33 @@ class TestCache:
         path.write_text(json.dumps(raw))
         assert cache_load(path, group, key) is None
         assert capsys.readouterr().err == f"btspec: ignoring corrupt cache entry {path}\n"
+
+    # An entry that lists only each class's least member: the orbits walked
+    # outgrow the entry after `stop` of its classes, and the walk ends there.
+    @pytest.mark.parametrize(
+        "text, stop, classes", [("S4", 4, 11), ("S5", 3, 19), (C2_S6, 11, 194)]
+    )
+    def test_representatives_only_entry_stops_early(self, tmp_path, capsys, monkeypatch,
+                                                    text, stop, classes):
+        lattice = system_for(text).lattice
+        group = lattice.group
+        key = spec_cache_key(group.name, DEFAULT_MAX_ORDER)
+        path = cache_path(tmp_path, key)
+        cache_store(path, group, lattice, key)
+        raw = json.loads(path.read_text())
+        raw["subgroups"] = [raw["subgroups"][r] for r in lattice.class_reps]
+        raw["class_of"] = list(range(lattice.num_classes))
+        path.write_text(json.dumps(raw))
+        walked = []
+        monkeypatch.setattr(
+            cache_mod, "conjugates", lambda g, bits: walked.append(bits) or conjugates(g, bits)
+        )
+        assert cache_load(path, group, key) is None
+        assert capsys.readouterr().err == f"btspec: ignoring corrupt cache entry {path}\n"
+        sizes = [lattice.class_size(c) for c in range(lattice.num_classes)]
+        assert lattice.num_classes == classes
+        assert sum(sizes[:stop - 1]) <= classes < sum(sizes[:stop])
+        assert walked == [lattice.subgroups[r].members for r in lattice.class_reps[:stop]]
 
     # Each entry misses one whole class and passes every per-class check.
     @pytest.mark.parametrize(

@@ -3,7 +3,6 @@
 import pytest
 
 from btspec.lattice import (
-    bit_count,
     bits_iter,
     closure,
     conjugate_bits,
@@ -262,7 +261,7 @@ class TestPResidual:
         sysg = system_for("D9")
         g, lat = sysg.group, sysg.lattice
         top = lat.subgroups[lat.top_index].members
-        assert bit_count(p_residual_bits(g, top, 2)) == 9
+        assert p_residual_bits(g, top, 2).bit_count() == 9
         assert p_residual_bits(g, top, 3) == top
 
     def test_p_groups_collapse(self, sys_q8):
@@ -304,14 +303,14 @@ class TestPResidual:
                 assert is_subset(res, sub.members)
                 for h in bits_iter(sub.members):
                     assert conjugate_bits(g, h, res) == res
-                quotient = sub.order // bit_count(res)
+                quotient = sub.order // res.bit_count()
                 while quotient % p == 0:
                     quotient //= p
                 assert quotient == 1
 
 
 def normalizer_order(lat, idx):
-    return bit_count(normalizer_bits(lat.group, lat.subgroups[idx].members))
+    return normalizer_bits(lat.group, lat.subgroups[idx].members).bit_count()
 
 
 class TestNormalizers:

@@ -6,10 +6,16 @@ from its generators, then split into conjugacy classes by orbits.  It shares
 no code with ``btspec.lattice.subgroup_lattice`` beyond the group tables.
 """
 
+import tempfile
+from math import factorial
+from pathlib import Path
+
 import pytest
+from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
 from btspec.burnside import LevelRing
-from btspec.groups import group_from_text
+from btspec.cache import cache_load, cache_path, cache_store, spec_cache_key
+from btspec.groups import DEFAULT_MAX_ORDER, group_from_text
 from btspec.lattice import conjugates, subgroup_lattice
 
 from conftest import C2_5, C840, system_for
@@ -108,13 +114,8 @@ def oracle_level_classes(lattice, level_index):
     return tuple(sub_ids), reps, local
 
 
-@pytest.mark.parametrize(
-    "text", ["A4", "Q8", "D9", "S4", "A5", "S5", "GL3_2", "D60", C2_5, C840]
-)
-def test_lattice_matches_pairwise_join_oracle(text):
-    group = group_from_text(text)
-    lat = subgroup_lattice(group)
-    subgroups, class_of, class_reps, subconj = oracle_lattice(group)
+def _assert_matches_oracle(lat):
+    subgroups, class_of, class_reps, subconj = oracle_lattice(lat.group)
     assert [s.members for s in lat.subgroups] == subgroups
     assert [s.order for s in lat.subgroups] == [bin(b).count("1") for b in subgroups]
     assert lat.index_of == {b: i for i, b in enumerate(subgroups)}
@@ -123,6 +124,86 @@ def test_lattice_matches_pairwise_join_oracle(text):
     assert lat.below == [
         sum(1 << c1 for c1, row in enumerate(subconj) if row[c2]) for c2 in range(len(class_reps))
     ]
+
+
+@pytest.mark.parametrize(
+    "text", ["A4", "Q8", "D9", "S4", "A5", "S5", "GL3_2", "D60", C2_5, C840]
+)
+def test_lattice_matches_pairwise_join_oracle(text):
+    _assert_matches_oracle(subgroup_lattice(group_from_text(text)))
+
+
+# Blocks of generated groups: (kind, points) -> order, for cyclic, dihedral,
+# symmetric and alternating groups on at most 5 points.
+BLOCK_ORDERS = {
+    **{("C", n): n for n in range(2, 6)},
+    **{("D", n): 2 * n for n in range(3, 6)},
+    **{("S", n): factorial(n) for n in range(3, 6)},
+    **{("A", n): factorial(n) // 2 for n in range(4, 6)},
+}
+MAX_GENERATED_ORDER = 200
+# The oracle's pairwise joins take seconds past a few hundred subgroups (S4 x D4,
+# 1026 of them, takes about 5 s with CPython 3.11), so larger lattices are skipped.
+MAX_GENERATED_SUBGROUPS = 300
+
+
+def _block_generators(kind, n, at):
+    """A block's generators on the points at, ..., at + n - 1, each a list of cycles."""
+    pts = list(range(at, at + n))
+    if kind == "C":
+        return [[pts]]
+    if kind == "D":  # the rotation and the reflection i -> -i
+        return [[pts], [[pts[i], pts[n - i]] for i in range(1, (n + 1) // 2)]]
+    if kind == "S":
+        return [[pts], [pts[:2]]]
+    return [[pts[:3]], [pts if n % 2 else pts[1:]]]  # A_n
+
+
+@st.composite
+def perm_specs(draw):
+    """A ``perm:`` spec of a direct product of disjoint blocks, of order at most
+    MAX_GENERATED_ORDER, where one generator may move two blocks at once (a
+    subdirect product)."""
+    gens, at, order = [], 0, 1
+    for _ in range(draw(st.integers(1, 4))):
+        fits = [b for b, o in BLOCK_ORDERS.items() if order * o <= MAX_GENERATED_ORDER]
+        if not fits:
+            break
+        kind, n = draw(st.sampled_from(fits))
+        gens.append(_block_generators(kind, n, at))
+        at, order = at + n, order * BLOCK_ORDERS[kind, n]
+    if len(gens) > 1 and draw(st.booleans()):
+        i, j = draw(st.permutations(range(len(gens))))[:2]
+        linked = gens[i].pop(0) + gens[j].pop(0)
+        gens[0].append(linked)
+    cycles = lambda gen: "".join(f"({' '.join(map(str, c))})" for c in gen)
+    return "perm:" + ";".join(cycles(gen) for block in gens for gen in block)
+
+
+@settings(
+    max_examples=40,
+    deadline=None,
+    derandomize=True,
+    database=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(text=perm_specs())
+def test_generated_groups_match_oracle_and_round_trip(text):
+    group = group_from_text(text)
+    lat = subgroup_lattice(group)
+    assume(len(lat.subgroups) <= MAX_GENERATED_SUBGROUPS)
+    _assert_matches_oracle(lat)
+    key = spec_cache_key(text, DEFAULT_MAX_ORDER)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = cache_path(Path(tmp), key)
+        cache_store(path, group, lat, key)
+        loaded = cache_load(path, group, key)
+    assert loaded is not None
+    assert loaded.subgroups == lat.subgroups
+    assert loaded.index_of == lat.index_of
+    assert loaded.class_of == lat.class_of
+    assert loaded.class_reps == lat.class_reps
+    assert loaded.below == lat.below
 
 
 @pytest.mark.parametrize(
