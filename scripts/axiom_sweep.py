@@ -29,7 +29,7 @@ def main(argv) -> int:
         system = GhostSystem(group_from_text(text))
         report = verify_axioms(system)
         grand_total += report.total_instances
-        status = "ok" if report.ok else f"{len(report.failures)} VIOLATIONS"
+        status = "ok" if report.ok else f"{sum(report.failed.values())} VIOLATIONS"
         print(
             f"{text:24s} order {system.group.order:5d} "
             f"{report.total_instances:8d} instances  {time.perf_counter() - t0:6.2f}s  {status}"

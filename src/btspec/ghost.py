@@ -280,30 +280,34 @@ class AxiomFailure:
 
 
 class VerificationReport:
-    """Per-axiom instance counts, and failures in the order found (past
-    ``MAX_RECORDED_FAILURES`` only counted)."""
+    """Per-axiom instance counts and failing-instance counts, and the first
+    ``MAX_RECORDED_FAILURES`` failures in the order found.  An axiom fails
+    iff it is a key of ``failed``."""
 
     def __init__(self, group: str):
         self.group = group
         self.counts: dict[str, int] = {}
+        self.failed: dict[str, int] = {}
         self.failures: list[AxiomFailure] = []
-        self.suppressed_failures = 0
 
     @property
     def ok(self) -> bool:
-        return not self.failures and self.suppressed_failures == 0
+        return not self.failed
 
     @property
     def total_instances(self) -> int:
         return sum(self.counts.values())
 
+    @property
+    def suppressed_failures(self) -> int:
+        return sum(self.failed.values()) - len(self.failures)
+
     def check(self, axiom: str, ok: bool, instance: dict, detail: str = "") -> None:
         self.counts[axiom] = self.counts.get(axiom, 0) + 1
         if not ok:
+            self.failed[axiom] = self.failed.get(axiom, 0) + 1
             if len(self.failures) < MAX_RECORDED_FAILURES:
                 self.failures.append(AxiomFailure(axiom, instance, detail))
-            else:
-                self.suppressed_failures += 1
 
     def proved(self, axiom: str, holds: bool, n: int) -> bool:
         """Count a block of n instances that hold, by an identity on the
@@ -322,9 +326,7 @@ class VerificationReport:
                 {
                     "axiom": name,
                     "instances": self.counts.get(name, 0),
-                    "status": "pass"
-                    if not any(f.axiom == name for f in self.failures)
-                    else "fail",
+                    "status": "fail" if name in self.failed else "pass",
                 }
                 for name in ALL_AXIOMS
                 if name in self.counts

@@ -8,11 +8,11 @@ double-coset formula for ``LevelRing.multiply``, cosets built as sets for
 ``lattice.left_cosets``/``right_cosets``, double cosets covered element by
 element for ``GhostSystem.double_coset_reps`` and built as sets L k H for
 the tr and nm terms, fixed cosets found by testing every element, fixed
-points counted row by row, normalizers by conjugating a
-subgroup by every element for the printed normalizer orders, subconjugacy by
-testing every subgroup against every class representative, the fixed-point
-counting identity, downward closure and every subgroup family, and the
-Q-condition over every level.
+points counted row by row, the table of marks counted on coset spaces by the
+G-set engine, normalizers by conjugating a subgroup by every element for the
+printed normalizer orders, subconjugacy by testing every subgroup against
+every class representative, the fixed-point counting identity, downward
+closure and every subgroup family, and the Q-condition over every level.
 """
 
 from __future__ import annotations
@@ -260,6 +260,14 @@ def fixed_points_by_rows(X: GSet, I_bits: int) -> int:
     """|X^I| counted point by point against the row of every element of I."""
     rows = [X.action_row(g) for g in bits_iter(I_bits)]
     return sum(1 for x in range(X.size) if all(row[x] == x for row in rows))
+
+
+def oracle_marks_matrix(ring):
+    """|(H/K)^I| counted on the coset space H/K by the brute-force G-set engine."""
+    H_bits = ring.subgroup.members
+    reps = [ring.class_rep_subgroup(c).members for c in range(ring.num_classes)]
+    spaces = [coset_space(ring.group, H_bits, K_bits) for K_bits in reps]
+    return [[fixed_points(space, I_bits) for I_bits in reps] for space in spaces]
 
 
 # -- subgroups -----------------------------------------------------------------

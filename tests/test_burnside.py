@@ -5,10 +5,10 @@ from hypothesis import given, settings, strategies as st
 
 from btspec.burnside import BurnsideElement, GhostElement
 from btspec.errors import NotInImageError
-from btspec.gsets import coset_space, fixed_points
+from btspec.gsets import coset_space
 
 from conftest import C2_5, C840, CORPUS, system_for
-from oracles import double_coset_product, orbit_decompose, product
+from oracles import double_coset_product, oracle_marks_matrix, orbit_decompose, product
 
 
 class TestMarksTable:
@@ -64,14 +64,6 @@ class TestMarksTable:
                     >> lat.class_of[ring.class_reps[i]] & 1
                 )
                 assert nonzero == subconj
-
-
-def oracle_marks_matrix(ring):
-    """|(H/K)^I| counted on the coset space H/K by the brute-force G-set engine."""
-    H_bits = ring.subgroup.members
-    reps = [ring.class_rep_subgroup(c).members for c in range(ring.num_classes)]
-    spaces = [coset_space(ring.group, H_bits, K_bits) for K_bits in reps]
-    return [[fixed_points(space, I_bits) for I_bits in reps] for space in spaces]
 
 
 class TestMarksOracle:

@@ -55,6 +55,11 @@ class TestExitCodes:
     def test_usage_error_unknown_command(self, invoke):
         assert invoke("frobnicate", "A4")[0] == 2
 
+    def test_help_exits_zero_with_usage_on_stdout(self, invoke):
+        code, out, err = invoke("--help")
+        assert (code, err) == (0, "")
+        assert out.startswith("usage: btspec ")
+
     def test_usage_error_nonprime_residual(self, invoke):
         code, _, err = invoke("residual", "A4", "--prime", "6")
         assert code == 2
@@ -361,6 +366,20 @@ class TestArgsBeforeLattice:
                 "usage error: unrecognized group spec 'Z9' (at position 0)\n",
                 id="verify-spec-parse-first",
             ),
+            pytest.param(
+                ("subgroups", ""), 2, "usage error: empty group spec (at position 0)\n",
+                id="empty-spec",
+            ),
+            pytest.param(
+                ("subgroups", "perm:"), 2,
+                "usage error: perm spec has no generators (at position 5)\n",
+                id="perm-no-generators",
+            ),
+            pytest.param(
+                ("subgroups", "perm:x"), 2,
+                "usage error: expected '(' but found 'x' (at position 5)\n",
+                id="perm-no-cycle",
+            ),
         ],
     )
     def test_refused_before_lattice(self, invoke, no_lattice, argv, code, err):
@@ -617,6 +636,14 @@ class TestSpecCommand:
         code, out, _ = invoke("fibers", "A4", "--prime", "GENERIC")
         assert code == 0 and "p_{K4,q}" in out
 
+    # 2 and 3 divide |A4|; 5 does not, so only the --prime flag adds its fiber.
+    @pytest.mark.parametrize("prime", ["0", "GENERIC", "2", "5"])
+    def test_fibers_is_a_section_of_spec(self, invoke, prime):
+        code, out, err = invoke("fibers", "A4", "--prime", prime)
+        assert (code, err) == (0, "")
+        assert out.startswith(f"fiber {prime} (")
+        assert out in invoke("spec", "A4", "--prime", "5")[1]
+
     def test_fibers_materializes_any_prime(self, invoke):
         code, out, _ = invoke("fibers", "Q8", "--prime", "13", "--format", "json")
         data = json.loads(out)
@@ -824,6 +851,22 @@ class TestCache:
         path = cache_path(tmp_path, key)
         cache_store(path, s3, subgroup_lattice(s3), key)
         assert cache_load(path, c6, key) is None
+
+    def test_other_generators_are_a_silent_miss(self, tmp_path, capsys):
+        # The same order and degree as S3, but other generators.
+        s3, other = group_from_text("S3"), group_from_text("perm:(0 1 2);(1 2)")
+        assert (other.order, other.degree) == (s3.order, s3.degree)
+        assert other.generators != s3.generators
+        key = spec_cache_key(s3.name, DEFAULT_MAX_ORDER)
+        path = cache_path(tmp_path, key)
+        cache_store(path, s3, subgroup_lattice(s3), key)
+        assert cache_load(path, other, key) is None
+        assert capsys.readouterr().err == ""
+
+    def test_default_dir_is_under_xdg_cache_home(self, tmp_path, monkeypatch):
+        monkeypatch.delenv("BTSPEC_CACHE", raising=False)
+        monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+        assert cache_mod.default_cache_dir() == tmp_path / "btspec"
 
     def test_stored_non_subgroup_recomputes_with_warning(self, tmp_path, capsys):
         # {1, 2} has the right order but no identity and is not closed.

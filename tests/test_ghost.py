@@ -523,6 +523,44 @@ class TestPinnedFailures:
         assert (len(rows), digest) == PINNED_CONJ_FAILURES[text]
 
 
+# InverseConjSystem's failing instances per axiom on A4 with the default
+# RANDOM_ELEMENTS: 2384 in all, of which the first 25 are recorded.
+INVERSE_CONJ_A4_FAILED = {
+    "conjugacy_res": 800, "conjugacy_tr": 784, "conjugacy_nm": 752, "chi_conj": 48,
+}
+
+
+class TestFailVerdicts:
+    """An axiom fails iff any of its instances failed, whether or not that
+    failure is among the recorded ones."""
+
+    def test_json_marks_every_failing_axiom(self):
+        from btspec.groups import group_from_text
+
+        report = verify_axioms(InverseConjSystem(group_from_text("A4")))
+        data = report.to_json_dict()
+        failing = [a["axiom"] for a in data["axioms"] if a["status"] == "fail"]
+        assert failing == list(INVERSE_CONJ_A4_FAILED)
+        assert report.failed == INVERSE_CONJ_A4_FAILED
+        assert data["ok"] is False and not report.ok
+        assert len(data["violations"]) == ghost_mod.MAX_RECORDED_FAILURES
+        assert report.suppressed_failures == 2359
+
+    def test_cli_text_marks_every_failing_axiom(self, monkeypatch, capsys):
+        import btspec.cli as cli_mod
+
+        monkeypatch.setattr(cli_mod, "GhostSystem", InverseConjSystem)
+        assert cli_mod.run(["verify", "A4", "--no-cache"]) == 1
+        lines = capsys.readouterr().out.splitlines()
+        axiom_lines, violations, last = lines[:-26], lines[-26:-1], lines[-1]
+        assert [line.split()[0] for line in axiom_lines if line.endswith(" FAIL")] == list(
+            INVERSE_CONJ_A4_FAILED
+        )
+        assert all(line.endswith((" pass", " FAIL")) for line in axiom_lines)
+        assert all(line.startswith("VIOLATION ") for line in violations)
+        assert last == "... and 2359 more violations"
+
+
 class TestVerify:
     @pytest.mark.parametrize("text", ["C1", "S3", "Q8", "A4"])
     def test_all_axioms_pass(self, text):
@@ -795,16 +833,28 @@ class TestCosets:
                 numbered(g, c3, c2)
 
 
+def _axiom_sweep_script():
+    import importlib.util
+    from pathlib import Path
+
+    path = Path(__file__).resolve().parents[1] / "scripts" / "axiom_sweep.py"
+    spec = importlib.util.spec_from_file_location("axiom_sweep", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
 class TestAxiomSweepScript:
     def test_small_groups_pass(self, capsys):
-        import importlib.util
-        from pathlib import Path
-
-        path = Path(__file__).resolve().parents[1] / "scripts" / "axiom_sweep.py"
-        spec = importlib.util.spec_from_file_location("axiom_sweep", path)
-        module = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(module)
+        module = _axiom_sweep_script()
         assert module.main(["S3", "A4"]) == 0
         lines = capsys.readouterr().out.splitlines()
         assert [line.split()[0] for line in lines] == ["S3", "A4", "total:"]
         assert all(line.endswith("ok") for line in lines[:2])
+
+    def test_counts_every_violation(self, monkeypatch, capsys):
+        module = _axiom_sweep_script()
+        monkeypatch.setattr(module, "GhostSystem", InverseConjSystem)
+        assert module.main(["A4"]) == 1
+        first = capsys.readouterr().out.splitlines()[0]
+        assert first.endswith("  2384 VIOLATIONS")  # 25 recorded + 2359 suppressed

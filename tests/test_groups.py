@@ -27,6 +27,8 @@ class TestPermutation:
     def test_from_cycles(self):
         assert parse_group_spec("perm:(0 1 2)(3)").generators == ((1, 2, 0, 3),)
         assert parse_group_spec("perm:(2 0);(1 3)").generators == ((2, 1, 0, 3), (0, 3, 2, 1))
+        # Space between the cycles of one generator is skipped.
+        assert parse_group_spec("perm:(0 1) (2 3)") == parse_group_spec("perm:(0 1)(2 3)")
         with pytest.raises(SpecParseError, match="point 1 repeated across cycles"):
             parse_group_spec("perm:(0 1)(1 2)")
 
@@ -142,6 +144,7 @@ class TestRealize:
             ("GL3_2", 168),
             ("PSL2_7", 168),
             ("perm:(0 1);(2 3)", 4),
+            ("perm:(0 1) (2 3)", 2),
             ("perm:(0 1 2);(3 4 5)", 9),
         ],
     )

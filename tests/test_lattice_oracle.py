@@ -1,4 +1,5 @@
-"""The production subgroup lattice and level classes against independent oracles.
+"""The production subgroup lattice, level classes and tables of marks against
+independent oracles.
 
 ``oracle_lattice`` is the straightforward enumeration: seed with every cyclic
 subgroup, close under joins with every cyclic subgroup, recomputing each join
@@ -19,7 +20,7 @@ from btspec.groups import DEFAULT_MAX_ORDER, group_from_text
 from btspec.lattice import conjugates, subgroup_lattice
 
 from conftest import C2_5, C840, system_for
-from oracles import subconjugacy_rows
+from oracles import oracle_marks_matrix, subconjugacy_rows
 
 C2_4 = "perm:(0 1);(2 3);(4 5);(6 7)"
 C2_6 = "perm:(0 1);(2 3);(4 5);(6 7);(8 9);(10 11)"
@@ -236,6 +237,28 @@ def test_level_classes_match_all_elements_oracle(text):
         assert ring.sub_ids == sub_ids
         assert ring.class_reps == reps
         assert ring.local_class_of == local
+
+
+@settings(
+    max_examples=40,
+    deadline=None,
+    derandomize=True,
+    database=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(text=perm_specs())
+def test_generated_groups_level_classes_and_marks(text):
+    group = group_from_text(text)
+    lat = subgroup_lattice(group)
+    # Only for tier-1 time: unlike oracle_lattice, these oracles stay fast past the bound.
+    assume(len(lat.subgroups) <= MAX_GENERATED_SUBGROUPS)
+    for level_index in lat.class_reps:
+        ring = LevelRing(group, lat, level_index)
+        sub_ids, reps, local = oracle_level_classes(lat, level_index)
+        assert ring.sub_ids == sub_ids
+        assert ring.class_reps == reps
+        assert ring.local_class_of == local
+        assert ring.marks_matrix == oracle_marks_matrix(ring)
 
 
 @pytest.mark.parametrize("text", ["S4", C2_4])
