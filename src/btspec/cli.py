@@ -320,16 +320,9 @@ def cmd_residual(session: Session, args) -> int:
 # -- spectra ------------------------------------------------------------------------
 
 
-def _node_label(session: Session, poset: SpectrumPoset, node_id: int) -> str:
-    node = poset.nodes[node_id]
-    p_part = "q" if node.fiber == GENERIC else node.fiber
-    return "p_{%s,%s}" % (session.labels[node.residual_class], p_part)
-
-
-def _poset_json(session: Session, poset: SpectrumPoset, keys=None) -> dict:
-    """The poset as JSON; with ``keys``, only those fibers' nodes and edges."""
-    fibers = poset.fibers if keys is None else {k: poset.fibers[k] for k in keys}
-    keep = {i for ids in fibers.values() for i in ids}
+def _poset_json(session: Session, poset: SpectrumPoset, labels, fibers, edges) -> dict:
+    """The poset as JSON, cut down to the nodes of ``fibers`` and to ``edges``."""
+    nodes = [poset.nodes[i] for ids in fibers.values() for i in ids]  # ids ascend across fibers
     return {
         "group": poset.group,
         "kind": poset.kind,
@@ -339,74 +332,60 @@ def _poset_json(session: Session, poset: SpectrumPoset, keys=None) -> dict:
             {
                 "id": n.node_id,
                 "p": n.fiber,
-                "label": _node_label(session, poset, n.node_id),
+                "label": labels[n.node_id],
                 "residual_class_label": session.labels[n.residual_class],
                 "member_subgroup_labels": [session.labels[c] for c in n.member_classes],
             }
-            for n in poset.nodes
-            if n.node_id in keep
+            for n in nodes
         ],
-        "edges": [[a, b] for a, b in poset.edges if a in keep and b in keep],
-        "fibers": {k: list(v) for k, v in fibers.items()},
+        "edges": [[a, b] for a, b in edges],
+        "fibers": fibers,
     }
 
 
-def _edges_text(session: Session, poset: SpectrumPoset, edges) -> str:
-    label = lambda i: _node_label(session, poset, i)
-    return ", ".join(f"{label(a)} < {label(b)}" for a, b in edges)
-
-
-def _print_fiber_text(session: Session, poset: SpectrumPoset, key: str) -> None:
-    ids, rank, nodes = poset.fibers[key], poset.rank, poset.nodes
-    inner = [(a, b) for a, b in poset.edges if nodes[a].fiber == key == nodes[b].fiber]
-    print(f"fiber {key} ({len(ids)} nodes)")
-    for r in sorted({rank[i] for i in ids}):  # ids ascend, and so does each rank's list
-        labels = "  ".join(_node_label(session, poset, i) for i in ids if rank[i] == r)
-        print("  " * (r + 1) + labels)
-    if inner:
-        print("  edges: " + _edges_text(session, poset, inner))
-
-
-def _print_poset_text(session: Session, poset: SpectrumPoset) -> None:
-    kind = "spectrum" if poset.kind == "tambara" else "ring spectrum"
-    print(f"{kind} of {poset.group} (order {session.group.order})")
-    print(f"krull dimension: {poset.krull_dimension}")
-    print(f"note: {GENERIC_NOTE}")
-    for key in poset.fibers:
-        _print_fiber_text(session, poset, key)
-    cross = [(a, b) for a, b in poset.edges if poset.nodes[a].fiber != poset.nodes[b].fiber]
-    if cross:
-        print("cross edges: " + _edges_text(session, poset, cross))
-
-
-def _dot_graph(session: Session, poset: SpectrumPoset, name: str, ids: list[int]) -> list[str]:
-    idset = set(ids)
+def _dot_graph(name: str, ids, edges, labels) -> list[str]:
     lines = [f'digraph "{name}" {{', "  rankdir=BT;"]
-    for i in sorted(idset):
-        lines.append(f'  n{i} [label="{_node_label(session, poset, i)}"];')
-    for a, b in poset.edges:
-        if a in idset and b in idset:
-            lines.append(f"  n{a} -> n{b};")
+    lines += [f'  n{i} [label="{labels[i]}"];' for i in ids]
+    lines += [f"  n{a} -> n{b};" for a, b in edges]
     lines.append("}")
     return lines
 
 
-def _print_poset_dot(session: Session, poset: SpectrumPoset) -> None:
-    out: list[str] = []
-    for key, ids in poset.fibers.items():
-        out += _dot_graph(session, poset, f"fiber_{key}", list(ids))
-    all_ids = [n.node_id for n in poset.nodes]
-    out += _dot_graph(session, poset, "combined", all_ids)
-    print("\n".join(out))
-
-
-def _emit_poset(session: Session, poset: SpectrumPoset, fmt: str) -> int:
+def _emit_poset(session: Session, poset: SpectrumPoset, fmt: str, keys=None) -> int:
+    """Print the whole poset, or with ``keys`` only those fibers and the edges
+    inside them."""
+    whole = keys is None
+    fibers = poset.fibers if whole else {k: poset.fibers[k] for k in keys}
+    labels = [  # one per node, in node id order
+        "p_{%s,%s}" % (session.labels[n.residual_class], "q" if n.fiber == GENERIC else n.fiber)
+        for n in poset.nodes
+    ]
     if fmt == "json":
-        _emit_json(_poset_json(session, poset))
+        edges = poset.edges if whole else [e for k in fibers for e in poset.fiber_edges[k]]
+        _emit_json(_poset_json(session, poset, labels, fibers, edges))
     elif fmt == "dot":
-        _print_poset_dot(session, poset)
+        out: list[str] = []
+        for key, ids in fibers.items():
+            out += _dot_graph(f"fiber_{key}", ids, poset.fiber_edges[key], labels)
+        if whole:
+            out += _dot_graph("combined", range(len(poset.nodes)), poset.edges, labels)
+        print("\n".join(out))
     else:
-        _print_poset_text(session, poset)
+        edges_text = lambda edges: ", ".join(f"{labels[a]} < {labels[b]}" for a, b in edges)
+        if whole:
+            kind = "spectrum" if poset.kind == "tambara" else "ring spectrum"
+            print(f"{kind} of {poset.group} (order {session.group.order})")
+            print(f"krull dimension: {poset.krull_dimension}")
+            print(f"note: {GENERIC_NOTE}")
+        rank = poset.rank
+        for key, ids in fibers.items():
+            print(f"fiber {key} ({len(ids)} nodes)")
+            for r in sorted({rank[i] for i in ids}):  # ids ascend, and so does each rank's list
+                print("  " * (r + 1) + "  ".join(labels[i] for i in ids if rank[i] == r))
+            if poset.fiber_edges[key]:
+                print("  edges: " + edges_text(poset.fiber_edges[key]))
+        if whole and poset.cross_edges:
+            print("cross edges: " + edges_text(poset.cross_edges))
     return 0
 
 
@@ -420,15 +399,8 @@ def cmd_ring_spec(session: Session, args) -> int:
 
 def cmd_fibers(session: Session, args) -> int:
     p = args.prime
-    key = str(p)
     poset = enumerate_spectrum(session.system, [] if p in (0, GENERIC) else [p])
-    if args.fmt == "json":
-        _emit_json(_poset_json(session, poset, keys=[key]))
-    elif args.fmt == "dot":
-        print("\n".join(_dot_graph(session, poset, f"fiber_{key}", list(poset.fibers[key]))))
-    else:
-        _print_fiber_text(session, poset, key)
-    return 0
+    return _emit_poset(session, poset, args.fmt, keys=[str(p)])
 
 
 # -- verify -------------------------------------------------------------------------

@@ -165,18 +165,23 @@ class SpectrumNode(namedtuple("SpectrumNode", "node_id fiber residual_class memb
 
 class SpectrumPoset:
     """The prime ideals of one group's spectrum (``kind`` "tambara" or
-    "ring"): Hasse ``edges`` (a, b) mean ideal a < ideal b, ``succ[a]`` is
-    the bitset of the node ids strictly above a, and ``rank[a]`` is the edge
-    count of the longest chain inside a's fiber that ends at a."""
+    "ring"): Hasse ``edges`` (a, b) mean ideal a < ideal b, split into
+    ``fiber_edges[key]``, those inside fiber ``key``, and ``cross_edges``,
+    those between fibers, each in edge order.  ``succ[a]`` is the bitset of
+    the node ids strictly above a, and ``rank[a]`` is the edge count of the
+    longest chain inside a's fiber that ends at a."""
 
     def __init__(self, group: str, kind: str, nodes: list[SpectrumNode],
                  edges: list[tuple[int, int]], fibers: dict[str, list[int]],
+                 fiber_edges: dict[str, list[tuple[int, int]]], cross_edges: list[tuple[int, int]],
                  krull_dimension: int, succ: list[int], rank: list[int]):
         self.group = group
         self.kind = kind
         self.nodes = nodes
         self.edges = edges
         self.fibers = fibers
+        self.fiber_edges = fiber_edges
+        self.cross_edges = cross_edges
         self.krull_dimension = krull_dimension
         self.succ = succ
         self.rank = rank
@@ -245,12 +250,13 @@ def _successor_rows(system, nodes, fibers, ring: bool) -> list[int]:
 
 
 def _assemble(system, fiber_keys, ring: bool) -> SpectrumPoset:
-    """Nodes, their successor rows, the Hasse covers and the ranks.
+    """Nodes, their successor rows, the Hasse covers split by fiber, and ranks.
 
     The covers of a are succ(a) minus the union of succ(c) over c in succ(a),
-    emitted in (a, b) order.  Inside a fiber a cover (a, b) has b < a (nodes
-    follow their classes, and a smaller class has the larger ideal), so one
-    pass over the covers in reverse finishes a's rank before the covers from a."""
+    emitted in (a, b) order; only here are the fibers of a cover's ends
+    compared.  Inside a fiber a cover (a, b) has b < a (nodes follow their
+    classes, and a smaller class has the larger ideal), so one pass over a
+    fiber's covers in reverse finishes a's rank before the covers from a."""
     nodes, fibers = _collect_nodes(system, fiber_keys)
     succ = _successor_rows(system, nodes, fibers, ring)
     edges = []
@@ -259,9 +265,14 @@ def _assemble(system, fiber_keys, ring: bool) -> SpectrumPoset:
         for c in bits_iter(row):
             above |= succ[c]
         edges.extend((a, b) for b in bits_iter(row & ~above))
+    fiber_edges = {key: [] for key in fibers}
+    cross_edges = []
+    for edge in edges:
+        key = nodes[edge[0]].fiber
+        (fiber_edges[key] if key == nodes[edge[1]].fiber else cross_edges).append(edge)
     rank = [0] * len(nodes)
-    for a, b in reversed(edges):
-        if nodes[a].fiber == nodes[b].fiber:
+    for inner in fiber_edges.values():
+        for a, b in reversed(inner):
             rank[b] = max(rank[b], rank[a] + 1)
     return SpectrumPoset(
         group=system.group.name,
@@ -269,6 +280,8 @@ def _assemble(system, fiber_keys, ring: bool) -> SpectrumPoset:
         nodes=nodes,
         edges=edges,
         fibers=fibers,
+        fiber_edges=fiber_edges,
+        cross_edges=cross_edges,
         krull_dimension=1 if ring else 1 + max(rank[i] for i in fibers["0"]),
         succ=succ,
         rank=rank,

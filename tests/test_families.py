@@ -33,7 +33,7 @@ Each formula is derived by hand, independently of the enumeration:
 import pytest
 
 from btspec.ghost import GhostSystem
-from btspec.groups import group_from_text
+from btspec.groups import MAX_ORDER, group_from_text
 from btspec.lattice import subgroup_lattice
 from btspec.spectrum import GENERIC, enumerate_spectrum
 
@@ -75,22 +75,28 @@ def elementary_abelian(p: int, k: int) -> str:
     )
 
 
-DIHEDRAL = list(range(3, 25)) + [30, 36, 45, 60, 64, 97, 100, 210, 1000]
+# Each list ends at the order bound MAX_ORDER = 4096: D2048 and C4096 reach it,
+# and D2047 = D(23 * 89) and C4095 = C(3^2 * 5 * 7 * 13) fall just short.
+DIHEDRAL = list(range(3, 25)) + [30, 36, 45, 60, 64, 97, 100, 210, 1000, 2047, 2048]
 # Every n in 3..30, then prime powers, a larger prime and more prime factors.
-DIHEDRAL_SPECTRUM = list(range(3, 31)) + [60, 64, 97, 100, 210]
-CYCLIC = list(range(1, 41)) + [48, 60, 64, 97, 210, 360, 720, 1000, 1155]
+DIHEDRAL_SPECTRUM = list(range(3, 31)) + [60, 64, 97, 100, 210, 2047, 2048]
+CYCLIC = list(range(1, 41)) + [48, 60, 64, 97, 210, 360, 720, 1000, 1155, 4095, 4096]
+
+
+def group(text: str):
+    return group_from_text(text, max_order=MAX_ORDER)
 
 
 @pytest.mark.parametrize("n", DIHEDRAL)
 def test_dihedral_subgroups_and_classes(n):
-    lattice = subgroup_lattice(group_from_text(f"D{n}"))
+    lattice = subgroup_lattice(group(f"D{n}"))
     assert len(lattice.subgroups) == tau(n) + sigma(n)
     assert lattice.num_classes == 2 * tau(n) + (tau(n // 2) if n % 2 == 0 else 0)
 
 
 @pytest.mark.parametrize("n", DIHEDRAL_SPECTRUM)
 def test_dihedral_spectrum(n):
-    poset = enumerate_spectrum(GhostSystem(group_from_text(f"D{n}")))
+    poset = enumerate_spectrum(GhostSystem(group(f"D{n}")))
     parts = prime_power_parts(n)
     delta = tau(n) + (tau(n // 2) if n % 2 == 0 else 0)
     assert poset.krull_dimension == sum(parts.values()) + 2
@@ -111,7 +117,7 @@ def test_elementary_abelian_subgroup_count(p, k):
 
 @pytest.mark.parametrize("n", CYCLIC)
 def test_cyclic_spectrum(n):
-    system = GhostSystem(group_from_text(f"C{n}"))
+    system = GhostSystem(group(f"C{n}"))
     parts = prime_power_parts(n)
     extra = 7 if n % 7 else 11 if n % 11 else 13
     poset = enumerate_spectrum(system, extra_primes=[extra])
@@ -124,7 +130,7 @@ def test_cyclic_spectrum(n):
 
 @pytest.mark.parametrize("n", [1, 2, 6, 12, 30, 64, 97, 210])
 def test_cyclic_table_of_marks(n):
-    system = GhostSystem(group_from_text(f"C{n}"))
+    system = GhostSystem(group(f"C{n}"))
     ring = system.level(system.lattice.top_index)
     orders = [ring.class_rep_subgroup(c).order for c in range(ring.num_classes)]
     assert orders == divisors(n)

@@ -560,6 +560,22 @@ class TestFailVerdicts:
         assert all(line.startswith("VIOLATION ") for line in violations)
         assert last == "... and 2359 more violations"
 
+    def test_json_counts_unlisted_violations(self):
+        from btspec.groups import group_from_text
+
+        data = verify_axioms(InverseConjSystem(group_from_text("A4"))).to_json_dict()
+        assert len(data["violations"]) == ghost_mod.MAX_RECORDED_FAILURES
+        assert data["suppressed_violations"] == 2359
+
+    def test_json_omits_the_count_when_every_violation_is_listed(self, monkeypatch):
+        from btspec.groups import group_from_text
+
+        monkeypatch.setattr(ghost_mod, "MAX_RECORDED_FAILURES", 10**9)
+        data = verify_axioms(InverseConjSystem(group_from_text("A4"))).to_json_dict()
+        assert len(data["violations"]) == sum(INVERSE_CONJ_A4_FAILED.values())
+        assert "suppressed_violations" not in data
+        assert "suppressed_violations" not in verify_axioms(system_for("A4")).to_json_dict()
+
 
 class TestVerify:
     @pytest.mark.parametrize("text", ["C1", "S3", "Q8", "A4"])

@@ -186,6 +186,27 @@ class TestRank:
                 assert poset.rank[i] == longest_chain_ending_at(inner, i)
 
 
+class TestFiberEdges:
+    """``fiber_edges`` and ``cross_edges`` split ``edges`` by the fibers of
+    each edge's two ends, keeping edge order."""
+
+    @pytest.mark.parametrize("text", RANK_CORPUS + [C2_5], ids=RANK_CORPUS[:-1] + ["C2_4", "C2_5"])
+    @pytest.mark.parametrize("build", [enumerate_spectrum, burnside_ring_spectrum])
+    def test_fiber_and_cross_edges_partition_edges(self, text, build):
+        poset = build(system_for(text))
+        assert list(poset.fiber_edges) == list(poset.fibers)
+        parts = [*poset.fiber_edges.values(), poset.cross_edges]
+        assert sorted(e for part in parts for e in part) == sorted(poset.edges)
+        position = {e: i for i, e in enumerate(poset.edges)}
+        for part in parts:
+            assert [position[e] for e in part] == sorted(position[e] for e in part)
+        for key, inner in poset.fiber_edges.items():
+            ids = set(poset.fibers[key])
+            assert all(a in ids and b in ids for a, b in inner)
+        fiber_of = {i: key for key, ids in poset.fibers.items() for i in ids}
+        assert all(fiber_of[a] != fiber_of[b] for a, b in poset.cross_edges)
+
+
 class TestKrullOracle:
     @pytest.mark.parametrize(
         "text", KRULL_CORPUS, ids=KRULL_CORPUS[:-2] + ["C2_5", "C840"]
