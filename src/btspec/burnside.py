@@ -76,7 +76,8 @@ class LevelRing:
     Holds the H-conjugacy classes of subgroups of H (indexed locally, sorted by
     (order, bitset) of the class representative; ``lattice.conjugates`` orbits
     under conjugation by the generators of H not central in H) and the table of
-    marks.
+    marks.  ``classes[c]`` lists the subgroup indices of local class c as its
+    orbit walk found them, representative first; ``local_class_of`` inverts it.
     """
 
     def __init__(self, group: FiniteGroup, lattice: SubgroupLattice, level_index: int):
@@ -94,16 +95,18 @@ class LevelRing:
                 for h in gens if any(mul[h][b] != mul[b][h] for b in gens)]
         # H-conjugacy classes of the subgroups of H; reps are (order, bits)-least.
         local_cls: dict[int, int] = {}
-        reps: list[int] = []
+        classes: list[list[int]] = []
         for sid in sub_ids:
             if sid not in local_cls:
                 orbit = conjugates(group, lattice.subgroups[sid].members, maps)
-                local_cls.update(dict.fromkeys(map(lattice.index_of.__getitem__, orbit), len(reps)))
-                reps.append(sid)
+                ids = list(map(lattice.index_of.__getitem__, orbit))
+                local_cls.update(dict.fromkeys(ids, len(classes)))
+                classes.append(ids)
         self.sub_ids = sub_ids
-        self.class_reps = reps
+        self.classes = classes
+        self.class_reps = [m[0] for m in classes]
         self.local_class_of = local_cls
-        self.num_classes = len(reps)
+        self.num_classes = len(classes)
         self._marks_matrix: list[list[int]] | None = None
 
     def class_rep_subgroup(self, cls: int):
@@ -122,17 +125,14 @@ class LevelRing:
         """
         if self._marks_matrix is None:
             subgroups = self.lattice.subgroups
-            by_class: list[list[int]] = [[] for _ in self.class_reps]
-            for sid in self.sub_ids:
-                by_class[self.local_class_of[sid]].append(subgroups[sid].members)
             rep_bits = [subgroups[r].members for r in self.class_reps]
             H_order = self.subgroup.order
             matrix = []
-            for k_cls, conjugates in enumerate(by_class):
-                weyl = H_order // (subgroups[self.class_reps[k_cls]].order * len(conjugates))
-                matrix.append(
-                    [weyl * sum(1 for K in conjugates if is_subset(I, K)) for I in rep_bits]
-                )
+            for ids in self.classes:
+                conjugates = [subgroups[k].members for k in ids]
+                weyl = H_order // (subgroups[ids[0]].order * len(ids))
+                matrix.append([weyl * sum(1 for K in conjugates if is_subset(I, K))
+                               for I in rep_bits])
             self._marks_matrix = matrix
         return self._marks_matrix
 

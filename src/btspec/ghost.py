@@ -45,6 +45,7 @@ from __future__ import annotations
 
 import operator
 import random
+from collections import namedtuple
 from functools import reduce
 from math import prod
 
@@ -62,7 +63,6 @@ from .gsets import (
 from .lattice import (
     SubgroupLattice,
     bits_iter,
-    conjugate_bits,
     coset_action,
     generating_set,
     is_subset,
@@ -79,8 +79,9 @@ RANDOM_ELEMENTS = 32  # seeded random test vectors per level
 class GhostSystem:
     """Level-indexed ghost rings with restriction, transfer, norm, conjugation.
 
-    Levels are keyed by global subgroup index in the lattice.  Instances are
-    safe to share once constructed; caches are fill-only.
+    Levels are keyed by global subgroup index.  Level and route caches are
+    fill-only; ``verify_axioms`` clears the coset actions at each K and a
+    pair's after its Weyl check, and the lattice's permutations when it ends.
     """
 
     def __init__(self, group: FiniteGroup, lattice: SubgroupLattice | None = None):
@@ -273,9 +274,7 @@ ALL_AXIOMS = (
 )
 
 
-class AxiomFailure:
-    def __init__(self, axiom: str, instance: dict, detail: str):
-        self.axiom, self.instance, self.detail = axiom, instance, detail
+AxiomFailure = namedtuple("AxiomFailure", "axiom instance detail")
 
 
 class VerificationReport:
@@ -309,10 +308,9 @@ class VerificationReport:
                 self.failures.append(AxiomFailure(axiom, instance, detail))
 
     def proved(self, axiom: str, holds: bool, n: int) -> bool:
-        """Count a block of n instances that hold, by an identity on the
-        routing tables or as already checked (n = 0 adds no key); False sends
-        the block to its per-element loop."""
-        if holds and n:
+        """Count a block of n >= 1 instances that hold, by a routing-table
+        identity or as already checked; False sends it to its per-element loop."""
+        if holds:
             self.counts[axiom] = self.counts.get(axiom, 0) + n
         return holds
 
@@ -391,9 +389,9 @@ def verify_axioms(
     tr and then for nm.  Conjugacy identities are decided once per distinct
     pair of g's conj routes on K and H, and counted or looped at each g.  The
     ``chi_*`` checks always run against the G-set oracle, one orbit at a
-    time, and are counted the same way; chi_conj reads neither K nor its
-    routes, so each (H, J, g) is checked once and its result counted at
-    every K.
+    time, each recorded with one ``check``; chi_conj reads neither K nor its
+    routes, so each (H, J, g) is checked once and its results are counted as
+    a block at every K.
     """
     group = system.group
     lattice = system.lattice
@@ -451,7 +449,7 @@ def verify_axioms(
         # chi_conj at each orbit H/J: whether every g passed, and each g's result.
         results = [[] for _ in range(system.level(H_idx).num_classes)]
         for g in conj_sample:
-            target = conjugate_bits(group, g, system._bits(H_idx))
+            target = system._bits(lattice.conjugation(g)[H_idx])
             for j_cls, oks in enumerate(results):
                 X, chi_x = orbit(H_idx, j_cls)
                 lhs = system.ghost_conj(g, chi_x)
@@ -627,8 +625,7 @@ def verify_axioms(
                     if "chi_tr" in enabled:
                         lhs = system.ghost_tr(K_idx, H_idx, chi_x)
                         ok = lhs == system.oracle_marks(induce(K_bits, X, left), K_idx)
-                        if not report.proved("chi_tr", ok, 1):
-                            report.check("chi_tr", ok, xinst, f"chi(X)={chi_x.values}")
+                        report.check("chi_tr", ok, xinst, f"chi(X)={chi_x.values}")
                     if "chi_nm" in enabled:
                         try:
                             co = coinduce(K_bits, X, right)
@@ -637,8 +634,7 @@ def verify_axioms(
                         else:
                             lhs = system.ghost_nm(K_idx, H_idx, chi_x)
                             ok = lhs == system.oracle_marks(co, K_idx)
-                            if not report.proved("chi_nm", ok, 1):
-                                report.check("chi_nm", ok, xinst, f"chi(X)={chi_x.values}")
+                            report.check("chi_nm", ok, xinst, f"chi(X)={chi_x.values}")
                     if "chi_conj" in enabled:
                         # Nothing here depends on K: check once, count for every K.
                         if H_idx not in conj_oks:
@@ -650,8 +646,7 @@ def verify_axioms(
                 for Y, chi_y in k_orbits:  # empty unless chi_res is enabled
                     lhs = system.ghost_res(K_idx, H_idx, chi_y)
                     ok = lhs == system.oracle_marks(restrict_gset(Y, H_bits), H_idx)
-                    if not report.proved("chi_res", ok, 1):
-                        report.check("chi_res", ok, inst, f"chi(Y)={chi_y.values}")
+                    report.check("chi_res", ok, inst, f"chi(Y)={chi_y.values}")
 
             top_cls = ringK.num_classes - 1
             if "tambara_sum" in enabled and not report.proved(

@@ -41,7 +41,7 @@ from .burnside import BurnsideElement, GhostElement
 from .errors import PrimeCountError
 from .ghost import GhostSystem
 from .groups import prime_factors
-from .lattice import bits_iter, conjugate_bits, is_subset
+from .lattice import bits_iter, is_subset
 
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -313,7 +313,6 @@ def burnside_ring_spectrum(system: GhostSystem, extra_primes=()) -> SpectrumPose
 def _norm_route_values(system, a: GhostElement, L_idx: int) -> list[GhostElement]:
     """All nm^L . conj_g . res_H(a) for H over level classes of a's level and
     admissible g (those with ^g H <= L)."""
-    group = system.group
     lattice = system.lattice
     L_bits = lattice.subgroups[L_idx].members
     ring = system.level(a.level)
@@ -321,10 +320,9 @@ def _norm_route_values(system, a: GhostElement, L_idx: int) -> list[GhostElement
     for h_cls in range(ring.num_classes):
         H_idx = ring.class_reps[h_cls]
         restricted = system.ghost_res(a.level, H_idx, a)
-        H_bits = lattice.subgroups[H_idx].members
         seen_routes = set()
-        for g in range(group.order):
-            if not is_subset(conjugate_bits(group, g, H_bits), L_bits):
+        for g in range(system.group.order):
+            if not is_subset(lattice.subgroups[lattice.conjugation(g)[H_idx]].members, L_bits):
                 continue
             conj = system.ghost_conj(g, restricted)
             val = system.ghost_nm(L_idx, conj.level, conj)

@@ -12,10 +12,14 @@ points counted row by row, the table of marks counted on coset spaces by the
 G-set engine, normalizers by conjugating a subgroup by every element for the
 printed normalizer orders, subconjugacy by testing every subgroup against
 every class representative, the fixed-point counting identity, downward
-closure and every subgroup family, and the Q-condition over every level.
+closure and every subgroup family, the Q-condition over every level, and
+spectrum containment decided from the ideals' membership definition by
+integer linear algebra on the tables of marks.
 """
 
 from __future__ import annotations
+
+from functools import cache
 
 from btspec.burnside import BurnsideElement
 from btspec.errors import ContainmentError
@@ -356,3 +360,112 @@ def q_condition_all_levels(system, family, p: int, a, b) -> bool:
                 if not ghost_ideal_membership(system, family, p, v1 * v2):
                     return False
     return True
+
+
+def left_kernel_basis(rows: list[list[int]]) -> list[list[int]]:
+    """A Z-basis of {x : x A = 0} for the integer matrix A with these rows.
+
+    Row swaps and adding integer multiples of one row to another (a Euclid
+    step per column) bring A to echelon form, and the same operations act on
+    an identity block beside it: they multiply A by a unimodular U, so the
+    rows of U beside the zero rows of U A are a basis of the left kernel."""
+    n = len(rows)
+    width = len(rows[0]) if rows else 0
+    work = [list(row) + [int(i == k) for k in range(n)] for i, row in enumerate(rows)]
+    top = 0
+    for col in range(width):
+        while True:
+            live = [i for i in range(top, n) if work[i][col]]
+            if not live:
+                break
+            pivot = min(live, key=lambda i: abs(work[i][col]))
+            work[top], work[pivot] = work[pivot], work[top]
+            head = work[top]
+            for i in range(top + 1, n):
+                q = work[i][col] // head[col]
+                if q:
+                    work[i] = [a - q * b for a, b in zip(work[i], head)]
+            if not any(work[i][col] for i in range(top + 1, n)):
+                top += 1
+                break
+    return [row[width:] for row in work[top:]]
+
+
+def rank_mod(vectors: list[list[int]], p: int) -> int:
+    """Rank over F_p of the integer vectors, by Gaussian elimination."""
+    rows = [[x % p for x in v] for v in vectors]
+    rank = 0
+    for col in range(len(rows[0]) if rows else 0):
+        pivot = next((i for i in range(rank, len(rows)) if rows[i][col]), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        inv = pow(rows[rank][col], -1, p)
+        head = rows[rank] = [x * inv % p for x in rows[rank]]
+        for i in range(rank + 1, len(rows)):
+            if rows[i][col]:
+                f = rows[i][col]
+                rows[i] = [(a - f * b) % p for a, b in zip(rows[i], head)]
+        rank += 1
+    return rank
+
+
+def ideal_containment(system, ring: bool = False):
+    """``contains((H1, p1), (H2, p2))``, with H a class and p a prime or 0:
+    whether P(H1, p1) lies inside P(H2, p2), decided from the definition.
+
+    P(H, p)(L) = {x in A(L) : phi_J(x) in (p) for every J <= L subconjugate to
+    H in G}, where phi_J(x) = sum_K x_K |(L/K)^J| reads the marks columns S of
+    L's table M at the local classes J of the family.  For the Burnside ring
+    (``ring``) it is Dress's q_{H,p} = {x in A(G) : phi_H(x) in (p)}, so S is
+    H's column at the top level only.  Ideals are conjugation-invariant, so
+    P1 <= P2 iff P1(L) <= P2(L) at every class-representative level L:
+
+    - p1 = 0: P1(L) is the left kernel of M_S1; it lies in P2(L) iff each
+      vector of a Z-basis of that kernel has every mark in S2 in (p2);
+    - p1 = p2 = p > 0: both contain p Z^n, so it holds iff the left kernels
+      of M_S1 and M_S2 over F_p nest, that is iff the columns S2 lie in the
+      F_p-span of the columns S1: rank(M_S1) = rank(M_{S1 + S2}) mod p;
+    - p1 > 0, p2 != p1: never, since p1 [L/L] has every mark equal to p1,
+      and S2 is never empty.
+
+    Subconjugacy comes from ``subconjugacy_rows``.  Kernel bases and ranks
+    are kept per (level, S, p)."""
+    lattice = system.lattice
+    below = subconjugacy_rows(lattice)
+    levels = [lattice.top_index] if ring else lattice.class_reps
+
+    @cache
+    def columns(L_idx, H_cls) -> int:  # S as a bitset of L's local classes
+        level = system.level(L_idx)
+        if ring:
+            return 1 << level.local_class_of[lattice.class_reps[H_cls]]
+        return sum(1 << j for j, r in enumerate(level.class_reps)
+                   if below[H_cls] >> lattice.class_of[r] & 1)
+
+    @cache
+    def rank(L_idx, S, p) -> int:
+        mm = system.level(L_idx).marks_matrix
+        return rank_mod([[row[j] for row in mm] for j in bits_iter(S)], p)
+
+    @cache
+    def kernel(L_idx, S) -> list[list[int]]:
+        mm = system.level(L_idx).marks_matrix
+        return left_kernel_basis([[row[j] for j in bits_iter(S)] for row in mm])
+
+    def at_level(L_idx, S1, p1, S2, p2) -> bool:
+        if p1:
+            return p1 == p2 and rank(L_idx, S1, p1) == rank(L_idx, S1 | S2, p1)
+        mm = system.level(L_idx).marks_matrix
+        for v in kernel(L_idx, S1):
+            for j in bits_iter(S2):
+                mark = sum(x * row[j] for x, row in zip(v, mm))
+                if mark % p2 if p2 else mark:
+                    return False
+        return True
+
+    def contains(ideal1, ideal2) -> bool:
+        (H1, p1), (H2, p2) = ideal1, ideal2
+        return all(at_level(L, columns(L, H1), p1, columns(L, H2), p2) for L in levels)
+
+    return contains

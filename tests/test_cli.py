@@ -465,7 +465,8 @@ class TestClosedPipe:
         )
         assert proc.stdout.readline().startswith(b"spectrum of")
         proc.stdout.close()
-        err = proc.stderr.read().decode()
+        with proc.stderr:
+            err = proc.stderr.read().decode()
         assert proc.wait(timeout=120) == 1
         assert "Traceback" not in err and err.count("\n") <= 1
 

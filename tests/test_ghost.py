@@ -560,6 +560,17 @@ class TestFailVerdicts:
         assert all(line.startswith("VIOLATION ") for line in violations)
         assert last == "... and 2359 more violations"
 
+    def test_failure_repr_names_axiom_and_witness(self):
+        # ``assert report.ok, report.failures[:3]`` prints this repr.
+        from btspec.groups import group_from_text
+
+        first = verify_axioms(InverseConjSystem(group_from_text("A4"))).failures[0]
+        assert first.axiom == "conjugacy_res" and first.detail.startswith("b=(")
+        assert repr([first]) == (
+            f"[AxiomFailure(axiom='conjugacy_res', instance={first.instance!r}, "
+            f"detail={first.detail!r})]"
+        )
+
     def test_json_counts_unlisted_violations(self):
         from btspec.groups import group_from_text
 

@@ -115,6 +115,22 @@ def oracle_level_classes(lattice, level_index):
     return tuple(sub_ids), reps, local
 
 
+def _assert_level_classes_match_oracle(ring):
+    """sub_ids, class_reps and local_class_of equal the oracle's, and each
+    ``classes[c]`` lists class c's members once each, representative first."""
+    sub_ids, reps, local = oracle_level_classes(ring.lattice, ring.level_index)
+    assert ring.sub_ids == sub_ids
+    assert ring.class_reps == reps
+    assert ring.local_class_of == local
+    members = [set() for _ in reps]
+    for sid, c in local.items():
+        members[c].add(sid)
+    assert len(ring.classes) == len(reps)
+    for c, ids in enumerate(ring.classes):
+        assert ids[0] == ring.class_reps[c]
+        assert len(ids) == len(members[c]) and set(ids) == members[c]
+
+
 def _assert_matches_oracle(lat):
     subgroups, class_of, class_reps, subconj = oracle_lattice(lat.group)
     assert [s.members for s in lat.subgroups] == subgroups
@@ -225,18 +241,14 @@ def test_below_matches_scan_oracle(text):
 
 
 # C2^4 is abelian, so its levels walk no conjugation map.
-@pytest.mark.parametrize("text", ["S4", "GL3_2", "Q8", "D9", "A5", C2_4, C840])
+@pytest.mark.parametrize("text", ["A4", "S4", "GL3_2", "Q8", "D9", "A5", C2_4, C840])
 def test_level_classes_match_all_elements_oracle(text):
     group = group_from_text(text)
     lat = subgroup_lattice(group)
     # Every level, except that C2^3 x C105 is checked at the top level only.
     levels = [lat.top_index] if text == C840 else range(len(lat.subgroups))
     for level_index in levels:
-        ring = LevelRing(group, lat, level_index)
-        sub_ids, reps, local = oracle_level_classes(lat, level_index)
-        assert ring.sub_ids == sub_ids
-        assert ring.class_reps == reps
-        assert ring.local_class_of == local
+        _assert_level_classes_match_oracle(LevelRing(group, lat, level_index))
 
 
 @settings(
@@ -254,10 +266,7 @@ def test_generated_groups_level_classes_and_marks(text):
     assume(len(lat.subgroups) <= MAX_GENERATED_SUBGROUPS)
     for level_index in lat.class_reps:
         ring = LevelRing(group, lat, level_index)
-        sub_ids, reps, local = oracle_level_classes(lat, level_index)
-        assert ring.sub_ids == sub_ids
-        assert ring.class_reps == reps
-        assert ring.local_class_of == local
+        _assert_level_classes_match_oracle(ring)
         assert ring.marks_matrix == oracle_marks_matrix(ring)
 
 

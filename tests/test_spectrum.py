@@ -24,8 +24,8 @@ from btspec.spectrum import (
     validate_prime_or_zero,
 )
 
-from conftest import C2_5, C840, CORPUS, labels_for, system_for
-from oracles import all_families, family_closed, q_condition_all_levels
+from conftest import C2_3, C2_5, C840, CORPUS, labels_for, system_for
+from oracles import all_families, family_closed, ideal_containment, q_condition_all_levels
 
 
 def cls_of(text, label):
@@ -116,6 +116,34 @@ class TestContainsOracle:
                 for b, nb in enumerate(nodes):
                     want = pairwise_contains(sysg, na, nb, ring)
                     assert poset.contains(a, b) == want, (text, poset.kind, na, nb)
+
+
+class TestContainmentFromDefinition:
+    """``poset.contains`` against ``oracles.ideal_containment``, which decides
+    containment from the ideals' membership definition on the tables of
+    marks, over every ordered node pair; every member class of a node must
+    give the node's ideal (P(H, p) = P(O^p H, p))."""
+
+    @pytest.mark.parametrize("text", ["S3", "A4", "Q8", "D6", "D9", "S4", C2_3, "GL3_2"])
+    @pytest.mark.parametrize("build", [enumerate_spectrum, burnside_ring_spectrum])
+    def test_contains_matches_definition(self, text, build):
+        sysg = system_for(text)
+        poset = build(sysg)
+        contains = ideal_containment(sysg, ring=build is burnside_ring_spectrum)
+        # GENERIC stands for any prime not dividing |G|; use the least one.
+        generic_q = next(q for q in range(2, 100) if is_prime(q) and sysg.group.order % q)
+        ideals = [
+            (node.residual_class, generic_q if node.fiber == GENERIC else int(node.fiber))
+            for node in poset.nodes
+        ]
+        for node, (cls, p) in zip(poset.nodes, ideals):
+            for member in node.member_classes:
+                assert contains((member, p), (cls, p)) and contains((cls, p), (member, p))
+        for a, ideal_a in enumerate(ideals):
+            for b, ideal_b in enumerate(ideals):
+                assert contains(ideal_a, ideal_b) == poset.contains(a, b), (
+                    text, poset.kind, poset.nodes[a], poset.nodes[b]
+                )
 
 
 class TestWorkGuards:
