@@ -17,10 +17,9 @@ order-isomorphic; the poset therefore materializes one symbolic GENERIC fiber
 alongside the fibers over 0 and over each prime dividing |G|.
 
 All four rules read one fact, subconjugacy of canonical classes, so no node
-pair is ever compared: each node's successors are one bitset, filled from the
-classes subconjugate to its own.  Containment lives only there:
-``_successor_rows`` fills the bitsets and ``SpectrumPoset.contains`` reads
-them.
+pair is ever compared: the Hasse covers are read off the covers of the class
+poset (``_covers``), and ``SpectrumPoset.contains`` reads the lattice's
+``below`` rows.
 
 The companion Zariski spectrum of the plain Burnside ring A(G) has the same
 node set but only the 0-to-p containments with matching residual, and Krull
@@ -36,6 +35,7 @@ non-principal family of subgroups.
 from __future__ import annotations
 
 from collections import namedtuple
+from functools import cache
 
 from .burnside import BurnsideElement, GhostElement
 from .errors import PrimeCountError
@@ -47,8 +47,8 @@ from .lattice import bits_iter, is_subset
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 # Most distinct extra primes a spectrum materializes as fibers.  Each adds one
-# node per class, and successor rows are bitsets over all node ids, so time
-# and memory grow about with the square of the fiber count.
+# node per class and their Hasse edges, so output grows with the prime count
+# while the input grows by one flag.
 MAX_EXTRA_PRIMES = 4
 
 
@@ -167,14 +167,14 @@ class SpectrumPoset:
     """The prime ideals of one group's spectrum (``kind`` "tambara" or
     "ring"): Hasse ``edges`` (a, b) mean ideal a < ideal b, split into
     ``fiber_edges[key]``, those inside fiber ``key``, and ``cross_edges``,
-    those between fibers, each in edge order.  ``succ[a]`` is the bitset of
-    the node ids strictly above a, and ``rank[a]`` is the edge count of the
-    longest chain inside a's fiber that ends at a."""
+    those between fibers, each in edge order.  ``below`` is the lattice's
+    subconjugacy rows, which ``contains`` reads, and ``rank[a]`` is the edge
+    count of the longest chain inside a's fiber that ends at a."""
 
     def __init__(self, group: str, kind: str, nodes: list[SpectrumNode],
                  edges: list[tuple[int, int]], fibers: dict[str, list[int]],
                  fiber_edges: dict[str, list[tuple[int, int]]], cross_edges: list[tuple[int, int]],
-                 krull_dimension: int, succ: list[int], rank: list[int]):
+                 krull_dimension: int, below: list[int], rank: list[int]):
         self.group = group
         self.kind = kind
         self.nodes = nodes
@@ -183,12 +183,21 @@ class SpectrumPoset:
         self.fiber_edges = fiber_edges
         self.cross_edges = cross_edges
         self.krull_dimension = krull_dimension
-        self.succ = succ
+        self.below = below
         self.rank = rank
 
     def contains(self, a: int, b: int) -> bool:
-        """True iff ideal a is contained in ideal b."""
-        return a == b or bool(self.succ[a] >> b & 1)
+        """True iff ideal a is contained in ideal b, by rules (i)-(iv) in the
+        Tambara spectrum; in the ring, only a 0-node lies below another node,
+        the one of its class's residual."""
+        if a == b:
+            return True
+        na, nb = self.nodes[a], self.nodes[b]
+        if na.fiber != "0" and na.fiber != nb.fiber:
+            return False
+        if self.kind == "tambara":
+            return bool(self.below[na.residual_class] >> nb.residual_class & 1)
+        return nb.fiber != "0" and na.residual_class in nb.member_classes
 
 
 def _collect_nodes(system, fiber_keys):
@@ -210,66 +219,55 @@ def _collect_nodes(system, fiber_keys):
     return nodes, fibers
 
 
-def _placer(nodes, ids, num_classes):
-    """The map from a bitset of classes to the bitset of the fiber's nodes
-    (``ids``) that those classes index."""
-    if len(ids) == num_classes:  # one node per class, numbered in class order
-        return lambda classes: classes << ids[0]
-    at = {nodes[i].residual_class: i for i in ids}
-    mask = sum(1 << k for k in at)
-    return lambda classes: sum(1 << at[k] for k in bits_iter(classes & mask))
-
-
-def _successor_rows(system, nodes, fibers, ring: bool) -> list[int]:
-    """Each node's strict successors as one bitset, filled from class data.
-
-    Tambara: node (F, r) lies below the nodes of F, and when F is "0" of
-    every fiber, whose class is subconjugate to r.  Ring: a 0-node c lies
-    below the node of O^p(c) in each p-fiber and of c in GENERIC, and nothing
-    else does.  A fiber with one node per class ("0", GENERIC, a prime not
-    dividing |G|) numbers them in class order, so its part of a row is the
-    class bitset shifted to its first node; another fiber reads only the
-    classes its nodes index.
-    """
-    lattice = system.lattice
-    place = {fiber: _placer(nodes, ids, lattice.num_classes) for fiber, ids in fibers.items()}
-    succ = []
-    for node in nodes:
-        c, row = node.residual_class, 0
-        if not ring:
-            for fiber in fibers if node.fiber == "0" else (node.fiber,):
-                row |= place[fiber](lattice.below[c])
-        elif node.fiber == "0":
-            for fiber in fibers:
-                if fiber == GENERIC:
-                    row |= place[fiber](1 << c)
-                elif fiber != "0":
-                    row |= place[fiber](1 << residual_class(system, c, int(fiber)))
-        succ.append(row & ~(1 << node.node_id))
-    return succ
+def _covers(below, classes: int) -> dict[int, int]:
+    """For each class c of the bitset ``classes``, the bitset of its covers in
+    the subconjugacy order induced on ``classes``.  Classes are numbered in
+    order of their subgroups' orders, so the largest class strictly below c
+    and below no cover found so far is a cover: the walk takes it and drops
+    everything below it."""
+    out = {}
+    for c in bits_iter(classes):
+        lower, out[c] = below[c] & classes & ~(1 << c), 0
+        while lower:
+            d = lower.bit_length() - 1
+            out[c] |= 1 << d
+            lower &= ~below[d]
+    return out
 
 
 def _assemble(system, fiber_keys, ring: bool) -> SpectrumPoset:
-    """Nodes, their successor rows, the Hasse covers split by fiber, and ranks.
+    """Nodes, the Hasse covers split by fiber, and ranks, from class covers.
 
-    The covers of a are succ(a) minus the union of succ(c) over c in succ(a),
-    emitted in (a, b) order; only here are the fibers of a cover's ends
-    compared.  Inside a fiber a cover (a, b) has b < a (nodes follow their
+    (F, c) lies below (F, d) iff d is strictly subconjugate to c, so the
+    covers inside F are those of the order induced on F's node classes, one
+    table per distinct set of them.  Across fibers only a 0-node has covers.
+    Tambara: (0, c) is covered by (F, c) when c is a node class of F, and by
+    no other node of F, since (0, c) < (0, r) < (F, r) for r strictly below c.
+    Ring: (0, c) lies below the node of O^p(c) in each p-fiber and of c in
+    GENERIC, and nothing lies above those.  Edges come in (a, b) order: a
+    node's covers inside its fiber, then a 0-node's across fibers in fiber
+    order.  Inside a fiber a cover (a, b) has b < a (nodes follow their
     classes, and a smaller class has the larger ideal), so one pass over a
     fiber's covers in reverse finishes a's rank before the covers from a."""
+    below = system.lattice.below
     nodes, fibers = _collect_nodes(system, fiber_keys)
-    succ = _successor_rows(system, nodes, fibers, ring)
-    edges = []
-    for a, row in enumerate(succ):
-        above = 0
-        for c in bits_iter(row):
-            above |= succ[c]
-        edges.extend((a, b) for b in bits_iter(row & ~above))
-    fiber_edges = {key: [] for key in fibers}
-    cross_edges = []
-    for edge in edges:
-        key = nodes[edge[0]].fiber
-        (fiber_edges[key] if key == nodes[edge[1]].fiber else cross_edges).append(edge)
+    node_of = {key: {nodes[i].residual_class: i for i in ids} for key, ids in fibers.items()}
+    covers = cache(lambda classes: _covers(below, classes))
+    edges, cross_edges, fiber_edges = [], [], {key: [] for key in fibers}
+    for key, ids in fibers.items():
+        at = node_of[key]
+        table = {} if ring else covers(sum(1 << c for c in at))  # no ring covers inside a fiber
+        for a in ids:
+            c = nodes[a].residual_class
+            inner = [(a, at[d]) for d in bits_iter(table.get(c, 0))]
+            cross = []
+            for other in fiber_keys[1:] if key == "0" else ():
+                r = c if not ring or other == GENERIC else residual_class(system, c, int(other))
+                if r in node_of[other]:
+                    cross.append((a, node_of[other][r]))
+            fiber_edges[key] += inner
+            cross_edges += cross
+            edges += inner + cross
     rank = [0] * len(nodes)
     for inner in fiber_edges.values():
         for a, b in reversed(inner):
@@ -283,7 +281,7 @@ def _assemble(system, fiber_keys, ring: bool) -> SpectrumPoset:
         fiber_edges=fiber_edges,
         cross_edges=cross_edges,
         krull_dimension=1 if ring else 1 + max(rank[i] for i in fibers["0"]),
-        succ=succ,
+        below=below,
         rank=rank,
     )
 

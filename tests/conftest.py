@@ -29,6 +29,9 @@ C2_3 = "perm:(0 1);(2 3);(4 5)"
 # Many-class abelian groups: C2^3 x C105 (128 classes) and C2^5 (374 classes).
 C840 = "perm:(0 1);(2 3);(4 5);(6 7 8)(9 10 11 12 13)(14 15 16 17 18 19 20)"
 C2_5 = "perm:(0 1);(2 3);(4 5);(6 7);(8 9)"
+# C2^6 (2825 classes) and C3^5 (2664 classes), each class one subgroup.
+C2_6 = "perm:(0 1);(2 3);(4 5);(6 7);(8 9);(10 11)"
+C3_5 = "perm:(0 1 2);(3 4 5);(6 7 8);(9 10 11);(12 13 14)"
 # C2 x S6: 5825 subgroups in 194 classes, the largest lattice in the tests.
 C2_S6 = "perm:(0 1);(2 3 4 5 6 7);(2 3)"
 # C2^7: 29,212 subgroups, more than lattice.MAX_SUBGROUPS.

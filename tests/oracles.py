@@ -12,9 +12,10 @@ points counted row by row, the table of marks counted on coset spaces by the
 G-set engine, normalizers by conjugating a subgroup by every element for the
 printed normalizer orders, subconjugacy by testing every subgroup against
 every class representative, the fixed-point counting identity, downward
-closure and every subgroup family, the Q-condition over every level, and
+closure and every subgroup family, the Q-condition over every level,
 spectrum containment decided from the ideals' membership definition by
-integer linear algebra on the tables of marks.
+integer linear algebra on the tables of marks, and the spectrum's Hasse
+covers by a union over each node's successor bitset.
 """
 
 from __future__ import annotations
@@ -32,8 +33,10 @@ from btspec.lattice import (
     is_subset,
 )
 from btspec.spectrum import (
+    GENERIC,
     _norm_route_values,
     ghost_ideal_membership,
+    residual_class,
     validate_prime_or_zero,
 )
 
@@ -469,3 +472,65 @@ def ideal_containment(system, ring: bool = False):
         return all(at_level(L, columns(L, H1), p1, columns(L, H2), p2) for L in levels)
 
     return contains
+
+
+def _placer(nodes, ids, num_classes):
+    """The map from a bitset of classes to the bitset of the fiber's nodes
+    (``ids``) that those classes index.  A fiber with one node per class
+    numbers them in class order, so it is a shift."""
+    if len(ids) == num_classes:
+        return lambda classes: classes << ids[0]
+    at = {nodes[i].residual_class: i for i in ids}
+    mask = sum(1 << k for k in at)
+    return lambda classes: sum(1 << at[k] for k in bits_iter(classes & mask))
+
+
+def successor_rows(system, poset) -> list[int]:
+    """Each node's strict successors in ``poset`` as one bitset over node ids,
+    filled from class data.
+
+    Tambara: node (F, r) lies below the nodes of F, and when F is "0" of
+    every fiber, whose class is subconjugate to r.  Ring: a 0-node c lies
+    below the node of O^p(c) in each p-fiber and of c in GENERIC, and nothing
+    else does."""
+    lattice, nodes = system.lattice, poset.nodes
+    place = {key: _placer(nodes, ids, lattice.num_classes) for key, ids in poset.fibers.items()}
+    succ = []
+    for node in nodes:
+        c, row = node.residual_class, 0
+        if poset.kind == "tambara":
+            for key in poset.fibers if node.fiber == "0" else (node.fiber,):
+                row |= place[key](lattice.below[c])
+        elif node.fiber == "0":
+            for key in poset.fibers:
+                if key == GENERIC:
+                    row |= place[key](1 << c)
+                elif key != "0":
+                    row |= place[key](1 << residual_class(system, c, int(key)))
+        succ.append(row & ~(1 << node.node_id))
+    return succ
+
+
+def hasse_by_union(system, poset):
+    """``poset``'s ``edges``, ``fiber_edges``, ``cross_edges`` and ``rank``
+    from its nodes alone, by the route assembly once took: the covers of a are
+    its successors minus the union of their successors, in (a, b) order, split
+    by the fibers of each edge's ends; ranks come from one reverse pass over
+    each fiber's covers, whose heads have the smaller ids."""
+    succ = successor_rows(system, poset)
+    edges = []
+    for a, row in enumerate(succ):
+        above = 0
+        for c in bits_iter(row):
+            above |= succ[c]
+        edges.extend((a, b) for b in bits_iter(row & ~above))
+    fiber_edges = {key: [] for key in poset.fibers}
+    cross_edges = []
+    for a, b in edges:
+        key = poset.nodes[a].fiber
+        (fiber_edges[key] if key == poset.nodes[b].fiber else cross_edges).append((a, b))
+    rank = [0] * len(poset.nodes)
+    for inner in fiber_edges.values():
+        for a, b in reversed(inner):
+            rank[b] = max(rank[b], rank[a] + 1)
+    return edges, fiber_edges, cross_edges, rank

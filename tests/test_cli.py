@@ -22,7 +22,7 @@ from btspec.groups import (
 from btspec.lattice import MAX_SUBGROUPS, conjugates, subgroup_lattice
 from btspec.spectrum import MAX_EXTRA_PRIMES
 
-from conftest import C2_3, C2_5, C2_7, C2_S6, C840, CORPUS, labels_for, system_for
+from conftest import C2_3, C2_5, C2_6, C2_7, C2_S6, C840, CORPUS, labels_for, system_for
 from oracles import normalizer_bits
 
 
@@ -387,12 +387,12 @@ class TestArgsBeforeLattice:
 
 
 class TestExtraPrimeBound:
-    """Each distinct spec/ring-spec --prime adds a fiber, and the successor
-    rows grow with the square of the node count: the count is bounded."""
+    """Each distinct spec/ring-spec --prime adds a fiber with one node per
+    class, so output grows with the count: the count is bounded."""
 
     def test_1000_distinct_primes_refused_quickly(self):
-        # Unbounded, 1000 extra fibers on C2^4 (67 classes) would be about
-        # 67,000 nodes, each with a successor row of about 67,000 bits.
+        # Unbounded, 1000 extra fibers on C2^4 (67 classes) would print about
+        # 67,000 nodes, about 10 MB of text.
         env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
         proc = subprocess.run(
             [sys.executable, "-m", "btspec.cli", "--no-cache", "spec",
@@ -409,9 +409,6 @@ class TestExtraPrimeBound:
         code, out, err = invoke("spec", "perm:(0 1);(2 3);(4 5);(6 7)", *flags, *flags)
         assert code == 0 and err == ""
         assert out.count("\nfiber ") == 3 + MAX_EXTRA_PRIMES  # 0, 2, the extras, GENERIC
-
-
-C2_6 = "perm:(0 1);(2 3);(4 5);(6 7);(8 9);(10 11)"
 
 
 class TestLongInputErrors:
@@ -521,6 +518,16 @@ GOLDEN_STDOUT = [
     ("A4", "fibers --prime GENERIC", "text", "a801f5afb456fe0788321e461158cf919e3b51601865e6b211b5f795353b96ca"),
     ("A4", "fibers --prime GENERIC", "json", "b010c7accd563e0e1a99cb9db322fdc5a5e9330ff9f2ecbe3d730f7d3884dee9"),
     ("A4", "fibers --prime GENERIC", "dot", "32da85e5b7134fcc626e97a3660c47a37ad1aea33fe083062caeb6cd746f5dce"),
+    # 5 does not divide |A4|: an extra-prime fiber and its cross edges.
+    ("A4", "spec --prime 5", "text", "1d9878db0ea4693849ee3bf19f212d8b190f0dc9bc84c93c24724238d5b8834c"),
+    ("A4", "spec --prime 5", "json", "4db881b4c505fc1df1e5ca3df4895b5bc87354e32c15323cb4a67ae266f072a8"),
+    ("A4", "spec --prime 5", "dot", "9891ab55e81cc2287e938edfb02932aeca637c23d5addbe9f20ce7c68d10c9db"),
+    ("A4", "ring-spec --prime 5", "text", "f0defc217c9495cf6d23f4ec2c4b725814864073f03f224c5835ce0f21727264"),
+    ("A4", "ring-spec --prime 5", "json", "d96891e59ffed4285a1448971d73647960d9c8918128443edff288c460c9b821"),
+    ("A4", "ring-spec --prime 5", "dot", "5dd721393027f72bb95be83dd8c466ced80766153de4c2298fb0949eb3f4efad"),
+    ("A4", "fibers --prime 5", "text", "439b5eece7fa3a230f5f8fea1cc93a1f8d662f095b1e109e16cbc5a70e396f91"),
+    ("A4", "fibers --prime 5", "json", "9e1450ac93eb0ff75acad27430e1bc5c9ee9c14735f0fe5400da87f9f8fe14ef"),
+    ("A4", "fibers --prime 5", "dot", "4fd3a5bad544ade3f9a100f119080d0fddfe40021f25eec03ab18e624a8f843e"),
     ("GL3_2", "spec", "text", "d03facacad95bca5e19e5d1984eec2af9aea8d1fd44b8210b8375172bf750a77"),
     ("GL3_2", "spec", "json", "c0892b3de2b759231b7be72386fe0d3d74716b3353c4aa6fa090b2dee1f4cb84"),
     ("GL3_2", "spec", "dot", "0ba5708daa562964217fbbd366431198932dba54c5f04f0216b252302752bbdf"),
@@ -545,6 +552,8 @@ GOLDEN_STDOUT = [
     ("C2_5", "fibers --prime GENERIC", "text", "7ab7857267808bc787eddd0b0beea9c4ec5f95d24be8527f7bcc9db78d5ea41c"),
     ("C2_5", "fibers --prime GENERIC", "json", "7da6a2e5d028de0ec783f18beed5f142a59e0a32fb6c948ec96861a29a927783"),
     ("C2_5", "fibers --prime GENERIC", "dot", "6faefa28a6e9c827a954beb3b0f58e2b1779018ceede55a2628eb6cc825d1e60"),
+    ("C840", "spec", "text", "42fc82743a6961e5b23c5fc95930e2cdb8f70ffc24505ce51f900b1f85f893f0"),
+    ("C840", "ring-spec", "text", "543bf93675f6059172503a5afde33fcd038999af92f00e969f40b982de2e91b7"),
     ("S5", "subgroups", "text", "74f0936fdd1e044bc2d81f17f27ccbc9ce64a3ea7587eb20cb94df33f6badd12"),
     ("A6", "subgroups", "text", "a5fd348565b05b58fda0d058c6eb80daa05bcc48db84da15dc87728ebb6cd7e7"),
     ("D60", "subgroups", "text", "d3db488be33504fd385e583ea879d60de1c606b1177ec732a9aba9a78e341216"),

@@ -19,12 +19,10 @@ from btspec.cache import cache_load, cache_path, cache_store, spec_cache_key
 from btspec.groups import DEFAULT_MAX_ORDER, group_from_text
 from btspec.lattice import conjugates, subgroup_lattice
 
-from conftest import C2_5, C840, system_for
+from conftest import C2_5, C2_6, C3_5, C840, system_for
 from oracles import oracle_marks_matrix, subconjugacy_rows
 
 C2_4 = "perm:(0 1);(2 3);(4 5);(6 7)"
-C2_6 = "perm:(0 1);(2 3);(4 5);(6 7);(8 9);(10 11)"
-C3_5 = "perm:(0 1 2);(3 4 5);(6 7 8);(9 10 11);(12 13 14)"
 
 
 def _members(bits):

@@ -1,12 +1,13 @@
 """Prime ideals: membership, containments, poset assembly, Q-condition."""
 
 import pytest
+from hypothesis import HealthCheck, assume, given, settings
 
 from btspec.burnside import GhostElement
 from btspec.cache import cache_load, cache_path, cache_store, spec_cache_key
 from btspec.errors import PrimeCountError
 from btspec.ghost import GhostSystem
-from btspec.groups import DEFAULT_MAX_ORDER, FiniteGroup, group_from_text
+from btspec.groups import DEFAULT_MAX_ORDER, MAX_ORDER, FiniteGroup, group_from_text
 from btspec.lattice import subgroup_lattice
 from btspec.names import class_labels
 from btspec.spectrum import (
@@ -24,8 +25,15 @@ from btspec.spectrum import (
     validate_prime_or_zero,
 )
 
-from conftest import C2_3, C2_5, C840, CORPUS, labels_for, system_for
-from oracles import all_families, family_closed, ideal_containment, q_condition_all_levels
+from conftest import C2_3, C2_5, C2_6, C2_S6, C3_5, C840, CORPUS, labels_for, system_for
+from oracles import (
+    all_families,
+    family_closed,
+    hasse_by_union,
+    ideal_containment,
+    q_condition_all_levels,
+)
+from test_lattice_oracle import MAX_GENERATED_SUBGROUPS, perm_specs
 
 
 def cls_of(text, label):
@@ -77,7 +85,7 @@ class TestHasseOracle:
 
 def pairwise_contains(sysg, n1, n2, ring):
     """The pairwise containment rule that assembly once applied to every node
-    pair, kept as the oracle for the successor rows."""
+    pair, kept as the oracle for ``contains``."""
     if n1.fiber != "0" and n1.fiber != n2.fiber:
         return False  # never across distinct primes, never from p into 0
     if not ring:
@@ -124,14 +132,22 @@ class TestContainmentFromDefinition:
     marks, over every ordered node pair; every member class of a node must
     give the node's ideal (P(H, p) = P(O^p H, p))."""
 
-    @pytest.mark.parametrize("text", ["S3", "A4", "Q8", "D6", "D9", "S4", C2_3, "GL3_2"])
+    @pytest.mark.parametrize(
+        "text,extra",
+        [(t, ()) for t in ("S3", "A4", "Q8", "D6", "D9", "S4", C2_3, "GL3_2")]
+        + [(t, (5,)) for t in ("A4", "S4", "D9")],
+        ids=["S3", "A4", "Q8", "D6", "D9", "S4", C2_3, "GL3_2", "A4+5", "S4+5", "D9+5"],
+    )
     @pytest.mark.parametrize("build", [enumerate_spectrum, burnside_ring_spectrum])
-    def test_contains_matches_definition(self, text, build):
+    def test_contains_matches_definition(self, text, extra, build):
         sysg = system_for(text)
-        poset = build(sysg)
+        poset = build(sysg, extra)
         contains = ideal_containment(sysg, ring=build is burnside_ring_spectrum)
-        # GENERIC stands for any prime not dividing |G|; use the least one.
-        generic_q = next(q for q in range(2, 100) if is_prime(q) and sysg.group.order % q)
+        # GENERIC stands for any prime not dividing |G|; use the least one not
+        # given as an extra prime, whose fiber is a different ideal set.
+        generic_q = next(
+            q for q in range(2, 100) if is_prime(q) and sysg.group.order % q and q not in extra
+        )
         ideals = [
             (node.residual_class, generic_q if node.fiber == GENERIC else int(node.fiber))
             for node in poset.nodes
@@ -243,6 +259,94 @@ class TestKrullOracle:
         sysg = system_for(text)
         want = 1 + chain_length_by_pairs(sysg.lattice)
         assert enumerate_spectrum(sysg).krull_dimension == want
+
+
+def assert_matches_union(sysg, extra):
+    """Both spectra's covers, their split by fiber and ranks equal
+    ``oracles.hasse_by_union`` on the same nodes."""
+    for build in (enumerate_spectrum, burnside_ring_spectrum):
+        poset = build(sysg, extra)
+        edges, fiber_edges, cross_edges, rank = hasse_by_union(sysg, poset)
+        assert poset.edges == edges, poset.kind
+        assert poset.fiber_edges == fiber_edges, poset.kind
+        assert poset.cross_edges == cross_edges, poset.kind
+        assert poset.rank == rank, poset.kind
+
+
+class TestHasseByUnion:
+    """Covers read off the class poset against the union over each node's
+    successor bitset; C3^5 takes 2 as an extra prime."""
+
+    @pytest.mark.parametrize(
+        "text,extra",
+        [(t, ()) for t in RANK_CORPUS] + [(C2_5, ()), (C3_5, (2,))],
+        ids=RANK_CORPUS[:-1] + ["C2_4", "C2_5", "C3_5+2"],
+    )
+    def test_matches_union(self, text, extra):
+        assert_matches_union(system_for(text), extra)
+
+
+@settings(
+    max_examples=40,
+    deadline=None,
+    derandomize=True,
+    database=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(text=perm_specs())
+def test_generated_groups_match_union(text):
+    sysg = GhostSystem(group_from_text(text))
+    assume(len(sysg.lattice.subgroups) <= MAX_GENERATED_SUBGROUPS)
+    assert_matches_union(sysg, (7,))  # blocks on at most 5 points: 7 never divides |G|
+
+
+def omega(n: int) -> int:
+    """The number of prime factors of n, counted with multiplicity."""
+    count, p = 0, 2
+    while n > 1:
+        while n % p == 0:
+            n //= p
+            count += 1
+        p += 1
+    return count
+
+
+def symmetric_chain_length(n: int) -> int:
+    """l(S_n) = ceil(3n/2) - b(n) - 1, b(n) the ones in n's binary expansion
+    (Cameron, Solomon and Turull, J. Algebra 127, 1989)."""
+    return (3 * n + 1) // 2 - bin(n).count("1") - 1
+
+
+SOLVABLE = CORPUS + ["D9", "Q16", C2_3, C2_5, C2_6, C3_5, C840, "D1000"]
+
+
+class TestKrullFromSubgroupChains:
+    """The Tambara Krull dimension is 1 + l(G), l(G) the length of the longest
+    chain of subgroups: a chain of classes under subconjugacy lifts to one of
+    subgroups.  l is additive over normal series, so l(G) = Omega(|G|) for a
+    solvable G.  C_n and D_n at the order bounds are checked in
+    ``test_families.py``."""
+
+    @pytest.mark.parametrize(
+        "text", SOLVABLE, ids=SOLVABLE[:-6] + ["C2_3", "C2_5", "C2_6", "C3_5", "C840", "D1000"]
+    )
+    def test_solvable_is_one_plus_omega(self, text):
+        sysg = system_for(text)
+        assert enumerate_spectrum(sysg).krull_dimension == 1 + omega(sysg.group.order)
+
+    @pytest.mark.parametrize("n", range(2, 7))
+    def test_symmetric(self, n):
+        assert enumerate_spectrum(system_for(f"S{n}")).krull_dimension == 1 + symmetric_chain_length(n)
+
+    # l(A_n) = l(S_n) - 1 is data for n <= 7, not a theorem.
+    @pytest.mark.parametrize("n", range(3, 8))
+    def test_alternating(self, n):
+        sysg = system_for(f"A{n}") if n < 7 else GhostSystem(group_from_text("A7", max_order=MAX_ORDER))
+        assert enumerate_spectrum(sysg).krull_dimension == symmetric_chain_length(n)
+
+    def test_direct_product_adds(self):
+        # l(C2 x S6) = l(C2) + l(S6)
+        assert enumerate_spectrum(system_for(C2_S6)).krull_dimension == 1 + 1 + symmetric_chain_length(6)
 
 
 class TestPrimeHelpers:
@@ -385,8 +489,7 @@ class TestResidualClass:
 
 class TestExtraPrimeBound:
     """The library, not only the CLI, refuses more than MAX_EXTRA_PRIMES
-    distinct extra primes: each adds a fiber, and the successor rows grow
-    with the square of the node count."""
+    distinct extra primes: each adds a fiber with one node per class."""
 
     @pytest.mark.parametrize("build", [enumerate_spectrum, burnside_ring_spectrum])
     def test_one_too_many_raises(self, build):
